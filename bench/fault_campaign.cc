@@ -114,15 +114,14 @@ main(int argc, char **argv)
     }
 
     // ------------------------------------------------------------------
-    banner("Site-pinned stuck bit: armed fallback vs batched unarmed "
-           "arrays");
+    banner("Site-pinned stuck bit: faults land only on the armed site");
     {
         // A stuck bit pinned to the M-type site arms only M0's
         // accumulator corruption; the same live campaign leaves G0
-        // unarmed, so its tiles keep the diagonal-batched stepped path
-        // while M0's take the scalar-walk fallback. The table shows the
-        // faults landing only on the armed site and the wall-clock gap
-        // between the two engines under one active injector.
+        // unarmed. Both arrays run the requested engine: the injector
+        // corrupts each finished tile once, after whichever engine
+        // computed it. The table shows the stuck-bit events landing on
+        // M0 alone while one injector is attached to both arrays.
         const std::size_t seq = quick ? 48 : 96;
         const std::size_t hidden = quick ? 128 : 256;
         Rng data_rng(11);
@@ -180,9 +179,9 @@ main(int argc, char **argv)
                 [&] { (void)sim.dataflow2(a, b, 1.0f, nullptr); });
         table.print(std::cout);
         std::cout << "\nOnly the armed M-type site records stuck-bit "
-                     "events and pays the\nscalar-walk fallback; the "
-                     "unarmed G-type array stays on the batched\nstepped "
-                     "engine with the campaign attached.\n";
+                     "events. Both arrays run\nthe requested engine with "
+                     "the campaign attached; the unarmed G-type\narray "
+                     "sees no corruption.\n";
 
         if (countStuck() == 0)
             fatal("site-pinned stuck bit never fired on the armed site");

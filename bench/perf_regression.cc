@@ -24,7 +24,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -35,6 +34,7 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
+#include "common/strutil.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "model/bert_model.hh"
@@ -216,9 +216,11 @@ main(int argc, char **argv)
         if (arg == "--quick") {
             quick = true;
         } else if (arg == "--repeats" && i + 1 < argc) {
-            repeats = static_cast<std::size_t>(std::atol(argv[++i]));
-            if (repeats < 1)
-                fatal("--repeats needs a positive count");
+            std::uint64_t parsed = 0;
+            if (!parseU64(argv[++i], parsed) || parsed == 0)
+                fatal("--repeats needs a positive count, got \"",
+                      argv[i], "\"");
+            repeats = static_cast<std::size_t>(parsed);
         } else if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
         } else {

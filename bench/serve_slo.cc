@@ -18,12 +18,12 @@
  *   --requests  override the stream length
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/strutil.hh"
 #include "common/table.hh"
 #include "serve/serve_sim.hh"
 #include "serve/service_model.hh"
@@ -73,10 +73,9 @@ main(int argc, char **argv)
         if (arg == "--quick") {
             requests = 600;
         } else if (arg == "--requests" && i + 1 < argc) {
-            requests =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
-            if (requests == 0)
-                fatal("--requests needs a positive count");
+            if (!parseU64(argv[++i], requests) || requests == 0)
+                fatal("--requests needs a positive count, got \"",
+                      argv[i], "\"");
         } else {
             fatal("unknown argument \"", arg,
                   "\"; usage: serve_slo [--quick] [--requests N]");

@@ -87,9 +87,9 @@ decodeScenario(fuzz::FuzzInput &input)
             s.fillProfile.front() = 1.0;
     }
 
-    // Optional deterministic fault campaign. Injection forces stepped
-    // everywhere; the property narrows to batched-vs-reference plus an
-    // identical event log.
+    // Optional deterministic fault campaign. Corruption lands once per
+    // tile, after whichever engine ran, so every engine must match the
+    // reference's corrupted accumulators and its event log.
     if (input.u8() % 4 == 0) {
         CampaignSpec spec;
         spec.seed = 1 + input.below(1 << 20);

@@ -36,7 +36,9 @@ mechanically enforces them:
                   concurrent simulators never interleave lines. Tools
                   that legitimately produce stdout take an std::ostream&.
   checked-parse   no naked std::stoi/stol/stod/atoi/strtol-family
-                  calls in src/ outside the checked helpers in
+                  calls in src/, bench/ or examples/ (every CLI must
+                  reject input it does not understand) outside the
+                  checked helpers in
                   src/common/strutil.{hh,cc} (thread_pool.cc's env shim
                   stays allow-listed). The std conversions accept
                   partial parses, clamp or throw on overflow, and let
@@ -68,6 +70,9 @@ import sys
 # Directories (relative to the repo root) each rule applies to.
 FLOAT_EQ_DIRS = ("src/numerics", "src/systolic")
 SRC_DIR = "src"
+CHECKED_PARSE_DIRS = (SRC_DIR, "bench", "examples")
+# Every directory walked; rules other than checked-parse stay on src/.
+LINT_DIRS = CHECKED_PARSE_DIRS
 
 # Files allowed to compare floats directly: the designated bit-equality
 # helpers themselves.
@@ -212,6 +217,8 @@ def lint_file(relpath, lines):
     findings = []
     is_header = relpath.endswith(".hh")
     in_src = relpath.startswith(SRC_DIR + "/") or relpath == SRC_DIR
+    checked_parse_applies = any(
+        relpath.startswith(d + "/") for d in CHECKED_PARSE_DIRS)
     float_eq_applies = (
         any(relpath.startswith(d + "/") for d in FLOAT_EQ_DIRS)
         and relpath not in FLOAT_EQ_HELPERS
@@ -265,7 +272,8 @@ def lint_file(relpath, lines):
                     "(fsim_mode.cc, thread_pool.cc) — route new knobs "
                     "through one of them so runs stay reproducible"))
 
-        if (in_src and relpath not in CHECKED_PARSE_HELPERS
+        if (checked_parse_applies
+                and relpath not in CHECKED_PARSE_HELPERS
                 and "checked-parse" not in allow):
             if CHECKED_PARSE_RE.search(code):
                 findings.append(Finding(
@@ -323,12 +331,13 @@ def lint_file(relpath, lines):
 
 
 def iter_source_files(root):
-    for dirpath, dirnames, filenames in os.walk(os.path.join(root, SRC_DIR)):
-        dirnames[:] = sorted(d for d in dirnames if d != "CMakeFiles")
-        for name in sorted(filenames):
-            if name.endswith((".cc", ".hh")):
-                full = os.path.join(dirpath, name)
-                yield os.path.relpath(full, root).replace(os.sep, "/")
+    for top in LINT_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames[:] = sorted(d for d in dirnames if d != "CMakeFiles")
+            for name in sorted(filenames):
+                if name.endswith((".cc", ".hh")):
+                    full = os.path.join(dirpath, name)
+                    yield os.path.relpath(full, root).replace(os.sep, "/")
 
 
 def run_lint(root):
@@ -442,6 +451,17 @@ SELF_TESTS = [
      'warn("do not use std::stoi(text)");', []),
     ("custom parse helper name fine", "src/accel/foo.cc",
      "auto v = parseU64(text, value);", []),
+    ("atol in bench CLI flagged", "bench/foo.cc",
+     "repeats = std::atol(argv[++i]);", ["checked-parse"]),
+    ("atoll in example CLI flagged", "examples/foo.cc",
+     "auto n = static_cast<std::uint64_t>(std::atoll(argv[1]));",
+     ["checked-parse"]),
+    ("parseU64 in bench CLI fine", "bench/foo.cc",
+     "if (!parseU64(argv[++i], requests) || requests == 0)", []),
+    ("checked-parse marker honored in examples", "examples/foo.cc",
+     "int x = std::stoi(t);  // prose-lint: allow(checked-parse)", []),
+    ("src-only rules stay off bench", "bench/foo.cc",
+     "std::cout << getenv(\"HOME\");", []),
 ]
 
 

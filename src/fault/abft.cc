@@ -1,5 +1,6 @@
 #include "abft.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -9,50 +10,90 @@ namespace prose {
 
 AbftChecker::AbftChecker(AbftOptions options) : options_(options) {}
 
+AbftPanelSums
+abftPanelSums(const AbftPlane &b)
+{
+    AbftPanelSums sums{ std::vector<double>(b.rows, 0.0),
+                        std::vector<double>(b.rows, 0.0) };
+    for (std::size_t kk = 0; kk < b.rows; ++kk) {
+        const float *row = b.data + kk * b.stride;
+        for (std::size_t j = 0; j < b.cols; ++j) {
+            const double v = row[j];
+            sums.colSum[kk] += v;
+            sums.absColSum[kk] += std::fabs(v);
+        }
+    }
+    return sums;
+}
+
 AbftTileResult
 AbftChecker::checkTile(const Matrix &a, const Matrix &b, Matrix &acc)
 {
+    Matrix qa(a.rows(), a.cols()), qb(b.rows(), b.cols());
+    std::transform(a.data(), a.data() + a.size(), qa.data(),
+                   quantizeBf16);
+    std::transform(b.data(), b.data() + b.size(), qb.data(),
+                   quantizeBf16);
+    const AbftPlane pa{ qa.data(), qa.cols(), qa.rows(), qa.cols() };
+    const AbftPlane pb{ qb.data(), qb.cols(), qb.rows(), qb.cols() };
+    return checkTile(pa, pb, abftPanelSums(pb), acc);
+}
+
+AbftTileResult
+AbftChecker::checkTile(const AbftPlane &a, const AbftPlane &b,
+                       const AbftPanelSums &b_sums, Matrix &acc)
+{
     const std::size_t rows = acc.rows();
     const std::size_t cols = acc.cols();
-    const std::size_t k = a.cols();
-    PROSE_ASSERT(a.rows() == rows && b.cols() == cols && b.rows() == k,
+    const std::size_t k = a.cols;
+    PROSE_ASSERT(a.rows == rows && b.cols == cols && b.rows == k &&
+                     b_sums.colSum.size() == k &&
+                     b_sums.absColSum.size() == k,
                  "ABFT operand/accumulator shape mismatch");
+    const std::vector<double> &col_sum_b = b_sums.colSum;
+    const std::vector<double> &abs_col_sum_b = b_sums.absColSum;
+    auto aAt = [&a](std::size_t r, std::size_t kk) -> double {
+        return a.data[r * a.stride + kk];
+    };
+    auto bAt = [&b](std::size_t kk, std::size_t c) -> double {
+        return b.data[kk * b.stride + c];
+    };
+    float *const acc_data = acc.data();
+    auto accAt = [acc_data, cols](std::size_t r, std::size_t c) -> float & {
+        return acc_data[r * cols + c];
+    };
 
     AbftTileResult result;
     ++stats_.tilesChecked;
 
     // Checksum vectors over the bf16-quantized operands the array saw,
     // accumulated in double so checksum rounding stays far below the
-    // array's own fp32 rounding.
-    std::vector<double> col_sum_b(k, 0.0), abs_col_sum_b(k, 0.0);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        for (std::size_t j = 0; j < cols; ++j) {
-            const double v = quantizeBf16(b(kk, j));
-            col_sum_b[kk] += v;
-            abs_col_sum_b[kk] += std::fabs(v);
-        }
-    }
+    // array's own fp32 rounding. Every sum below runs in ascending
+    // index order per output element; the loops are ordered so the
+    // inner one walks a plane row contiguously.
     std::vector<double> row_sum_a(k, 0.0), abs_row_sum_a(k, 0.0);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        for (std::size_t i = 0; i < rows; ++i) {
-            const double v = quantizeBf16(a(i, kk));
+    for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            const double v = aAt(i, kk);
             row_sum_a[kk] += v;
             abs_row_sum_a[kk] += std::fabs(v);
         }
     }
 
     // Row residuals: actual row sums of C vs a(r,:) . colsum(B).
+    std::vector<double> row_expected(rows, 0.0);
     std::vector<double> row_residual(rows, 0.0), row_mass(rows, 0.0);
     for (std::size_t r = 0; r < rows; ++r) {
         double expected = 0.0, mass = 0.0;
         for (std::size_t kk = 0; kk < k; ++kk) {
-            const double v = quantizeBf16(a(r, kk));
+            const double v = aAt(r, kk);
             expected += v * col_sum_b[kk];
             mass += std::fabs(v) * abs_col_sum_b[kk];
         }
         double actual = 0.0;
         for (std::size_t j = 0; j < cols; ++j)
-            actual += acc(r, j);
+            actual += accAt(r, j);
+        row_expected[r] = expected;
         row_residual[r] = expected - actual;
         row_mass[r] = mass;
         const double thresh = options_.relTolerance * mass;
@@ -61,20 +102,22 @@ AbftChecker::checkTile(const Matrix &a, const Matrix &b, Matrix &acc)
     }
 
     // Column residuals: actual column sums vs rowsum(A) . b(:,c).
+    std::vector<double> col_expected(cols, 0.0), col_actual(cols, 0.0);
     std::vector<double> col_residual(cols, 0.0), col_mass(cols, 0.0);
-    for (std::size_t c = 0; c < cols; ++c) {
-        double expected = 0.0, mass = 0.0;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const double v = quantizeBf16(b(kk, c));
-            expected += row_sum_a[kk] * v;
-            mass += abs_row_sum_a[kk] * std::fabs(v);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+        for (std::size_t c = 0; c < cols; ++c) {
+            const double v = bAt(kk, c);
+            col_expected[c] += row_sum_a[kk] * v;
+            col_mass[c] += abs_row_sum_a[kk] * std::fabs(v);
         }
-        double actual = 0.0;
-        for (std::size_t i = 0; i < rows; ++i)
-            actual += acc(i, c);
-        col_residual[c] = expected - actual;
-        col_mass[c] = mass;
-        const double thresh = options_.relTolerance * mass;
+    }
+    for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t c = 0; c < cols; ++c)
+            col_actual[c] += accAt(i, c);
+    }
+    for (std::size_t c = 0; c < cols; ++c) {
+        col_residual[c] = col_expected[c] - col_actual[c];
+        const double thresh = options_.relTolerance * col_mass[c];
         if (!(std::fabs(col_residual[c]) <= thresh))
             result.suspectCols.push_back(c);
     }
@@ -111,15 +154,11 @@ AbftChecker::checkTile(const Matrix &a, const Matrix &b, Matrix &acc)
             if (options_.correct) {
                 // Rebuild the cell from its row checksum and the
                 // healthy cells (robust even when the cell is Inf/NaN).
-                double expected = 0.0;
-                for (std::size_t kk = 0; kk < k; ++kk)
-                    expected += static_cast<double>(quantizeBf16(a(r, kk))) *
-                                col_sum_b[kk];
                 double others = 0.0;
                 for (std::size_t j = 0; j < cols; ++j)
                     if (j != c)
-                        others += acc(r, j);
-                acc(r, c) = static_cast<float>(expected - others);
+                        others += accAt(r, j);
+                accAt(r, c) = static_cast<float>(row_expected[r] - others);
                 result.corrected.emplace_back(r, c);
             }
         } else if (!candidates.empty()) {

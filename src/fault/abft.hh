@@ -17,6 +17,13 @@
  * architecturally visible flip (bf16-mantissa LSB, 2^-7 relative to one
  * term). Flips below accumulator bit 16 are masked by the truncating
  * reads of the real hardware and are out of scope by design.
+ *
+ * One checksum core serves every caller. It reads the operands as
+ * bf16-quantized fp32 planes (AbftPlane) — the functional simulator
+ * hands in the widened planes its fused pipeline already holds — and
+ * takes B's column-sum vectors precomputed (AbftPanelSums), so a caller
+ * checking many row tiles against one B panel sums the panel once. The
+ * Matrix overload of checkTile quantizes its operands and delegates.
  */
 
 #ifndef PROSE_FAULT_ABFT_HH
@@ -48,6 +55,33 @@ struct AbftOptions
      */
     double relTolerance = 2e-7;
 };
+
+/**
+ * Row-major view of one operand plane whose elements are already
+ * bf16-quantized: data[r*stride + c] == quantizeBf16(x(r, c)), the
+ * value the array multiplied.
+ */
+struct AbftPlane
+{
+    const float *data;
+    std::size_t stride; ///< row stride, in elements
+    std::size_t rows;
+    std::size_t cols;
+};
+
+/**
+ * The B-only checksum vectors of one k x cols operand panel, in double:
+ * colSum[kk] = sum_j b(kk, j), absColSum[kk] = sum_j |b(kk, j)|, each
+ * summed in ascending j.
+ */
+struct AbftPanelSums
+{
+    std::vector<double> colSum;
+    std::vector<double> absColSum;
+};
+
+/** Column-sum vectors of one quantized B panel. */
+AbftPanelSums abftPanelSums(const AbftPlane &b);
 
 /** Verdict for one checked tile. */
 struct AbftTileResult
@@ -99,8 +133,14 @@ class AbftChecker
      * Check (and optionally repair) one tile. `acc` is the live
      * accumulator region (rows x cols fp32) produced by streaming the
      * full k depth of `a` (rows x k) against `b` (k x cols); repaired
-     * values are written back into `acc`.
+     * values are written back into `acc`. Both planes hold quantized
+     * values; `b_sums` must be abftPanelSums(b).
      */
+    AbftTileResult checkTile(const AbftPlane &a, const AbftPlane &b,
+                             const AbftPanelSums &b_sums, Matrix &acc);
+
+    /** Same check over unquantized Matrix operands: quantizes them
+     *  through bfloat16 and runs the plane core above. */
     AbftTileResult checkTile(const Matrix &a, const Matrix &b,
                              Matrix &acc);
 

@@ -18,28 +18,17 @@ FunctionalSimulator::FunctionalSimulator(ArrayGeometry m_geometry,
 {
     PROSE_ASSERT(g_geometry.hasGelu, "G-Type array must carry GELU LUTs");
     PROSE_ASSERT(e_geometry.hasExp, "E-Type array must carry Exp LUTs");
-    applyArrayModes();
-}
-
-void
-FunctionalSimulator::applyArrayModes()
-{
-    // ABFT observes and repairs accumulators between the matmul and the
-    // SIMD passes of every tile; keep such runs on the cycle-stepped
-    // reference engine wholesale. (The per-array injector fallback is
-    // handled inside SystolicArray::effectiveMode.)
-    const FsimMode effective =
-        abft_.options().enabled ? FsimMode::Stepped : mode_;
-    mArray_.setMode(effective);
-    gArray_.setMode(effective);
-    eArray_.setMode(effective);
 }
 
 void
 FunctionalSimulator::setMode(FsimMode mode)
 {
-    mode_ = mode;
-    applyArrayModes();
+    // Fault injection and ABFT both act on the finished tile (after
+    // matmulTile, before the SIMD passes), so neither constrains the
+    // engine that computed it.
+    mArray_.setMode(mode);
+    gArray_.setMode(mode);
+    eArray_.setMode(mode);
 }
 
 Matrix
@@ -82,9 +71,10 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
     // otherwise stride through the full row pitch and thrash the DTLB
     // on wide operands. Both engines consume these: the fast GEMM core
     // directly, the diagonal-batched stepped engine through its
-    // transposed/reversed wavefront planes. Only the scalar PE walk
-    // (armed fault site, non-uniform fill) ignores them, and its tiles
-    // are dominated by the O(dim^2) register sweeps anyway.
+    // transposed/reversed wavefront planes, and the ABFT checksums.
+    // Only the scalar PE walk (stepped engine on an armed fault site,
+    // non-uniform fill) ignores them, and its tiles are dominated by
+    // the O(dim^2) register sweeps anyway.
     float *wa = arena.alloc<float>(a.size());
     ks.widenRow(wa, qa, a.size());
     float *wpb = arena.alloc<float>(k * std::min(s, n));
@@ -107,6 +97,12 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
         const TileOperand b_view{ b.data() + tn,  n, qb + tn, n,
                                   k,              cols,
                                   wpb,            cols };
+        // ABFT's B-only checksum vectors depend on the panel alone:
+        // sum them once here rather than once per row tile.
+        const AbftPlane b_plane{ wpb, cols, k, cols };
+        AbftPanelSums b_sums;
+        if (abft_.options().enabled)
+            b_sums = abftPanelSums(b_plane);
         for (std::size_t tm = 0; tm < m; tm += s) {
             const std::size_t rows = std::min(s, m - tm);
             const TileOperand a_view{ a.row(tm),   k, qa + tm * k, k,
@@ -118,18 +114,15 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
 
             // ABFT: verify the tile's row/column checksums before any
             // SIMD pass consumes the accumulators; repair located cells
-            // through the accumulator write port. The checker works on
-            // Matrix tiles, so this (stepped-engine) branch alone
-            // materializes copies of the views.
+            // through the accumulator write port. The checksums read the
+            // widened planes in place: wide == quantizeBf16(x) by the
+            // TileOperand invariant, so they see exactly the operands
+            // the array multiplied, on any engine.
             if (abft_.options().enabled) {
-                Matrix a_tile(rows, k), b_tile(k, cols);
-                for (std::size_t i = 0; i < rows; ++i)
-                    std::copy_n(a.row(tm + i), k, a_tile.row(i));
-                for (std::size_t i = 0; i < k; ++i)
-                    std::copy_n(b.row(i) + tn, cols, b_tile.row(i));
                 Matrix acc = array.accumulators();
-                const AbftTileResult verdict =
-                    abft_.checkTile(a_tile, b_tile, acc);
+                const AbftTileResult verdict = abft_.checkTile(
+                    AbftPlane{ wa + tm * k, k, rows, k }, b_plane, b_sums,
+                    acc);
                 for (const auto &[fix_r, fix_c] : verdict.corrected)
                     array.overwriteAccumulator(fix_r, fix_c,
                                                acc(fix_r, fix_c));
@@ -243,7 +236,6 @@ void
 FunctionalSimulator::setAbft(AbftOptions options)
 {
     abft_ = AbftChecker(options);
-    applyArrayModes();
 }
 
 std::uint64_t

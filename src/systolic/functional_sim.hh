@@ -101,16 +101,15 @@ class FunctionalSimulator
 
     /**
      * Select the functional-simulation engine for all arrays (defaults
-     * to PROSE_FSIM_MODE). ABFT-checked runs always use the stepped
-     * engine regardless of the requested mode (the checker observes
-     * accumulators mid-dataflow under the fault-replay contract), and
-     * each array additionally falls back to stepped on its own when a
-     * fault injector or non-uniform fill profile is present.
+     * to PROSE_FSIM_MODE). Fault-injected and ABFT-checked runs use it
+     * too: corruption and checksums act on the finished tile, whichever
+     * engine computed it. An array still falls back to stepped on its
+     * own under a non-uniform fill profile.
      */
     void setMode(FsimMode mode);
 
-    /** The requested engine (before ABFT/injector fallbacks). */
-    FsimMode mode() const { return mode_; }
+    /** The requested engine. */
+    FsimMode mode() const { return mArray_.mode(); }
 
     /** @} */
 
@@ -124,14 +123,10 @@ class FunctionalSimulator
                     const Matrix &b, float alpha, const Matrix *addend,
                     bool apply_special, SimdOp special);
 
-    /** Push mode_ (with the ABFT fallback applied) onto the arrays. */
-    void applyArrayModes();
-
     SystolicArray mArray_;
     SystolicArray gArray_;
     SystolicArray eArray_;
     AbftChecker abft_;
-    FsimMode mode_ = defaultFsimMode();
 };
 
 } // namespace prose

@@ -80,12 +80,10 @@ SystolicArray::SystolicArray(const ArrayGeometry &geometry,
 FsimMode
 SystolicArray::effectiveMode() const
 {
-    // The fault-replay contract requires the injector's deterministic
-    // RNG to advance exactly once per tile in schedule order, and a
-    // non-uniform fill profile has no closed form — both force the
-    // cycle-stepped reference engine (Validate included: its dual run
-    // would advance the injector twice).
-    if (injector_ || !aBuffer_.uniformFill() || !bBuffer_.uniformFill())
+    // A non-uniform fill profile has no closed form, so it forces the
+    // cycle-stepped reference engine. A fault injector does not: it
+    // corrupts the finished tile once, after either engine (matmulTile).
+    if (!aBuffer_.uniformFill() || !bBuffer_.uniformFill())
         return FsimMode::Stepped;
     return mode_;
 }
@@ -283,9 +281,20 @@ SystolicArray::matmulTile(const TileOperand &a, const TileOperand &b)
                  " on ", n, "x", n);
     PROSE_ASSERT(b.rows == k_depth, "tile inner-dimension mismatch");
 
-    return dispatch(
+    const std::uint64_t cycles = dispatch(
         "matmulTile", [&] { return steppedMatmulTile(a, b); },
         [&] { return fastMatmulTile(a, b); });
+    // Faults land on the finished tile, never mid-wavefront: there is
+    // no scratchpad, so the accumulators are the only state a fault can
+    // reach before the SIMD passes read them. Corrupting once here, on
+    // whichever engine ran (Validate: after both agreed on the clean
+    // tile), advances the injector RNG exactly once per tile in
+    // schedule order — the replay contract (docs/FAULT_MODEL.md).
+    if (injector_) {
+        injector_->corruptAccumulators(faultSite_, acc_.data(), n,
+                                       liveRows_, liveCols_);
+    }
+    return cycles;
 }
 
 std::uint64_t
@@ -313,11 +322,12 @@ std::uint64_t
 SystolicArray::steppedMatmulTile(const TileOperand &a, const TileOperand &b)
 {
     // The scalar PE walk is the reference machine; every other stepped
-    // tile runs the diagonal-batched engine. The fallback test is per
+    // tile runs the diagonal-batched engine. Tiles the injector arms
+    // for this array's site take the scalar walk too, so stepped fault
+    // drills keep the oracle under every faulted tile. The test is per
     // tile, not per attachment: a campaign that only kills arrays or
     // faults links leaves the accumulator path unarmed, and a stuck-bit
-    // campaign arms only the site it targets — so fault drills pay the
-    // scalar walk exactly where the replay contract needs it.
+    // campaign arms only the site it targets.
     const bool scalar_walk =
         !diagonalBatching_ ||
         (injector_ && injector_->armsAccumulators(faultSite_)) ||
@@ -330,7 +340,6 @@ std::uint64_t
 SystolicArray::scalarSteppedMatmulTile(const TileOperand &a,
                                        const TileOperand &b)
 {
-    const std::size_t n = geometry_.dim;
     const std::size_t rows = a.rows;
     const std::size_t cols = b.cols;
     const std::size_t k_depth = a.cols;
@@ -374,10 +383,6 @@ SystolicArray::scalarSteppedMatmulTile(const TileOperand &a,
         ++wavefront;
     }
     matmulCycles_ += cycles;
-    if (injector_) {
-        injector_->corruptAccumulators(faultSite_, acc_.data(), n,
-                                       liveRows_, liveCols_);
-    }
     return cycles;
 }
 
@@ -483,17 +488,7 @@ SystolicArray::diagonalSteppedMatmulTile(const TileOperand &a,
     // only the stream-buffer gating is left to advance the cycle,
     // stall, and consume counters — the same closed-form/replay
     // machinery the fast engine uses, bit-equal to the scalar walk.
-    const std::uint64_t cycles =
-        fastForwardMatmulGating(rows, cols, k_depth);
-
-    // An injector may be attached with this site unarmed (the armed
-    // case took the scalar walk); corruptAccumulators is then a no-op
-    // that draws nothing from the RNG, called for call-graph parity.
-    if (injector_) {
-        injector_->corruptAccumulators(faultSite_, acc_.data(), n,
-                                       liveRows_, liveCols_);
-    }
-    return cycles;
+    return fastForwardMatmulGating(rows, cols, k_depth);
 }
 
 std::uint64_t
@@ -870,8 +865,7 @@ SystolicArray::accumulators() const
     Matrix out(liveRows_, liveCols_);
     const std::size_t n = geometry_.dim;
     for (std::size_t i = 0; i < liveRows_; ++i)
-        for (std::size_t j = 0; j < liveCols_; ++j)
-            out(i, j) = acc_[i * n + j];
+        std::copy_n(acc_.data() + i * n, liveCols_, out.row(i));
     return out;
 }
 

@@ -40,8 +40,8 @@
  *    counter-identical to the scalar PE walk by construction). The
  *    O(dim^2)-per-cycle scalar walk remains as the per-tile fallback
  *    whenever the fault injector is armed for this array's site or a
- *    fill profile is non-uniform — fault replay always sees the
- *    reference machine.
+ *    fill profile is non-uniform, so stepped fault drills run every
+ *    faulted tile on the reference machine.
  *  - fast-forward: PE(i, j) receives A(i, k') and B(k', j) together at
  *    wavefront k' + i + j, so its MAC order is ascending k' — a plain
  *    fp32 dot product of the bf16-quantized operands. Cycle and buffer
@@ -49,9 +49,11 @@
  *    cannot starve, or by an O(1)-per-cycle gate replay when they can.
  *
  * FsimMode selects the engine (API or PROSE_FSIM_MODE); Validate runs
- * both and panics on any state divergence. A fault injector or a
- * non-uniform fill profile forces the stepped engine so the fault-replay
- * contract is untouched.
+ * both and panics on any state divergence. A non-uniform fill profile
+ * forces the stepped engine (no closed form). A fault injector does
+ * not: it corrupts the finished tile once, after whichever engine ran
+ * (Validate: after both agreed on the clean tile), so the corruption,
+ * the injector's RNG stream and the event log are engine-independent.
  */
 
 #ifndef PROSE_SYSTOLIC_SYSTOLIC_ARRAY_HH
@@ -213,11 +215,10 @@ class SystolicArray
      * Attach a fault injector (nullptr detaches). While attached, every
      * matmulTile() ends by letting the injector corrupt the live
      * accumulator region under the given campaign site id (e.g. "M0"),
-     * and every operation runs on the stepped engine regardless of the
-     * requested mode (fault-replay determinism requires the injector's
-     * RNG to advance exactly once per tile, in schedule order). With no
-     * injector attached the datapath is untouched and results are
-     * bit-identical to a fault-free build.
+     * once, after the requested engine finished the tile — so the
+     * injector's RNG advances exactly once per tile, in schedule order,
+     * on every engine. With no injector attached the datapath is
+     * untouched and results are bit-identical to a fault-free build.
      */
     void setFaultInjector(FaultInjector *injector, std::string site_id);
 
@@ -257,9 +258,9 @@ class SystolicArray
 
     /**
      * The engine the next operation will actually use: Stepped whenever
-     * a fault injector is attached or either stream buffer has a
-     * non-uniform fill profile (no closed form, and Validate's dual run
-     * would advance the injector RNG twice), otherwise mode().
+     * either stream buffer has a non-uniform fill profile (no closed
+     * form), otherwise mode(). An attached fault injector does not
+     * change it.
      */
     FsimMode effectiveMode() const;
 

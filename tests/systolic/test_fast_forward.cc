@@ -1,15 +1,19 @@
 /** @file Cross-validation of the fast-forward execution engine against
  *  the cycle-stepped reference: randomized geometries, tile shapes,
  *  supply rates, and op mixes must agree bit-for-bit in register file,
- *  cycle/stall/MAC counters, and stream-buffer state; fault injection,
- *  ABFT, and non-uniform fill profiles must force the stepped engine
- *  without perturbing the deterministic replay contract. Also pins down
- *  the live-region (bounding-box union) semantics with mixed tile
- *  sizes. */
+ *  cycle/stall/MAC counters, and stream-buffer state. Fault injection
+ *  and ABFT run on the requested engine and must leave outputs, event
+ *  logs and ABFT accounting identical across fast, stepped and
+ *  validate; a non-uniform fill profile forces the stepped engine.
+ *  Also pins down the live-region (bounding-box union) semantics with
+ *  mixed tile sizes. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
@@ -356,7 +360,7 @@ TEST(FastForwardFallback, NonUniformFillProfileForcesStepped)
     EXPECT_EQ(fast_array.effectiveMode(), FsimMode::Fast);
 }
 
-TEST(FastForwardFallback, InjectorForcesSteppedWithUnchangedReplay)
+TEST(FastForwardFallback, InjectorKeepsRequestedEngineWithUnchangedReplay)
 {
     CampaignSpec spec;
     spec.seed = 77;
@@ -368,15 +372,16 @@ TEST(FastForwardFallback, InjectorForcesSteppedWithUnchangedReplay)
     SystolicArray fast_array(ArrayGeometry::mType(8));
     fast_array.setMode(FsimMode::Fast);
     fast_array.setFaultInjector(&fast_injector, "M0");
-    EXPECT_EQ(fast_array.effectiveMode(), FsimMode::Stepped);
+    // The injector corrupts the finished tile after whichever engine
+    // computed it, so attaching one leaves the requested engine.
+    EXPECT_EQ(fast_array.effectiveMode(), FsimMode::Fast);
 
-    // Validate would run both engines and advance the injector RNG
-    // twice, so it too must collapse to a single stepped run.
+    // Validate runs both engines on the clean tile, then corrupts once.
     SystolicArray validate_array(ArrayGeometry::mType(8));
     validate_array.setMode(FsimMode::Validate);
     FaultInjector validate_injector(spec);
     validate_array.setFaultInjector(&validate_injector, "M0");
-    EXPECT_EQ(validate_array.effectiveMode(), FsimMode::Stepped);
+    EXPECT_EQ(validate_array.effectiveMode(), FsimMode::Validate);
 
     SystolicArray stepped_array(ArrayGeometry::mType(8));
     stepped_array.setMode(FsimMode::Stepped);
@@ -400,12 +405,12 @@ TEST(FastForwardFallback, InjectorForcesSteppedWithUnchangedReplay)
               stepped_injector.eventLogText());
     EXPECT_FALSE(fast_injector.events().empty());
 
-    // Detaching the injector restores the requested engine.
+    // Detaching the injector keeps the requested engine.
     fast_array.setFaultInjector(nullptr, "");
     EXPECT_EQ(fast_array.effectiveMode(), FsimMode::Fast);
 }
 
-TEST(FastForwardFallback, AbftRunsSteppedWithUnchangedDetection)
+TEST(FastForwardFallback, AbftKeepsRequestedEngineWithUnchangedDetection)
 {
     CampaignSpec spec;
     spec.seed = 123;
@@ -425,14 +430,16 @@ TEST(FastForwardFallback, AbftRunsSteppedWithUnchangedDetection)
     fast_sim.setMode(FsimMode::Fast);
     fast_sim.setAbft(abft);
     fast_sim.setFaultInjector(&fast_injector);
-    // ABFT observes accumulators mid-dataflow: the whole simulator
-    // falls back to the stepped engine.
-    EXPECT_EQ(fast_sim.mArray().mode(), FsimMode::Stepped);
+    // ABFT checks the finished tile before the SIMD passes, whichever
+    // engine computed it: the simulator keeps the requested engine.
+    EXPECT_EQ(fast_sim.mode(), FsimMode::Fast);
+    EXPECT_EQ(fast_sim.mArray().effectiveMode(), FsimMode::Fast);
 
     FunctionalSimulator stepped_sim;
     stepped_sim.setMode(FsimMode::Stepped);
     stepped_sim.setAbft(abft);
     stepped_sim.setFaultInjector(&stepped_injector);
+    EXPECT_EQ(stepped_sim.mArray().effectiveMode(), FsimMode::Stepped);
 
     expectBitIdentical(fast_sim.dataflow1(a, b, 1.0f, nullptr),
                        stepped_sim.dataflow1(a, b, 1.0f, nullptr),
@@ -446,6 +453,184 @@ TEST(FastForwardFallback, AbftRunsSteppedWithUnchangedDetection)
     EXPECT_GT(fs.tilesFlagged, 0u);
     EXPECT_EQ(fast_injector.eventLogText(),
               stepped_injector.eventLogText());
+}
+
+/** Everything observable after one faulted, ABFT-checked layer chain. */
+struct ChainResult
+{
+    std::vector<Matrix> outputs;
+    std::uint64_t matmulCycles = 0;
+    std::uint64_t simdCycles = 0;
+    std::uint64_t macCount = 0;
+    std::string eventLog;
+    AbftStats abft;
+};
+
+/**
+ * One encoder layer as the Figure 8 chain DF1 -> DF3 -> DF1 -> DF2 ->
+ * DF1 on a FunctionalSimulator in `mode`, under the campaign `spec`
+ * with ABFT repairing located cells. The shapes leave partial edge
+ * tiles on every array (M 64, G 32, E 16).
+ */
+ChainResult
+runFaultedChain(FsimMode mode, const std::string &spec)
+{
+    constexpr std::size_t kSeq = 40, kHidden = 48, kHeads = 2,
+                          kInter = 72;
+    constexpr std::size_t kDk = kHidden / kHeads;
+    Rng rng(2024);
+    const Matrix x = randomMatrix(rng, kSeq, kHidden, 1.0f);
+    const Matrix w_qkv = randomMatrix(rng, kHidden, kHidden, 0.3f);
+    const Matrix w_out = randomMatrix(rng, kDk, kHidden, 0.3f);
+    const Matrix w_up = randomMatrix(rng, kHidden, kInter, 0.3f);
+    const Matrix w_down = randomMatrix(rng, kInter, kHidden, 0.3f);
+    const Matrix bias_up = randomMatrix(rng, 1, kInter, 0.1f);
+
+    FaultInjector injector(CampaignSpec::parse(spec));
+    FunctionalSimulator fsim;
+    fsim.setMode(mode);
+    AbftOptions abft;
+    abft.enabled = true;
+    fsim.setAbft(abft);
+    fsim.setFaultInjector(&injector);
+
+    ChainResult result;
+    const Matrix qkv = fsim.dataflow1(x, w_qkv, 1.0f, nullptr);
+    std::vector<Matrix> q, k, v;
+    for (std::size_t h = 0; h < kHeads; ++h) {
+        Matrix head(kSeq, kDk);
+        for (std::size_t i = 0; i < kSeq; ++i)
+            std::copy_n(qkv.row(i) + h * kDk, kDk, head.row(i));
+        q.push_back(head);
+        k.push_back(head);
+        v.push_back(std::move(head));
+    }
+    const std::vector<Matrix> attn =
+        fsim.dataflow3(q, k, v, 1.0f / std::sqrt(float(kDk)));
+    const Matrix proj = fsim.dataflow1(attn.front(), w_out, 1.0f, &x);
+    const Matrix up = fsim.dataflow2(proj, w_up, 1.0f, &bias_up);
+    const Matrix down = fsim.dataflow1(up, w_down, 1.0f, &proj);
+    result.outputs = { qkv, attn.front(), attn.back(), proj, up, down };
+    result.matmulCycles = fsim.matmulCycles();
+    result.simdCycles = fsim.simdCycles();
+    result.macCount = fsim.macCount();
+    result.eventLog = injector.eventLogText();
+    result.abft = fsim.abftStats();
+    return result;
+}
+
+void
+expectChainsAgree(const ChainResult &got, const ChainResult &want,
+                  const char *what)
+{
+    ASSERT_EQ(got.outputs.size(), want.outputs.size()) << what;
+    for (std::size_t i = 0; i < got.outputs.size(); ++i)
+        expectBitIdentical(got.outputs[i], want.outputs[i], what);
+    EXPECT_EQ(got.matmulCycles, want.matmulCycles) << what;
+    EXPECT_EQ(got.simdCycles, want.simdCycles) << what;
+    EXPECT_EQ(got.macCount, want.macCount) << what;
+    EXPECT_EQ(got.eventLog, want.eventLog) << what;
+    EXPECT_EQ(got.abft.tilesChecked, want.abft.tilesChecked) << what;
+    EXPECT_EQ(got.abft.tilesFlagged, want.abft.tilesFlagged) << what;
+    EXPECT_EQ(got.abft.locatedElements, want.abft.locatedElements)
+        << what;
+    EXPECT_EQ(got.abft.ambiguousElements, want.abft.ambiguousElements)
+        << what;
+    EXPECT_EQ(got.abft.correctedElements, want.abft.correctedElements)
+        << what;
+    EXPECT_EQ(got.abft.unlocatedTiles, want.abft.unlocatedTiles) << what;
+}
+
+TEST(FaultedEngines, LayerChainUnderFlipsAndAbftMatchesAcrossEngines)
+{
+    const std::string spec =
+        "seed=31 acc_flip_rate=0.002 flip_bits=16:29";
+    const ChainResult stepped = runFaultedChain(FsimMode::Stepped, spec);
+    expectChainsAgree(runFaultedChain(FsimMode::Fast, spec), stepped,
+                      "fast");
+    expectChainsAgree(runFaultedChain(FsimMode::Validate, spec), stepped,
+                      "validate");
+    EXPECT_FALSE(stepped.eventLog.empty());
+    EXPECT_GT(stepped.abft.tilesFlagged, 0u);
+    EXPECT_GT(stepped.abft.correctedElements, 0u);
+}
+
+TEST(FaultedEngines, LayerChainUnderStuckBitsAndAbftMatchesAcrossEngines)
+{
+    // One stuck bit per array type: M0 and G0 inside their first
+    // tile, E0 inside the 16 x 16 attention tiles.
+    const std::string spec =
+        "seed=5 stuck=M0:3:5:30:1 stuck=G0:7:2:29:1 stuck=E0:1:9:28:0";
+    const ChainResult stepped = runFaultedChain(FsimMode::Stepped, spec);
+    expectChainsAgree(runFaultedChain(FsimMode::Fast, spec), stepped,
+                      "fast");
+    expectChainsAgree(runFaultedChain(FsimMode::Validate, spec), stepped,
+                      "validate");
+    EXPECT_FALSE(stepped.eventLog.empty());
+    EXPECT_GT(stepped.abft.tilesFlagged, 0u);
+}
+
+TEST(FaultedEngines, CleanLayerChainWithAbftFlagsNothing)
+{
+    // No accumulator faults: every checksum must hold on every engine.
+    // The chain spans several B column panels and row tiles per array,
+    // so a checksum read from the wrong plane offset or a stale panel
+    // sum would flag clean tiles.
+    for (const FsimMode mode :
+         { FsimMode::Fast, FsimMode::Stepped, FsimMode::Validate }) {
+        const ChainResult clean = runFaultedChain(mode, "seed=9");
+        EXPECT_GT(clean.abft.tilesChecked, 0u) << toString(mode);
+        EXPECT_EQ(clean.abft.tilesFlagged, 0u) << toString(mode);
+        EXPECT_TRUE(clean.eventLog.empty()) << toString(mode);
+    }
+}
+
+TEST(FaultedEngines, ValidateAdvancesTheInjectorOncePerTile)
+{
+    CampaignSpec spec;
+    spec.seed = 404;
+    spec.accFlipRate = 0.02;
+    // Link sampling only reads the RNG afterwards, to compare streams.
+    spec.linkErrorRate = 0.5;
+    FaultInjector validate_injector(spec);
+    FaultInjector stepped_injector(spec);
+
+    SystolicArray validate_array(ArrayGeometry::mType(8));
+    validate_array.setMode(FsimMode::Validate);
+    validate_array.setFaultInjector(&validate_injector, "M0");
+    SystolicArray stepped_array(ArrayGeometry::mType(8));
+    stepped_array.setMode(FsimMode::Stepped);
+    stepped_array.setFaultInjector(&stepped_injector, "M0");
+
+    Rng rng(12);
+    for (int tile = 0; tile < 8; ++tile) {
+        const std::size_t rows = 1 + rng.below(8);
+        const std::size_t cols = 1 + rng.below(8);
+        const std::size_t depth = 1 + rng.below(12);
+        const Matrix a = randomMatrix(rng, rows, depth, 1.0f);
+        const Matrix b = randomMatrix(rng, depth, cols, 1.0f);
+        validate_array.matmulTile(a, b);
+        stepped_array.matmulTile(a, b);
+        Matrix validate_out, stepped_out;
+        validate_array.drain(validate_out);
+        stepped_array.drain(stepped_out);
+        expectBitIdentical(validate_out, stepped_out, "validate drain");
+    }
+    const std::vector<FaultEvent> &got = validate_injector.events();
+    const std::vector<FaultEvent> &want = stepped_injector.events();
+    ASSERT_FALSE(want.empty());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].seq, want[i].seq);
+        EXPECT_EQ(got[i].describe(), want[i].describe());
+    }
+    // Both RNG streams stand at the same point: the next draws agree.
+    for (int draw = 0; draw < 16; ++draw) {
+        const auto v = validate_injector.sampleLinkTransfer('M');
+        const auto s = stepped_injector.sampleLinkTransfer('M');
+        EXPECT_EQ(v.error, s.error);
+        EXPECT_EQ(v.timeout, s.timeout);
+    }
 }
 
 TEST(FsimModeTest, ParseAndToStringRoundTrip)
