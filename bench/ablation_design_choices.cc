@@ -18,8 +18,9 @@ using namespace prose;
 using namespace prose::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     const BertShape shape = operatingPoint();
 
     banner("Ablation A: partial input buffer across link bandwidths");

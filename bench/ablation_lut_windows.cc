@@ -49,8 +49,9 @@ struct WindowChoice
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Ablation: GELU/Exp LUT window sizes vs model accuracy");
 
     const WindowChoice windows[] = {

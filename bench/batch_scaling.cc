@@ -14,8 +14,9 @@ using namespace prose;
 using namespace prose::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Batch scaling at 512 tokens (BestPerf, NVLink 2.0 @90%)");
 
     const ProseConfig config = ProseConfig::bestPerf();

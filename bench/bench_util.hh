@@ -15,6 +15,7 @@
 
 #include "accel/perf_sim.hh"
 #include "baseline/platform.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "power/power_model.hh"
 
@@ -88,6 +89,18 @@ platformEfficiency(const PlatformModel &platform, const BertShape &shape)
     const double inf_per_s =
         static_cast<double>(shape.batch) / result.acceleratedSeconds;
     return inf_per_s / platform.watts();
+}
+
+/**
+ * fatal() on any command-line argument: the exhibit binaries take no
+ * flags, and a flag silently ignored would look honoured.
+ */
+inline void
+rejectArgs(int argc, char **argv)
+{
+    if (argc > 1)
+        fatal(argv[0], ": unexpected argument \"", argv[1],
+              "\"; this exhibit takes no arguments");
 }
 
 /** Print a section banner. */

@@ -13,8 +13,9 @@ using namespace prose;
 using namespace prose::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Energy per inference (len 512, batch 128)");
 
     const BertShape shape = operatingPoint();

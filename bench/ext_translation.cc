@@ -18,8 +18,9 @@ using namespace prose;
 using namespace prose::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Extension: encoder-decoder translation on ProSE");
 
     const ProseConfig config = ProseConfig::bestPerf();

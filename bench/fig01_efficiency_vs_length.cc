@@ -15,8 +15,9 @@ using namespace prose;
 using namespace prose::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Figure 1: inference efficiency (inf/s/W) vs input length");
 
     const auto a100 = makeA100();

@@ -14,8 +14,9 @@ using namespace prose;
 using namespace prose::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Figure 3: A100 runtime breakdown by op class vs input length");
 
     const auto a100 = makeA100();

@@ -15,8 +15,9 @@ using namespace prose;
 using namespace prose::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Figure 4: runtime vs length, heterogeneous vs 4x64x64");
 
     // Fixed number of sequences so runtime growth reflects length.

@@ -18,8 +18,9 @@ using namespace prose;
 using namespace prose::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Figure 8: multithreaded orchestration and scheduling");
 
     const BertShape shape{ 12, 768, 12, 3072, 32, 512 };

@@ -79,8 +79,9 @@ functionalCrossCheck()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Figure 11: MatMul on TPUv2 (global) vs ProSE (local) "
            "dataflow");
 

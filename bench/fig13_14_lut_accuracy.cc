@@ -114,8 +114,9 @@ inArraySweep(const TwoLevelLut &lut, ArrayGeometry geometry, SimdOp op)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     const TwoLevelLut gelu = TwoLevelLut::makeGelu();
     const TwoLevelLut exp = TwoLevelLut::makeExp();
 

@@ -16,8 +16,9 @@ using namespace prose;
 using namespace prose::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Figure 16: design space exploration (16K PEs, NVLink2 @90%)");
 
     ConfigSpaceSpec spec;

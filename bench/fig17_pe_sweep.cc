@@ -16,8 +16,9 @@ using namespace prose;
 using namespace prose::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Figure 17: PE-budget sweep (8K-24K PEs, 270 GB/s)");
 
     const DseEngine engine{ DseWorkload{ operatingPoint(), 0.0 } };

@@ -28,8 +28,9 @@ partitionFor(const LinkSpec &link)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Figure 18: ProSE speedup vs A100 and TPUv3 across link "
            "bandwidths");
 

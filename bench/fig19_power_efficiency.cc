@@ -24,8 +24,9 @@ partitionFor(const LinkSpec &link)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Figure 19: normalized power efficiency across link "
            "bandwidths");
 

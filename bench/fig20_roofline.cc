@@ -13,8 +13,9 @@ using namespace prose;
 using namespace prose::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Figure 20: empirical roofline, BestPerf and BestPerf+");
 
     const BertShape shape = operatingPoint();

@@ -5,7 +5,8 @@
  * Times the raw matmul kernel family (fp32 serial vs pooled, bf16
  * per-call quantization vs cached weights) and the end-to-end
  * tokenizer -> BERT forward -> trace -> PerfSim chain across
- * representative shapes (len 128/512, batch 1/8), then emits
+ * representative shapes (len 128/512, batch 1/8), the PerfSim scheduler
+ * alone and inside a DSE sweep, then emits
  * BENCH_perf.json with median / p10 / p90 milliseconds per bench so
  * successive PRs accumulate a perf trajectory.
  *
@@ -37,6 +38,8 @@
 #include "common/strutil.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
+#include "dse/config_space.hh"
+#include "dse/dse_engine.hh"
 #include "model/bert_model.hh"
 #include "model/tokenizer.hh"
 #include "numerics/matrix.hh"
@@ -462,6 +465,34 @@ main(int argc, char **argv)
                     (void)sink;
                 }));
         }
+    }
+
+    // --- PerfSim scheduler: one run and one DSE sweep -----------------
+    {
+        // The DSE sweep runs PerfSim once per (mix, lane partition), so
+        // the scheduler's per-dispatch cost is its inner loop: one run
+        // at the paper point (len 512, b128, 32 threads), then a serial
+        // explore of Table 3's count bounds at 8K PEs (24 mixes x 10
+        // lane partitions). Same shapes in quick and full runs.
+        const BertShape paper_point{ 12, 768, 12, 3072, 128, 512 };
+        const PerfSim sim(ProseConfig::bestPerf());
+        results.push_back(
+            timeBench("perfsim_run_len512_b128", repeats, [&] {
+                volatile double sink = sim.run(paper_point).makespan;
+                (void)sink;
+            }));
+        DseWorkload workload;
+        workload.shape = paper_point;
+        const DseEngine engine(workload);
+        ConfigSpaceSpec space;
+        space.peBudget = 8192;
+        results.push_back(
+            timeBench("dse_explore_8k_len512", repeats, [&] {
+                ThreadPool::SerialGuard serial;
+                volatile std::size_t sink =
+                    engine.explore(space).bestPerf;
+                (void)sink;
+            }));
     }
 
     // --- Serving front end: healthy vs chaos drill --------------------

@@ -21,8 +21,9 @@ using namespace prose;
 using namespace prose::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Section 2.2: binding-affinity rank-correlation experiment");
 
     BindingSpec spec;

@@ -12,8 +12,9 @@ using namespace prose;
 using namespace prose::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Table 2: heterogeneous systolic array physical characteristics");
 
     Table table({ "Dim", "GELU", "Exp", "Freq(MHz)", "Power(mW)",

@@ -12,8 +12,9 @@ using namespace prose;
 using namespace prose::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArgs(argc, argv);
     banner("Table 4: select ProSE instance configurations");
 
     const PowerModel power;

@@ -112,20 +112,18 @@ PerfSim::PerfSim(ProseConfig config, TimingModel timing, HostModel host,
 }
 
 PerfSim::TaskSeconds
-PerfSim::accelTaskSeconds(const DataflowTask &task,
+PerfSim::accelTaskSeconds(const TaskCost &cost,
                           const ArrayGeometry &geometry,
-                          std::uint32_t pool_count, double bandwidth,
-                          TaskCost &cost_out) const
+                          std::uint32_t pool_count,
+                          double bandwidth) const
 {
-    cost_out = timing_.costTask(task, geometry);
     TaskSeconds seconds;
     // Output tiles are independent, so the pool's arrays split them
     // evenly; compute time divides by the pool size while the stream
     // times see the pool's aggregate lane share.
-    seconds.computeSeconds =
-        cost_out.computeSeconds(geometry) / pool_count;
-    seconds.wireBytesIn = config_.link.wireBytes(cost_out.bytesIn);
-    seconds.wireBytesOut = config_.link.wireBytes(cost_out.bytesOut);
+    seconds.computeSeconds = cost.computeSeconds(geometry) / pool_count;
+    seconds.wireBytesIn = config_.link.wireBytes(cost.bytesIn);
+    seconds.wireBytesOut = config_.link.wireBytes(cost.bytesOut);
     // The infinite link is the compute-bound limit: its stream stages
     // are exactly zero, which collapses every StreamMode to the same
     // bit-identical duration (docs/LINK_MODEL.md).
@@ -154,7 +152,7 @@ PerfSim::accelTaskSeconds(const DataflowTask &task,
         // stream stages the ramp term is exactly 0.0, so the infinite
         // link reproduces the ideal duration bit-for-bit.
         const double chunks = static_cast<double>(
-            std::max<std::uint64_t>(1, cost_out.tiles));
+            std::max<std::uint64_t>(1, cost.tiles));
         seconds.fillSeconds = stream_in / chunks;
         seconds.drainSeconds = stream_out / chunks;
         seconds.arraySeconds =
@@ -166,50 +164,63 @@ PerfSim::accelTaskSeconds(const DataflowTask &task,
         break;
       }
     }
-    if (cost_out.hostSoftmaxElems > 0) {
+    if (cost.hostSoftmaxElems > 0) {
         // Dataflow 3 serializes the issuing thread through the host
         // softmax between its two BMMs, but no accumulator state is
         // live during the trip, so the array itself can serve other
         // threads meanwhile.
         seconds.threadExtraSeconds =
-            host_.softmaxSeconds(cost_out.hostSoftmaxElems);
+            host_.softmaxSeconds(cost.hostSoftmaxElems);
     }
     return seconds;
 }
 
+template <typename Shape>
 PerfSim::TenantLoad
-PerfSim::sliceShape(const BertShape &shape) const
+PerfSim::sliceBatch(const Shape &shape,
+                    OpTrace (*synthesize)(const Shape &)) const
 {
     PROSE_ASSERT(shape.batch > 0, "empty batch");
     // Slice the batch across threads as evenly as possible; threads
-    // beyond the batch size stay idle.
+    // beyond the batch size stay idle. The first `batch % used` threads
+    // take one extra sequence, so there are at most two slice sizes,
+    // and each gets one chain.
     TenantLoad load;
     load.inferences = shape.batch;
-    const std::uint64_t used_threads =
+    const std::uint64_t used =
         std::min<std::uint64_t>(config_.threads, shape.batch);
-    DataflowBuilder builder;
-    for (std::uint64_t t = 0; t < used_threads; ++t) {
-        BertShape slice = shape;
-        slice.batch = shape.batch / used_threads +
-                      (t < shape.batch % used_threads ? 1 : 0);
-        if (slice.batch == 0)
-            continue;
-        load.shares.push_back(slice.batch);
-        load.threadTasks.push_back(
-            builder.build(synthesizeBertTrace(slice)));
+    const std::uint64_t base = shape.batch / used;
+    const std::uint64_t extra = shape.batch % used;
+    auto buildChain = [&](std::uint64_t slice_batch) {
+        Shape slice = shape;
+        slice.batch = slice_batch;
+        return DataflowBuilder{}.build(synthesize(slice));
+    };
+    if (extra > 0)
+        load.chains.push_back(buildChain(base + 1));
+    load.chains.push_back(buildChain(base));
+    for (std::uint64_t t = 0; t < used; ++t) {
+        load.shares.push_back(t < extra ? base + 1 : base);
+        load.threadChain.push_back(extra > 0 && t >= extra ? 1 : 0);
     }
     return load;
 }
 
 SimReport
-PerfSim::run(const BertShape &shape) const
+PerfSim::runSliced(TenantLoad load) const
 {
     std::vector<TenantLoad> tenants;
-    tenants.push_back(sliceShape(shape));
+    tenants.push_back(std::move(load));
     SimReport report = runTasksShared(tenants, nullptr);
-    report.inferences = shape.batch;
+    report.inferences = tenants[0].inferences;
     expandInferenceEnds(report, tenants[0].shares);
     return report;
+}
+
+SimReport
+PerfSim::run(const BertShape &shape) const
+{
+    return runSliced(sliceBatch(shape, synthesizeBertTrace));
 }
 
 SimReport
@@ -220,7 +231,7 @@ PerfSim::runShared(const std::vector<BertShape> &tenant_shapes,
     std::vector<TenantLoad> tenants;
     tenants.reserve(tenant_shapes.size());
     for (const BertShape &shape : tenant_shapes)
-        tenants.push_back(sliceShape(shape));
+        tenants.push_back(sliceBatch(shape, synthesizeBertTrace));
     std::vector<SimReport> locals;
     SimReport report = runTasksShared(tenants, &locals);
     report.inferences = 0;
@@ -242,26 +253,7 @@ PerfSim::runShared(const std::vector<BertShape> &tenant_shapes,
 SimReport
 PerfSim::runDecoder(const DecoderShape &shape) const
 {
-    PROSE_ASSERT(shape.batch > 0, "empty batch");
-    const std::uint64_t used_threads =
-        std::min<std::uint64_t>(config_.threads, shape.batch);
-    std::vector<std::vector<DataflowTask>> thread_tasks;
-    std::vector<std::uint64_t> shares;
-    DataflowBuilder builder;
-    for (std::uint64_t t = 0; t < used_threads; ++t) {
-        DecoderShape slice = shape;
-        slice.batch = shape.batch / used_threads +
-                      (t < shape.batch % used_threads ? 1 : 0);
-        if (slice.batch == 0)
-            continue;
-        shares.push_back(slice.batch);
-        thread_tasks.push_back(
-            builder.build(synthesizeDecoderTrace(slice)));
-    }
-    SimReport report = runTasks(thread_tasks);
-    report.inferences = shape.batch;
-    expandInferenceEnds(report, shares);
-    return report;
+    return runSliced(sliceBatch(shape, synthesizeDecoderTrace));
 }
 
 SimReport
@@ -269,7 +261,9 @@ PerfSim::runTasks(
     const std::vector<std::vector<DataflowTask>> &thread_tasks) const
 {
     std::vector<TenantLoad> tenants(1);
-    tenants[0].threadTasks = thread_tasks;
+    tenants[0].chains = thread_tasks;
+    for (std::size_t t = 0; t < thread_tasks.size(); ++t)
+        tenants[0].threadChain.push_back(static_cast<std::uint32_t>(t));
     return runTasksShared(tenants, nullptr);
 }
 
@@ -340,32 +334,69 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
     std::array<double, 3> link_in_free{ { 0.0, 0.0, 0.0 } };
     std::array<double, 3> link_out_free{ { 0.0, 0.0, 0.0 } };
 
+    // Everything a dispatch needs that its start time cannot change,
+    // once per distinct task: the pool it runs on, its TaskCost on that
+    // pool's geometry, its FLOPs and, for host tasks, its duration.
+    // Threads with identical slices share a chain, so a batch sliced
+    // over N threads is costed once per slice size, not N times.
+    struct TaskPlan
+    {
+        int pool = -1; ///< array-type pool index (0=M,1=G,2=E); -1 host
+        TaskCost cost;
+        double flops = 0.0;
+        double hostSeconds = 0.0;
+    };
+    std::vector<std::vector<std::vector<TaskPlan>>> plans(tenant_count);
+    for (std::uint32_t ten = 0; ten < tenant_count; ++ten) {
+        for (const std::vector<DataflowTask> &chain :
+             tenants[ten].chains) {
+            std::vector<TaskPlan> &chain_plans = plans[ten].emplace_back();
+            chain_plans.reserve(chain.size());
+            for (const DataflowTask &task : chain) {
+                TaskPlan &plan = chain_plans.emplace_back();
+                plan.flops = task.flops();
+                if (task.kind == DataflowKind::Host) {
+                    plan.hostSeconds =
+                        host_.hostOpSeconds(task.ops.front());
+                    continue;
+                }
+                const std::size_t idx =
+                    typeIndex(arrayTypeFor(task.kind));
+                PROSE_ASSERT(pool_counts[idx] > 0,
+                             "no array provisioned for ",
+                             toString(task.kind));
+                plan.pool = static_cast<int>(idx);
+                plan.cost = timing_.costTask(task, *pool_geometry[idx]);
+            }
+        }
+    }
+
     // Flat thread list, tenant-major: with one tenant the global index
     // equals the legacy thread index, so both schedulers reproduce the
     // single-tenant dispatch order exactly.
-    struct ThreadRef
+    struct ThreadState
     {
         std::uint32_t tenant = 0;
         std::uint32_t local = 0;
-    };
-    std::vector<ThreadRef> flat;
-    for (std::uint32_t ten = 0; ten < tenant_count; ++ten)
-        for (std::size_t th = 0;
-             th < tenants[ten].threadTasks.size(); ++th)
-            flat.push_back({ ten, static_cast<std::uint32_t>(th) });
-
-    struct ThreadState
-    {
+        const std::vector<DataflowTask> *tasks = nullptr;
+        const std::vector<TaskPlan> *plans = nullptr;
         std::size_t next = 0;
         double readyAt = 0.0;
-    };
-    std::vector<ThreadState> threads(flat.size());
 
-    auto taskFor = [&](std::size_t g) -> const DataflowTask & {
-        const ThreadRef &ref = flat[g];
-        return tenants[ref.tenant].threadTasks[ref.local]
-                                  [threads[g].next];
+        bool tasksRemaining() const { return next < tasks->size(); }
     };
+    std::vector<ThreadState> threads;
+    for (std::uint32_t ten = 0; ten < tenant_count; ++ten) {
+        const TenantLoad &load = tenants[ten];
+        for (std::size_t th = 0; th < load.threadChain.size(); ++th) {
+            const std::uint32_t chain = load.threadChain[th];
+            ThreadState &ts = threads.emplace_back();
+            ts.tenant = ten;
+            ts.local = static_cast<std::uint32_t>(th);
+            ts.tasks = &load.chains[chain];
+            ts.plans = &plans[ten][chain];
+        }
+    }
 
     /** Earliest dispatch for a thread's next task under current
      *  resource state. */
@@ -377,22 +408,17 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
     };
     auto candidateFor = [&](std::size_t g) {
         const ThreadState &ts = threads[g];
-        const TenantResources &res = resources[flat[g].tenant];
-        const DataflowTask &task = taskFor(g);
+        const TenantResources &res = resources[ts.tenant];
         Candidate c;
-        if (task.kind == DataflowKind::Host) {
+        c.arrayIndex = (*ts.plans)[ts.next].pool;
+        if (c.arrayIndex < 0) {
             const auto slot_it = std::min_element(res.hostFree.begin(),
                                                   res.hostFree.end());
             c.hostSlot = static_cast<std::size_t>(
                 slot_it - res.hostFree.begin());
             c.start = std::max(ts.readyAt, *slot_it);
         } else {
-            const ArrayType type = arrayTypeFor(task.kind);
-            const std::size_t idx = typeIndex(type);
-            PROSE_ASSERT(pool_counts[idx] > 0,
-                         "no array provisioned for ",
-                         toString(task.kind));
-            c.arrayIndex = static_cast<int>(idx);
+            const std::size_t idx = static_cast<std::size_t>(c.arrayIndex);
             c.start = std::max({ ts.readyAt, res.poolFree[idx],
                                  res.ioFree[idx] });
         }
@@ -402,15 +428,15 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
     auto dispatch = [&](std::size_t g, const Candidate &c) {
         const double best_start = c.start;
         const int best_array = c.arrayIndex;
-        const ThreadRef &ref = flat[g];
         ThreadState &ts = threads[g];
-        TenantResources &res = resources[ref.tenant];
-        SimReport &local = locals[ref.tenant];
-        const DataflowTask &task = taskFor(g);
+        TenantResources &res = resources[ts.tenant];
+        SimReport &local = locals[ts.tenant];
+        const DataflowTask &task = (*ts.tasks)[ts.next];
+        const TaskPlan &plan = (*ts.plans)[ts.next];
         double duration;
         double pool_end = 0.0;
-        if (task.kind == DataflowKind::Host) {
-            duration = host_.hostOpSeconds(task.ops.front());
+        if (best_array < 0) {
+            duration = plan.hostSeconds;
             res.hostFree[c.hostSlot] = best_start + duration;
             report.hostBusySeconds += duration;
             local.hostBusySeconds += duration;
@@ -431,9 +457,9 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
                           best_start, "s; nothing left to fail over to");
                 alive -= dead;
             }
-            TaskCost cost;
+            const TaskCost &cost = plan.cost;
             const TaskSeconds seconds = accelTaskSeconds(
-                task, *pool_geometry[idx], alive, pool_bw[idx], cost);
+                cost, *pool_geometry[idx], alive, pool_bw[idx]);
             // Link-fault recovery: every faulted attempt charges its
             // detection cost (timeouts) plus exponential backoff and a
             // full re-stream/re-run of the task.
@@ -524,8 +550,8 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
             report.hostBusySeconds += seconds.threadExtraSeconds;
             local.hostBusySeconds += seconds.threadExtraSeconds;
         }
-        report.totalFlops += task.flops();
-        local.totalFlops += task.flops();
+        report.totalFlops += plan.flops;
+        local.totalFlops += plan.flops;
         ++report.taskCount;
         ++local.taskCount;
         const double end = best_start + duration;
@@ -536,8 +562,8 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
 
         if (options_.recordSchedule) {
             ScheduledItem item;
-            item.tenant = ref.tenant;
-            item.thread = ref.local;
+            item.tenant = ts.tenant;
+            item.thread = ts.local;
             item.kind = task.kind;
             item.sublayer = task.sublayer;
             item.layer = task.layer;
@@ -549,21 +575,16 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
         }
     };
 
-    auto tasksRemaining = [&](std::size_t g) {
-        return threads[g].next <
-               tenants[flat[g].tenant].threadTasks[flat[g].local].size();
-    };
-
     if (options_.referenceScheduler) {
         // Reference next-event selection: O(threads) scan per dispatch,
-        // kept as the differential baseline for the event queue below.
+        // kept as the differential baseline for the wait queues below.
         const double inf = std::numeric_limits<double>::infinity();
         while (true) {
             double best_start = inf;
             std::size_t best_thread = 0;
             Candidate best;
             for (std::size_t g = 0; g < threads.size(); ++g) {
-                if (!tasksRemaining(g))
+                if (!threads[g].tasksRemaining())
                     continue;
                 const Candidate c = candidateFor(g);
                 if (c.start < best_start) {
@@ -577,41 +598,99 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
             dispatch(best_thread, best);
         }
     } else {
-        // Lazy min-heap event queue keyed by (start, thread). Every
-        // resource-free time (pool, I/O mutex, host slot, thread ready)
-        // only moves forward, so a queued key is a lower bound on the
-        // thread's true start: pop the minimum, recompute under current
-        // state, re-queue if it moved, dispatch if it did not. The
-        // (start, thread) lexicographic order reproduces the reference
-        // scan's earliest-start / lowest-thread-index dispatch order
-        // exactly, so both schedulers yield identical timestamps.
-        using HeapEntry = std::pair<double, std::size_t>;
-        std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                            std::greater<HeapEntry>>
-            queue;
-        for (std::size_t g = 0; g < threads.size(); ++g) {
-            if (tasksRemaining(g))
-                queue.emplace(candidateFor(g).start, g);
-        }
-        while (!queue.empty()) {
-            const auto [bound, g] = queue.top();
-            queue.pop();
-            const Candidate c = candidateFor(g);
-            if (c.start > bound) {
-                queue.emplace(c.start, g); // stale lower bound
-                continue;
+        // Per-resource wait queues. A waiting thread's start is
+        // max(readyAt, R), where R is its resource's free time: the
+        // later of the pool and its I/O mutex, or the earliest host
+        // slot. Resources are private per tenant and R moves only when
+        // that resource dispatches, so each keeps the threads it holds
+        // in two queues: `pending`, by (readyAt, thread), for threads
+        // not yet ready at R, and `ready`, by thread, for those that
+        // are (they all start exactly at R). A resource's earliest
+        // (start, thread) is the ready front at R, or else the pending
+        // front; the global minimum over resources is the reference
+        // scan's earliest-start / lowest-thread-index pick, so both
+        // schedulers dispatch in the same order and no key is ever
+        // re-queued.
+        constexpr std::size_t kResources = 4; // pools M, G, E; host
+        using Pending = std::pair<double, std::size_t>;
+        struct WaitQueues
+        {
+            std::priority_queue<Pending, std::vector<Pending>,
+                                std::greater<Pending>>
+                pending;
+            std::priority_queue<std::size_t, std::vector<std::size_t>,
+                                std::greater<std::size_t>>
+                ready;
+            double free = 0.0; ///< R
+        };
+        std::vector<WaitQueues> queues(tenant_count * kResources);
+        auto resourceOf = [&](const ThreadState &ts) {
+            const int pool = (*ts.plans)[ts.next].pool;
+            return ts.tenant * kResources +
+                   (pool < 0 ? kResources - 1
+                             : static_cast<std::size_t>(pool));
+        };
+        auto resourceFree = [&](std::size_t r) {
+            const TenantResources &res = resources[r / kResources];
+            const std::size_t slot = r % kResources;
+            if (slot == kResources - 1)
+                return *std::min_element(res.hostFree.begin(),
+                                         res.hostFree.end());
+            return std::max(res.poolFree[slot], res.ioFree[slot]);
+        };
+        auto enqueue = [&](std::size_t g) {
+            if (threads[g].tasksRemaining())
+                queues[resourceOf(threads[g])].pending.emplace(
+                    threads[g].readyAt, g);
+        };
+        for (std::size_t g = 0; g < threads.size(); ++g)
+            enqueue(g);
+        while (true) {
+            WaitQueues *best_queue = nullptr;
+            double best_start = 0.0;
+            std::size_t best_thread = 0;
+            for (WaitQueues &q : queues) {
+                while (!q.pending.empty() &&
+                       q.pending.top().first <= q.free) {
+                    q.ready.push(q.pending.top().second);
+                    q.pending.pop();
+                }
+                Pending front;
+                if (!q.ready.empty())
+                    front = { q.free, q.ready.top() };
+                else if (!q.pending.empty())
+                    front = q.pending.top();
+                else
+                    continue;
+                if (!best_queue ||
+                    front < Pending{ best_start, best_thread }) {
+                    best_queue = &q;
+                    best_start = front.first;
+                    best_thread = front.second;
+                }
             }
-            dispatch(g, c);
-            if (tasksRemaining(g))
-                queue.emplace(candidateFor(g).start, g);
+            if (!best_queue)
+                break; // all threads drained
+            if (!best_queue->ready.empty())
+                best_queue->ready.pop();
+            else
+                best_queue->pending.pop();
+            const Candidate c = candidateFor(best_thread);
+            PROSE_ASSERT(c.start == best_start,
+                         "wait-queue start ", best_start,
+                         " differs from the thread's candidate ",
+                         c.start);
+            dispatch(best_thread, c);
+            best_queue->free = resourceFree(
+                static_cast<std::size_t>(best_queue - queues.data()));
+            enqueue(best_thread);
         }
     }
 
     report.threadFinishSeconds.reserve(threads.size());
-    for (std::size_t g = 0; g < threads.size(); ++g) {
-        report.threadFinishSeconds.push_back(threads[g].readyAt);
-        locals[flat[g].tenant].threadFinishSeconds.push_back(
-            threads[g].readyAt);
+    for (const ThreadState &ts : threads) {
+        report.threadFinishSeconds.push_back(ts.readyAt);
+        locals[ts.tenant].threadFinishSeconds.push_back(ts.readyAt);
     }
 
     const double host_capacity =

@@ -164,10 +164,10 @@ struct SimOptions
     bool recordSchedule = false;
 
     /**
-     * Use the original O(threads)-per-dispatch linear next-event scan
-     * instead of the min-heap event queue. Both schedulers produce
-     * identical schedules (asserted by the differential tests); the
-     * linear scan is kept as the reference.
+     * Pick each dispatch with the O(threads) linear scan over every
+     * thread's earliest start instead of the per-resource wait queues.
+     * Both schedulers produce identical schedules (asserted by the
+     * differential tests); the scan is kept as the reference.
      */
     bool referenceScheduler = false;
 
@@ -258,31 +258,49 @@ class PerfSim
         std::uint64_t wireBytesOut = 0;
     };
 
-    /** One tenant's sliced workload inside runTasksShared. */
+    /**
+     * One tenant's sliced workload inside runTasksShared. Threads whose
+     * slices are identical share one chain: a batch sliced over the
+     * threads has at most two distinct slice sizes, so it is traced
+     * and costed at most twice however many threads run it.
+     */
     struct TenantLoad
     {
-        std::vector<std::vector<DataflowTask>> threadTasks;
+        std::vector<std::vector<DataflowTask>> chains;
+        std::vector<std::uint32_t> threadChain; ///< chain per thread
         std::vector<std::uint64_t> shares; ///< batch slice per thread
         std::uint64_t inferences = 0;
     };
 
-    /** The joint scheduler behind runTasks()/run()/runShared(). */
+    /** The joint scheduler behind every run*() entry point. */
     SimReport runTasksShared(const std::vector<TenantLoad> &tenants,
                              std::vector<SimReport> *per_tenant) const;
 
-    /** Slice one shape across the configured threads. */
-    TenantLoad sliceShape(const BertShape &shape) const;
+    /**
+     * Slice a batch across the configured threads as evenly as
+     * possible, building one chain per distinct slice size from
+     * `synthesize(slice)`.
+     */
+    template <typename Shape>
+    TenantLoad sliceBatch(const Shape &shape,
+                          OpTrace (*synthesize)(const Shape &)) const;
+
+    /** Schedule one sliced batch and expand its inference end times. */
+    SimReport runSliced(TenantLoad load) const;
 
     /**
+     * Turn a task's cost into durations on its pool. This is the only
+     * per-dispatch cost arithmetic: the TaskCost itself is computed
+     * once per distinct task before scheduling.
+     *
      * @param geometry one array of the executing pool
-     * @param pool_count arrays in the pool (tiles split evenly)
+     * @param pool_count live arrays in the pool (tiles split evenly)
      * @param bandwidth the pool's aggregate link share
      */
-    TaskSeconds accelTaskSeconds(const DataflowTask &task,
+    TaskSeconds accelTaskSeconds(const TaskCost &cost,
                                  const ArrayGeometry &geometry,
                                  std::uint32_t pool_count,
-                                 double bandwidth,
-                                 TaskCost &cost_out) const;
+                                 double bandwidth) const;
 
     ProseConfig config_;
     TimingModel timing_;

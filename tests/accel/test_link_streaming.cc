@@ -11,6 +11,7 @@
 
 #include "accel/perf_sim.hh"
 #include "accel/prose_config.hh"
+#include "report_match.hh"
 
 namespace prose {
 namespace {
@@ -30,37 +31,6 @@ BertShape
 linkBoundShape()
 {
     return BertShape{ 1, 768, 12, 3072, 8, 512 };
-}
-
-/**
- * Exact equality of everything a SimReport records (doubles compared
- * bit-for-bit via ==; schedules compared element-wise). The streaming
- * and tenancy refactors promise bit-exact reproduction in several
- * directions, so approximate comparison would hide real drift.
- */
-void
-expectReportsIdentical(const SimReport &a, const SimReport &b)
-{
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.bytesIn, b.bytesIn);
-    EXPECT_EQ(a.bytesOut, b.bytesOut);
-    EXPECT_EQ(a.hostBusySeconds, b.hostBusySeconds);
-    EXPECT_EQ(a.cpuDuty, b.cpuDuty);
-    EXPECT_EQ(a.totalFlops, b.totalFlops);
-    EXPECT_EQ(a.taskCount, b.taskCount);
-    EXPECT_EQ(a.inferences, b.inferences);
-    EXPECT_EQ(a.typeBusySeconds, b.typeBusySeconds);
-    EXPECT_EQ(a.typeCounts, b.typeCounts);
-    EXPECT_EQ(a.wireBytesIn, b.wireBytesIn);
-    EXPECT_EQ(a.wireBytesOut, b.wireBytesOut);
-    EXPECT_EQ(a.fillSeconds, b.fillSeconds);
-    EXPECT_EQ(a.drainSeconds, b.drainSeconds);
-    EXPECT_EQ(a.linkWaitSeconds, b.linkWaitSeconds);
-    EXPECT_EQ(a.prefetchStallSeconds, b.prefetchStallSeconds);
-    EXPECT_EQ(a.threadFinishSeconds, b.threadFinishSeconds);
-    EXPECT_EQ(a.inferenceEndSeconds, b.inferenceEndSeconds);
-    EXPECT_EQ(a.retrySeconds, b.retrySeconds);
-    EXPECT_EQ(a.taskRetries, b.taskRetries);
 }
 
 TEST(LinkStreaming, ModesOrderSerializedDoubleBufferedIdeal)
@@ -251,29 +221,33 @@ TEST(LinkStreaming, DeeperPrefetchQueuesHideMoreArbitration)
         ProseConfig config = linkBoundConfig();
         config.streaming.bufferDepth = depth;
         const SimReport report = PerfSim(config).runShared(tenants);
-        if (prev_stall >= 0.0)
+        if (prev_stall >= 0.0) {
             EXPECT_LE(report.prefetchStallSeconds, prev_stall + 1e-12);
+        }
         prev_stall = report.prefetchStallSeconds;
     }
 }
 
 TEST(LinkStreaming, SchedulersAgreeOnSharedRuns)
 {
-    // The lazy min-heap scheduler and the reference linear scan must
+    // The per-resource wait queues and the reference linear scan must
     // produce identical schedules for the contention model too, not
     // just for single-tenant runs.
     const std::vector<BertShape> tenants{
         linkBoundShape(), BertShape{ 1, 768, 12, 3072, 4, 256 }
     };
     ProseConfig config = linkBoundConfig();
-    SimOptions reference;
+    SimOptions recorded;
+    recorded.recordSchedule = true;
+    SimOptions reference = recorded;
     reference.referenceScheduler = true;
-    const SimReport heap = PerfSim(config).runShared(tenants);
+    const TimingModel timing{ config.partialInputBuffer };
+    const SimReport queues =
+        PerfSim(config, timing, HostModel{}, recorded).runShared(tenants);
     const SimReport scan =
-        PerfSim(config, TimingModel{ config.partialInputBuffer },
-                HostModel{}, reference)
-            .runShared(tenants);
-    expectReportsIdentical(heap, scan);
+        PerfSim(config, timing, HostModel{}, reference).runShared(tenants);
+    ASSERT_FALSE(queues.schedule.empty());
+    expectReportsIdentical(queues, scan);
 }
 
 } // namespace

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <vector>
 
 #include "accel/perf_sim.hh"
+#include "report_match.hh"
 
 namespace prose {
 namespace {
@@ -295,47 +298,51 @@ TEST(PerfSim, DecoderCrossAttentionCostsGrowWithMemory)
               sim.runDecoder(large).makespan);
 }
 
-/** Run one shape under both schedulers and demand identical reports. */
+/**
+ * Run one workload under the wait-queue scheduler and the reference
+ * scan (each with its own injector, if any) and demand identical
+ * reports. `run(sim, per_tenant)` returns the combined report and may
+ * fill per-tenant reports, which must agree too.
+ */
+template <typename RunFn>
 void
-expectSchedulersAgree(const ProseConfig &config, const BertShape &shape,
-                      FaultInjector *heap_injector = nullptr,
+expectSchedulersAgree(const ProseConfig &config, RunFn run,
+                      FaultInjector *queue_injector = nullptr,
                       FaultInjector *ref_injector = nullptr)
 {
-    SimOptions heap_options;
-    heap_options.recordSchedule = true;
-    heap_options.injector = heap_injector;
-    SimOptions ref_options;
-    ref_options.recordSchedule = true;
+    SimOptions queue_options;
+    queue_options.recordSchedule = true;
+    queue_options.injector = queue_injector;
+    SimOptions ref_options = queue_options;
     ref_options.referenceScheduler = true;
     ref_options.injector = ref_injector;
 
-    const SimReport heap_report =
-        PerfSim(config, TimingModel{}, HostModel{}, heap_options)
-            .run(shape);
+    std::vector<SimReport> queue_tenants;
+    std::vector<SimReport> ref_tenants;
+    const SimReport queue_report =
+        run(PerfSim(config, TimingModel{}, HostModel{}, queue_options),
+            queue_tenants);
     const SimReport ref_report =
-        PerfSim(config, TimingModel{}, HostModel{}, ref_options)
-            .run(shape);
+        run(PerfSim(config, TimingModel{}, HostModel{}, ref_options),
+            ref_tenants);
+    expectReportsIdentical(queue_report, ref_report);
+    ASSERT_EQ(queue_tenants.size(), ref_tenants.size());
+    for (std::size_t t = 0; t < queue_tenants.size(); ++t)
+        expectReportsIdentical(queue_tenants[t], ref_tenants[t]);
+}
 
-    EXPECT_EQ(heap_report.makespan, ref_report.makespan);
-    EXPECT_EQ(heap_report.taskCount, ref_report.taskCount);
-    EXPECT_EQ(heap_report.bytesIn, ref_report.bytesIn);
-    EXPECT_EQ(heap_report.bytesOut, ref_report.bytesOut);
-    EXPECT_EQ(heap_report.hostBusySeconds, ref_report.hostBusySeconds);
-    for (std::size_t idx = 0; idx < 3; ++idx)
-        EXPECT_EQ(heap_report.typeBusySeconds[idx],
-                  ref_report.typeBusySeconds[idx]);
-
-    // Identical dispatch order, not just identical totals.
-    ASSERT_EQ(heap_report.schedule.size(), ref_report.schedule.size());
-    for (std::size_t i = 0; i < heap_report.schedule.size(); ++i) {
-        const ScheduledItem &h = heap_report.schedule[i];
-        const ScheduledItem &r = ref_report.schedule[i];
-        EXPECT_EQ(h.thread, r.thread) << "item " << i;
-        EXPECT_EQ(h.kind, r.kind) << "item " << i;
-        EXPECT_EQ(h.arrayIndex, r.arrayIndex) << "item " << i;
-        EXPECT_EQ(h.start, r.start) << "item " << i;
-        EXPECT_EQ(h.end, r.end) << "item " << i;
-    }
+/** Run one shape under both schedulers and demand identical reports. */
+void
+expectSchedulersAgree(const ProseConfig &config, const BertShape &shape,
+                      FaultInjector *queue_injector = nullptr,
+                      FaultInjector *ref_injector = nullptr)
+{
+    expectSchedulersAgree(
+        config,
+        [&](const PerfSim &sim, std::vector<SimReport> &) {
+            return sim.run(shape);
+        },
+        queue_injector, ref_injector);
 }
 
 TEST(PerfSim, EventQueueMatchesReferenceScheduler)
@@ -355,11 +362,91 @@ TEST(PerfSim, EventQueueMatchesReferenceUnderLinkFaults)
     spec.seed = 5;
     spec.linkErrorRate = 0.05;
     spec.linkTimeoutRate = 0.02;
-    FaultInjector heap_injector(spec);
+    FaultInjector queue_injector(spec);
     FaultInjector ref_injector(spec);
     expectSchedulersAgree(ProseConfig::bestPerf(), smallShape(16, 128),
-                          &heap_injector, &ref_injector);
-    EXPECT_EQ(heap_injector.eventLogText(), ref_injector.eventLogText());
+                          &queue_injector, &ref_injector);
+    EXPECT_EQ(queue_injector.eventLogText(), ref_injector.eventLogText());
+}
+
+TEST(PerfSim, EventQueueMatchesReferenceOnUnevenSlices)
+{
+    // 130 sequences over 32 threads: two threads take five, thirty take
+    // four, so the sliced batch carries two distinct chains.
+    expectSchedulersAgree(ProseConfig::bestPerf(), smallShape(130, 64));
+    expectSchedulersAgree(ProseConfig::mostEfficient(),
+                          smallShape(130, 64));
+}
+
+TEST(PerfSim, EventQueueMatchesReferenceBelowTheThreadCount)
+{
+    // Five sequences on 32 threads: only five threads run.
+    expectSchedulersAgree(ProseConfig::bestPerf(), smallShape(5, 128));
+    const SimReport report =
+        PerfSim(ProseConfig::bestPerf()).run(smallShape(5, 128));
+    EXPECT_EQ(report.threadFinishSeconds.size(), 5u);
+    EXPECT_EQ(report.inferenceEndSeconds.size(), 5u);
+}
+
+TEST(PerfSim, EventQueueMatchesReferenceOnSharedRunsUnderFaults)
+{
+    // Three tenants contend for the link while the campaign faults
+    // transfers and kills arrays mid-run; the kills move every later
+    // dispatch's duration, and the injector's draw order must match.
+    ProseConfig config = ProseConfig::bestPerf();
+    config.link = LinkSpec::nvlink2At80();
+    const CampaignSpec spec = CampaignSpec::parse(
+        "seed=11 link_error_rate=0.03 link_timeout_rate=0.01 "
+        "kill_array=E:0@1e-3 kill_array=G:1@3e-3 kill_array=M:0@6e-3");
+    const std::vector<BertShape> tenants{ smallShape(9, 128),
+                                          smallShape(4, 256),
+                                          smallShape(35, 64) };
+    FaultInjector queue_injector(spec);
+    FaultInjector ref_injector(spec);
+    SimReport last;
+    expectSchedulersAgree(
+        config,
+        [&](const PerfSim &sim, std::vector<SimReport> &per_tenant) {
+            last = sim.runShared(tenants, &per_tenant);
+            return last;
+        },
+        &queue_injector, &ref_injector);
+    EXPECT_EQ(queue_injector.eventLogText(), ref_injector.eventLogText());
+    // Every kill lands mid-run and transfers were retried.
+    EXPECT_EQ(last.deadArrays, (std::array<std::uint32_t, 3>{ { 1, 1, 1 } }));
+    EXPECT_GT(last.taskRetries, 0u);
+}
+
+TEST(PerfSim, RunMatchesExplicitPerThreadChains)
+{
+    // run() shares one chain between threads with identical slices;
+    // scheduling a chain built separately for every thread must give
+    // the same bits, inference completion times included.
+    const BertShape shape = smallShape(70, 64);
+    SimOptions options;
+    options.recordSchedule = true;
+    const PerfSim sim(ProseConfig::bestPerf(), TimingModel{}, HostModel{},
+                      options);
+    const SimReport sliced = sim.run(shape);
+
+    const std::uint64_t threads = ProseConfig::bestPerf().threads;
+    std::vector<std::vector<DataflowTask>> chains;
+    std::vector<std::uint64_t> shares;
+    for (std::uint64_t t = 0; t < threads; ++t) {
+        BertShape slice = shape;
+        slice.batch = shape.batch / threads +
+                      (t < shape.batch % threads ? 1 : 0);
+        shares.push_back(slice.batch);
+        chains.push_back(
+            DataflowBuilder{}.build(synthesizeBertTrace(slice)));
+    }
+    SimReport explicit_chains = sim.runTasks(chains);
+    explicit_chains.inferences = shape.batch;
+    for (std::uint64_t t = 0; t < threads; ++t)
+        explicit_chains.inferenceEndSeconds.insert(
+            explicit_chains.inferenceEndSeconds.end(), shares[t],
+            explicit_chains.threadFinishSeconds[t]);
+    expectReportsIdentical(explicit_chains, sliced);
 }
 
 TEST(PerfSim, HeterogeneousBeatsHomogeneousAtLongLengths)
