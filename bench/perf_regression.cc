@@ -3,7 +3,8 @@
  * Perf-regression harness for the shared compute backend (docs/PERF.md).
  *
  * Times the raw matmul kernel family (fp32 serial vs pooled, bf16
- * per-call quantization vs cached weights) and the end-to-end
+ * per-call quantization vs cached weights), one BERT-base encoder layer
+ * in Bf16Lut numerics, and the end-to-end
  * tokenizer -> BERT forward -> trace -> PerfSim chain across
  * representative shapes (len 128/512, batch 1/8), the PerfSim scheduler
  * alone and inside a DSE sweep, then emits
@@ -333,6 +334,30 @@ main(int argc, char **argv)
         results.push_back(
             timeBench("matmulBf16_cached_weights" + tag, repeats, [&] {
                 volatile float sink = matmulBf16(a, cached)(0, 0);
+                (void)sink;
+            }));
+    }
+
+    // --- One BERT-base encoder layer, Bf16Lut, len 128 b1 -------------
+    {
+        // The host embedding path's unit of work: every GEMM shape of
+        // the real model (768-wide projections, 3072-wide FFN) through
+        // the cached-weight bf16 tile kernel, plus the attention and
+        // epilogue code around it. Serial, as the embedding workloads
+        // run it. Same shape in quick and full runs.
+        BertConfig base = BertConfig::proteinBertBase();
+        base.layers = 1;
+        base.maxSeqLen = 128;
+        const BertModel layer_model(base, /*seed=*/7);
+        Matrix x = randomMatrix(rng, 128, base.hidden);
+        x.quantizeBf16InPlace();
+        results.push_back(timeBench(
+            "bert_base_layer_bf16lut_len128_b1", repeats, [&] {
+                ThreadPool::SerialGuard serial;
+                volatile float sink =
+                    layer_model
+                        .runEncoderLayer(x, 0, 1, 128,
+                                         NumericsMode::Bf16Lut)(0, 0);
                 (void)sink;
             }));
     }

@@ -26,9 +26,12 @@ addBias(const Matrix &a, const std::vector<float> &bias)
 {
     PROSE_ASSERT(bias.size() == a.cols(), "bias arity mismatch");
     Matrix c(a.rows(), a.cols());
-    for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        const float *arow = a.row(i);
+        float *crow = c.row(i);
         for (std::size_t j = 0; j < a.cols(); ++j)
-            c(i, j) = a(i, j) + bias[j];
+            crow[j] = arow[j] + bias[j];
+    }
     return c;
 }
 
@@ -204,6 +207,8 @@ BertModel::encoderLayer(const Matrix &x, const LayerWeights &lw, int layer,
     record(OpKind::Bmm, Sublayer::Attention, bh, seq_len, seq_len, dk);
 
     const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(dk));
+    PROSE_ASSERT(heads * dk == h && qkv[0].rows() == bl,
+                 "head split does not tile the projections");
     Matrix context(bl, h);
     // The (batch, head) pairs are independent and write disjoint column
     // bands of `context`, so they fan out across the shared pool; each
@@ -218,11 +223,9 @@ BertModel::encoderLayer(const Matrix &x, const LayerWeights &lw, int layer,
             Matrix qh(seq_len, dk), kh(seq_len, dk), vh(seq_len, dk);
             for (std::uint64_t t = 0; t < seq_len; ++t) {
                 const std::size_t row = b * seq_len + t;
-                for (std::uint64_t j = 0; j < dk; ++j) {
-                    qh(t, j) = qkv[0](row, hd * dk + j);
-                    kh(t, j) = qkv[1](row, hd * dk + j);
-                    vh(t, j) = qkv[2](row, hd * dk + j);
-                }
+                std::copy_n(qkv[0].row(row) + hd * dk, dk, qh.row(t));
+                std::copy_n(qkv[1].row(row) + hd * dk, dk, kh.row(t));
+                std::copy_n(qkv[2].row(row) + hd * dk, dk, vh.row(t));
             }
             Matrix scores = modalMatmul(qh, transpose(kh), mode);
             scores = scale(scores, inv_sqrt_dk);
@@ -273,8 +276,8 @@ BertModel::encoderLayer(const Matrix &x, const LayerWeights &lw, int layer,
 
             Matrix ctx = modalMatmul(probs, vh, mode);
             for (std::uint64_t t = 0; t < seq_len; ++t)
-                for (std::uint64_t j = 0; j < dk; ++j)
-                    context(b * seq_len + t, hd * dk + j) = ctx(t, j);
+                std::copy_n(ctx.row(t), dk,
+                            context.row(b * seq_len + t) + hd * dk);
         }
     });
     record(OpKind::Transpose, Sublayer::Attention, 1, bl, 0, h);

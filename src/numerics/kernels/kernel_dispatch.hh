@@ -20,12 +20,17 @@
  * operand order is whatever the compiler emitted). Vectorization is
  * only applied across *independent* output lanes (the j dimension); the
  * ascending-k accumulation order of each output element is preserved
- * verbatim, and no FMA contraction is permitted anywhere (the scalar
- * reference rounds the product and the sum separately). The kernels/
- * translation units are compiled with -ffp-contract=off and without
- * -mfma to make that structurally true; tests/numerics/
+ * verbatim. The scalar reference rounds every MAC's product and sum
+ * separately, so a MAC is fused only where every product is provably
+ * exact: then fma(a, b, c) and c + a * b are the same number for any
+ * accumulator. The one such site is the AVX-512 gemmTileBf16, which
+ * fuses a (row block x B chunk) only when all its bf16 products are
+ * fp32 normals (see productsExact in kernels_avx512.cc). Everywhere
+ * else the kernels/ translation units, compiled with -ffp-contract=off
+ * and without -mfma, keep the two roundings separate; tests/numerics/
  * test_kernel_dispatch.cc hammers every tier against scalar on
- * randomized shapes, strides, and special values.
+ * randomized shapes, strides, special values, the fused gate's bounds
+ * and every FTZ/DAZ setting.
  *
  * Selection:
  *   - activeKernels() returns the process-wide table (CPUID best tier,
@@ -87,6 +92,8 @@ struct KernelSet
      * +-0 * Inf still produces NaN). The tiled matmul's bits path
      * funnels its cache blocks here too; both rely on `acc += ±0 ·
      * finite` being an exact no-op on accumulators that are never -0.
+     * The AVX-512 tier fuses the MACs of blocks whose products are all
+     * exact (see the contract above); the result bits are unchanged.
      */
     void (*gemmTileBf16)(float *acc, std::size_t accStride,
                          const std::uint16_t *a, std::size_t aStride,

@@ -1,9 +1,10 @@
 /**
  * @file
- * AVX2 kernel tier. Compiled with -mavx2 (no -mfma: the scalar
- * reference rounds the product and the sum of every MAC separately, so
- * fused contraction would change bits) and -ffp-contract=off for the
- * same reason.
+ * AVX2 kernel tier. Compiled with -mavx2 and -ffp-contract=off, without
+ * -mfma: the scalar reference rounds the product and the sum of every
+ * MAC separately, and a MAC may be fused only where every product is
+ * provably exact. This tier fuses nowhere (the dispatcher does not probe
+ * the FMA3 CPUID bit); the AVX-512 bf16 tile shows the exactness gate.
  *
  * Vectorization is across independent j lanes only; each accumulator
  * still sees its fp32 operations in exactly the scalar order. The bf16

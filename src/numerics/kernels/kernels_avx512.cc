@@ -1,8 +1,13 @@
 /**
  * @file
  * AVX-512 kernel tier (F+BW+DQ+VL). Compiled with its own -m flags and
- * -ffp-contract=off, never -mfma — see kernels_avx2.cc for why fused
- * contraction is forbidden.
+ * -ffp-contract=off, so the compiler never fuses a multiply and an add
+ * on its own. The one fused MAC is explicit: the bf16 GEMM tile issues
+ * _mm512_fmadd_ps only for (row block x B chunk) pairs whose every
+ * product is provably an exact fp32 normal, where fma(a, b, c) and
+ * c + a * b are the same number (see productsExact). Every other MAC
+ * rounds the product and the sum separately, as the scalar reference
+ * does.
  *
  * Everything is masked, so there are no scalar tails: a row of any
  * length runs the same vector code path with a partial mask on the last
@@ -15,6 +20,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "numerics/bfloat16.hh"
@@ -175,7 +181,85 @@ macRowBf16Avx512(float *acc, const std::uint16_t *b, float av,
     }
 }
 
-void widenRowAvx512(float *dst, const std::uint16_t *src, std::size_t n);
+/** Rows per register block of the GEMM core (the widest R below). */
+constexpr std::size_t kRowBlock = 6;
+
+/**
+ * Exponent envelope of a set of bf16 entries: the min and max biased
+ * exponent over the nonzero ones, and whether any is Inf, NaN or
+ * subnormal. The neutral values (lo 255, hi 0) stand for "no nonzero
+ * entry", which leaves every product with it an exact zero.
+ */
+struct ExpRange
+{
+    int lo = 255;
+    int hi = 0;
+    bool special = false;
+};
+
+/**
+ * True when every product of an entry under `a` with an entry under
+ * `b` is exact in fp32, so the fused MAC fma(a, b, c) equals the
+ * reference's c + a * b bit for bit for any accumulator c (+-Inf, NaN
+ * and -0 included) and under any FTZ/DAZ setting. Normal bf16 values
+ * carry 8 significant bits, so a product carries at most 16 and is
+ * exact whenever it is an fp32 normal. With biased exponents ea, eb,
+ * |a * b| lies in [2^(ea+eb-254), 2^(ea+eb-252)): ea + eb >= 128 keeps
+ * it at or above 2^-126 (no subnormal, no underflow, nothing for FTZ to
+ * flush) and ea + eb <= 380 keeps it below 2^128 (no overflow). Zero
+ * products are exact and their sign follows the same rule in both
+ * forms. Subnormal, Inf and NaN entries (which DAZ, rounding or
+ * invalid-operation rules could treat differently) disqualify the pair.
+ */
+inline bool
+productsExact(const ExpRange &a, const ExpRange &b)
+{
+    return !a.special && !b.special && a.lo + b.lo >= 128 &&
+           a.hi + b.hi <= 380;
+}
+
+/** Widens bf16 rows like widenRow while folding all their entries into
+ *  one exponent envelope, kept in vector registers until range(). */
+class WidenScan
+{
+  public:
+    void
+    row(float *dst, const std::uint16_t *src, std::size_t n)
+    {
+        for (std::size_t j = 0; j < n; j += 16) {
+            const __mmask16 m =
+                headMask(std::min<std::size_t>(16, n - j));
+            const __m512 w = widen16(src + j, m);
+            _mm512_mask_storeu_ps(dst + j, m, w);
+            // Dead lanes widen to +0, so they never count as nonzero.
+            const __m512i mag = _mm512_and_si512(
+                _mm512_castps_si512(w), _mm512_set1_epi32(0x7fffffff));
+            const __m512i e = _mm512_srli_epi32(mag, 23);
+            const __mmask16 nonzero = _mm512_test_epi32_mask(mag, mag);
+            special_ |= static_cast<__mmask16>(
+                _mm512_mask_cmpeq_epi32_mask(nonzero, e,
+                                             _mm512_setzero_si512()) |
+                _mm512_cmpeq_epi32_mask(e, _mm512_set1_epi32(255)));
+            lo_ = _mm512_mask_min_epi32(lo_, nonzero, lo_, e);
+            hi_ = _mm512_mask_max_epi32(hi_, nonzero, hi_, e);
+        }
+    }
+
+    ExpRange
+    range() const
+    {
+        ExpRange r;
+        r.lo = _mm512_reduce_min_epi32(lo_);
+        r.hi = _mm512_reduce_max_epi32(hi_);
+        r.special = special_ != 0;
+        return r;
+    }
+
+  private:
+    __m512i lo_ = _mm512_set1_epi32(255);
+    __m512i hi_ = _mm512_setzero_si512();
+    __mmask16 special_ = 0;
+};
 
 /** Every (row, column-vector) cell of the largest block shape; OP is
  *  applied to the literal pair so each accumulator is a distinct named
@@ -206,9 +290,11 @@ void widenRowAvx512(float *dst, const std::uint16_t *src, std::size_t n);
  * R = 6 x NV = 4, uses 24 accumulator + 4 B + 1 broadcast registers
  * of the 32-register file. Each accumulator lane sees its fp32 ops in
  * exactly the scalar ascending-k order; dead lanes of the last chunk
- * accumulate garbage that the masked store discards.
+ * accumulate garbage that the masked store discards. `Fused` issues
+ * one vfmadd per MAC instead of a vmulps + vaddps pair; callers only
+ * set it where productsExact() holds, so the bits do not change.
  */
-template <int R, int NV>
+template <int R, int NV, bool Fused>
 inline void
 gemmRowBlockF32Avx512(float *cj, std::size_t accStride,
                       const float *a, std::size_t aStride,
@@ -236,11 +322,14 @@ gemmRowBlockF32Avx512(float *cj, std::size_t accStride,
         PROSE_GEMM_COLS(PROSE_GEMM_BLOAD)
 #undef PROSE_GEMM_BLOAD
 #define PROSE_GEMM_MAC(r, v)                                            \
-        if constexpr (r < R && v < NV)                                  \
-            c##r##v = _mm512_add_ps(                                    \
-                c##r##v,                                                \
-                _mm512_mul_ps(_mm512_set1_ps(a[r * aStride + k]),       \
-                              b##v));
+        if constexpr (r < R && v < NV) {                                \
+            const __m512 av = _mm512_set1_ps(a[r * aStride + k]);       \
+            if constexpr (Fused)                                        \
+                c##r##v = _mm512_fmadd_ps(av, b##v, c##r##v);           \
+            else                                                        \
+                c##r##v = _mm512_add_ps(c##r##v,                        \
+                                        _mm512_mul_ps(av, b##v));       \
+        }
         PROSE_GEMM_CELLS(PROSE_GEMM_MAC)
 #undef PROSE_GEMM_MAC
     }
@@ -256,7 +345,7 @@ gemmRowBlockF32Avx512(float *cj, std::size_t accStride,
 #undef PROSE_GEMM_COLS
 
 /** Dispatch the compile-time column count for an R-row block. */
-template <int R>
+template <int R, bool Fused>
 inline void
 gemmRowBlockDispatchF32Avx512(float *cj, std::size_t accStride,
                               const float *a, std::size_t aStride,
@@ -266,20 +355,20 @@ gemmRowBlockDispatchF32Avx512(float *cj, std::size_t accStride,
 {
     switch (nvec) {
       case 1:
-        gemmRowBlockF32Avx512<R, 1>(cj, accStride, a, aStride, bj,
-                                    bStride, depth, masks);
+        gemmRowBlockF32Avx512<R, 1, Fused>(cj, accStride, a, aStride,
+                                           bj, bStride, depth, masks);
         break;
       case 2:
-        gemmRowBlockF32Avx512<R, 2>(cj, accStride, a, aStride, bj,
-                                    bStride, depth, masks);
+        gemmRowBlockF32Avx512<R, 2, Fused>(cj, accStride, a, aStride,
+                                           bj, bStride, depth, masks);
         break;
       case 3:
-        gemmRowBlockF32Avx512<R, 3>(cj, accStride, a, aStride, bj,
-                                    bStride, depth, masks);
+        gemmRowBlockF32Avx512<R, 3, Fused>(cj, accStride, a, aStride,
+                                           bj, bStride, depth, masks);
         break;
       default:
-        gemmRowBlockF32Avx512<R, 4>(cj, accStride, a, aStride, bj,
-                                    bStride, depth, masks);
+        gemmRowBlockF32Avx512<R, 4, Fused>(cj, accStride, a, aStride,
+                                           bj, bStride, depth, masks);
         break;
     }
 }
@@ -288,7 +377,10 @@ gemmRowBlockDispatchF32Avx512(float *cj, std::size_t accStride,
  *  funnels here after exact operand widening into scratch). Full
  *  6-row groups take the widest block; the final 1..5-row remainder
  *  gets its own register-blocked instantiation instead of a slow
- *  row-at-a-time path, which matters for the 16-row E-array tiles. */
+ *  row-at-a-time path, which matters for the 16-row E-array tiles.
+ *  `Fused` selects the fused MAC for every block (see
+ *  gemmRowBlockF32Avx512). */
+template <bool Fused>
 inline void
 gemmRowsF32Avx512(float *acc, std::size_t accStride, const float *a,
                   std::size_t aStride, const float *b,
@@ -304,37 +396,37 @@ gemmRowsF32Avx512(float *acc, std::size_t accStride, const float *a,
 
         const float *bj = b + jb;
         std::size_t i = 0;
-        for (; i + 6 <= rows; i += 6)
-            gemmRowBlockDispatchF32Avx512<6>(
+        for (; i + kRowBlock <= rows; i += kRowBlock)
+            gemmRowBlockDispatchF32Avx512<kRowBlock, Fused>(
                 acc + i * accStride + jb, accStride, a + i * aStride,
                 aStride, bj, bStride, depth, nvec, masks);
         float *cj = acc + i * accStride + jb;
         const float *aj = a + i * aStride;
         switch (rows - i) {
           case 1:
-            gemmRowBlockDispatchF32Avx512<1>(cj, accStride, aj, aStride,
-                                             bj, bStride, depth, nvec,
-                                             masks);
+            gemmRowBlockDispatchF32Avx512<1, Fused>(
+                cj, accStride, aj, aStride, bj, bStride, depth, nvec,
+                masks);
             break;
           case 2:
-            gemmRowBlockDispatchF32Avx512<2>(cj, accStride, aj, aStride,
-                                             bj, bStride, depth, nvec,
-                                             masks);
+            gemmRowBlockDispatchF32Avx512<2, Fused>(
+                cj, accStride, aj, aStride, bj, bStride, depth, nvec,
+                masks);
             break;
           case 3:
-            gemmRowBlockDispatchF32Avx512<3>(cj, accStride, aj, aStride,
-                                             bj, bStride, depth, nvec,
-                                             masks);
+            gemmRowBlockDispatchF32Avx512<3, Fused>(
+                cj, accStride, aj, aStride, bj, bStride, depth, nvec,
+                masks);
             break;
           case 4:
-            gemmRowBlockDispatchF32Avx512<4>(cj, accStride, aj, aStride,
-                                             bj, bStride, depth, nvec,
-                                             masks);
+            gemmRowBlockDispatchF32Avx512<4, Fused>(
+                cj, accStride, aj, aStride, bj, bStride, depth, nvec,
+                masks);
             break;
           case 5:
-            gemmRowBlockDispatchF32Avx512<5>(cj, accStride, aj, aStride,
-                                             bj, bStride, depth, nvec,
-                                             masks);
+            gemmRowBlockDispatchF32Avx512<5, Fused>(
+                cj, accStride, aj, aStride, bj, bStride, depth, nvec,
+                masks);
             break;
           default:
             break;
@@ -348,8 +440,8 @@ gemmTileF32Avx512(float *acc, std::size_t accStride, const float *a,
                   std::size_t bStride, std::size_t rows,
                   std::size_t cols, std::size_t depth)
 {
-    gemmRowsF32Avx512(acc, accStride, a, aStride, b, bStride, rows,
-                      cols, depth);
+    gemmRowsF32Avx512<false>(acc, accStride, a, aStride, b, bStride,
+                             rows, cols, depth);
 }
 
 void
@@ -364,14 +456,21 @@ gemmTileBf16Avx512(float *acc, std::size_t accStride,
     // is identical to widening inline; hoisting it out of the row
     // blocks removes the per-block repeat of the conversion work and
     // the scalar widen feeding every A broadcast, which together
-    // dominate the inline formulation. Thread-local scratch: no
+    // dominate the inline formulation. The same passes fold each
+    // operand's exponent envelope: one per kRowBlock-row block of A (the
+    // core's row groups) and one per B chunk. Thread-local scratch: no
     // allocation churn after warmup, no sharing between pool lanes.
     static thread_local std::vector<float> a_scratch;
     static thread_local std::vector<float> b_scratch;
+    static thread_local std::vector<ExpRange> a_blocks;
     a_scratch.resize(rows * depth);
-    for (std::size_t i = 0; i < rows; ++i)
-        widenRowAvx512(a_scratch.data() + i * depth, a + i * aStride,
-                       depth);
+    a_blocks.clear();
+    for (std::size_t i0 = 0; i0 < rows; i0 += kRowBlock) {
+        WidenScan scan;
+        for (std::size_t i = i0; i < std::min(rows, i0 + kRowBlock); ++i)
+            scan.row(a_scratch.data() + i * depth, a + i * aStride, depth);
+        a_blocks.push_back(scan.range());
+    }
     // Block the depth so the widened B panel (kKB * live * 4 B = 32 KiB)
     // stays L1-resident across its per-6-row-group re-reads; deep
     // tiles (e.g. 64x64x3072 FFN-down) would otherwise stream a 768 KiB
@@ -385,12 +484,29 @@ gemmTileBf16Avx512(float *acc, std::size_t accStride,
         b_scratch.resize(std::min(kKB, depth) * live);
         for (std::size_t kb = 0; kb < depth; kb += kKB) {
             const std::size_t kd = std::min(kKB, depth - kb);
+            WidenScan scan;
             for (std::size_t k = 0; k < kd; ++k)
-                widenRowAvx512(b_scratch.data() + k * live,
-                               b + (kb + k) * bStride + jb, live);
-            gemmRowsF32Avx512(acc + jb, accStride,
-                              a_scratch.data() + kb, depth,
-                              b_scratch.data(), live, rows, live, kd);
+                scan.row(b_scratch.data() + k * live,
+                         b + (kb + k) * bStride + jb, live);
+            const ExpRange b_range = scan.range();
+            // Each maximal run of row blocks sharing one verdict goes
+            // to the core in one call, so its row grouping is the same
+            // as for a single unfused call.
+            for (std::size_t g = 0; g < a_blocks.size();) {
+                const bool fused = productsExact(a_blocks[g], b_range);
+                std::size_t g_end = g + 1;
+                while (g_end < a_blocks.size() &&
+                       productsExact(a_blocks[g_end], b_range) == fused)
+                    ++g_end;
+                const std::size_t i0 = g * kRowBlock;
+                const std::size_t i1 = std::min(rows, g_end * kRowBlock);
+                const auto core = fused ? gemmRowsF32Avx512<true>
+                                        : gemmRowsF32Avx512<false>;
+                core(acc + i0 * accStride + jb, accStride,
+                     a_scratch.data() + i0 * depth + kb, depth,
+                     b_scratch.data(), live, i1 - i0, live, kd);
+                g = g_end;
+            }
         }
     }
 }

@@ -6,8 +6,10 @@
  * of the numeric semantics in the codebase.
  *
  * Compiled with the baseline ISA and -ffp-contract=off: the mul and add
- * in the MAC rows must round separately (no FMA), because that is what
- * the pre-kernel scalar loops did and what the SIMD tiers replicate.
+ * in the MAC rows round separately (no FMA), because that is what the
+ * pre-kernel scalar loops did. The SIMD tiers replicate it, fusing a
+ * MAC only where every product is provably exact, so the fused and
+ * separate forms give the same bits.
  */
 
 #include "kernel_tiers.hh"

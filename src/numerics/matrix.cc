@@ -111,16 +111,6 @@ shouldPool(std::size_t macs)
     return macs >= kMinMacsPerLane * lanes;
 }
 
-/** Finiteness of a bf16-bits plane (exponent field not all-ones). */
-bool
-allFiniteBits(const std::uint16_t *bits, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        if ((bits[i] & 0x7f80u) == 0x7f80u)
-            return false;
-    return true;
-}
-
 /**
  * Rows [r0, r1) of C += A x B, blocked over k and j for cache reuse and
  * handed to the dispatched register-tiled GEMM kernel per (k, j) block.
@@ -154,11 +144,14 @@ matmulRows(const Matrix &a, const Matrix &b, Matrix &c, std::size_t r0,
 }
 
 /**
- * The bits twin of matmulRows: same blocking, same ascending-k order,
- * but A and B are bf16 bit planes and the (exact) widening to fp32
- * happens inside the GEMM tile kernel. Bit-identical to running
- * matmulRows on the widened operands, including the unconditional MAC
- * of +-0 A entries (see matmulRows).
+ * The bits twin of matmulRows: same ascending-k order, but A and B are
+ * bf16 bit planes and the (exact) widening to fp32 happens inside the
+ * GEMM tile kernel. One kernel call per kKBlock-deep k panel spans the
+ * full output width — the kernel blocks columns itself, so each A panel
+ * is widened (and its exponent envelope scanned) once instead of once
+ * per column block. Bit-identical to running matmulRows on the widened
+ * operands, including the unconditional MAC of +-0 A entries (see
+ * matmulRows).
  */
 void
 matmulRowsBits(const std::uint16_t *a_bits, const std::uint16_t *b_bits,
@@ -169,13 +162,8 @@ matmulRowsBits(const std::uint16_t *a_bits, const std::uint16_t *b_bits,
     const std::size_t n = c.cols();
     for (std::size_t kb = 0; kb < depth; kb += kKBlock) {
         const std::size_t k_end = std::min(depth, kb + kKBlock);
-        for (std::size_t jb = 0; jb < n; jb += kJBlock) {
-            const std::size_t j_end = std::min(n, jb + kJBlock);
-            ks.gemmTileBf16(c.row(r0) + jb, n,
-                            a_bits + r0 * depth + kb, depth,
-                            b_bits + kb * n + jb, n, r1 - r0,
-                            j_end - jb, k_end - kb);
-        }
+        ks.gemmTileBf16(c.row(r0), n, a_bits + r0 * depth + kb, depth,
+                        b_bits + kb * n, n, r1 - r0, n, k_end - kb);
     }
 }
 
@@ -202,11 +190,10 @@ void
 QuantizedOperand::update(const Matrix &source)
 {
     const kernels::KernelSet &ks = kernels::activeKernels();
+    rows_ = source.rows();
+    cols_ = source.cols();
     bits_.resize(source.size());
     ks.quantizeBitsRow(bits_.data(), source.data(), source.size());
-    bf16_ = Matrix(source.rows(), source.cols());
-    ks.widenRow(bf16_.data(), bits_.data(), bits_.size());
-    allFinite_ = allFiniteBits(bits_.data(), bits_.size());
     ++version_;
 }
 
@@ -248,15 +235,13 @@ Matrix
 matmulBf16(const Matrix &a, const QuantizedOperand &b)
 {
     PROSE_ASSERT(!b.empty(), "matmulBf16 against an empty cached operand");
-    PROSE_ASSERT(a.cols() == b.bf16().rows(),
-                 "matmulBf16 inner-dim mismatch");
+    PROSE_ASSERT(a.cols() == b.rows(), "matmulBf16 inner-dim mismatch");
     const kernels::KernelSet &ks = kernels::activeKernels();
     Arena &arena = Arena::threadLocal();
     Arena::Scope scope(arena);
     std::uint16_t *qa = arena.alloc<std::uint16_t>(a.size());
     ks.quantizeBitsRow(qa, a.data(), a.size());
-    return matmulBits(qa, a.rows(), a.cols(), b.bits().data(),
-                      b.bf16().cols());
+    return matmulBits(qa, a.rows(), a.cols(), b.bits().data(), b.cols());
 }
 
 Matrix
@@ -264,9 +249,11 @@ mulAdd(float alpha, const Matrix &a, float beta, const Matrix &b)
 {
     PROSE_ASSERT(a.sameShape(b), "mulAdd shape mismatch");
     Matrix c(a.rows(), a.cols());
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < a.cols(); ++j)
-            c(i, j) = alpha * a(i, j) + beta * b(i, j);
+    const float *ap = a.data();
+    const float *bp = b.data();
+    float *cp = c.data();
+    for (std::size_t i = 0; i < c.size(); ++i)
+        cp[i] = alpha * ap[i] + beta * bp[i];
     return c;
 }
 
@@ -287,9 +274,10 @@ Matrix
 scale(const Matrix &a, float s)
 {
     Matrix c(a.rows(), a.cols());
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < a.cols(); ++j)
-            c(i, j) = a(i, j) * s;
+    const float *ap = a.data();
+    float *cp = c.data();
+    for (std::size_t i = 0; i < c.size(); ++i)
+        cp[i] = ap[i] * s;
     return c;
 }
 
@@ -297,9 +285,12 @@ Matrix
 transpose(const Matrix &a)
 {
     Matrix t(a.cols(), a.rows());
-    for (std::size_t i = 0; i < a.rows(); ++i)
+    float *tp = t.data();
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        const float *arow = a.row(i);
         for (std::size_t j = 0; j < a.cols(); ++j)
-            t(j, i) = a(i, j);
+            tp[j * a.rows() + i] = arow[j];
+    }
     return t;
 }
 

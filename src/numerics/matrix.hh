@@ -82,10 +82,8 @@ class Matrix
  * update()) instead of once per matmul call. update() bumps version(),
  * which is how cache-invalidation tests observe a reload.
  *
- * Storage is structure-of-arrays: the primary plane is the compact
- * bf16 bit pattern (half the fp32 footprint, what the SIMD GEMM
- * kernels stream), with a widened fp32 mirror kept for callers that
- * want the values as a Matrix.
+ * Storage is the compact bf16 bit plane alone (half the fp32
+ * footprint, what the SIMD GEMM kernels stream) plus its shape.
  */
 class QuantizedOperand
 {
@@ -101,23 +99,19 @@ class QuantizedOperand
 
     bool empty() const { return bits_.empty(); }
 
-    /** The bf16-quantized operand (values widened back to float). */
-    const Matrix &bf16() const { return bf16_; }
+    std::size_t rows() const { return rows_; }
+    std::size_t cols() const { return cols_; }
 
     /** The operand as raw bf16 bit patterns, row-major. */
     const std::vector<std::uint16_t> &bits() const { return bits_; }
-
-    /** True when no element quantized to +-Inf or NaN (the zero-skip
-     *  gate of the bits GEMM path). */
-    bool allFinite() const { return allFinite_; }
 
     /** Incremented by every update(); 0 while empty. */
     std::uint64_t version() const { return version_; }
 
   private:
-    Matrix bf16_;
+    std::size_t rows_ = 0;
+    std::size_t cols_ = 0;
     std::vector<std::uint16_t> bits_;
-    bool allFinite_ = true;
     std::uint64_t version_ = 0;
 };
 
@@ -125,9 +119,9 @@ class QuantizedOperand
  * C = A x B in fp32, cache-blocked and parallelized over row chunks on
  * the shared ThreadPool. Per output element the k-accumulation order is
  * exactly the classic serial i-k-j kernel's, so the result is
- * bit-identical for any tiling or thread count. A zero-skip fast path
- * is taken only when B is entirely finite, so Inf/NaN in B propagate
- * through zero entries of A as IEEE demands.
+ * bit-identical for any tiling or thread count. Every term is MAC'd
+ * (no zero skipping), so Inf/NaN in B propagate through zero entries
+ * of A as IEEE demands.
  */
 Matrix matmul(const Matrix &a, const Matrix &b);
 

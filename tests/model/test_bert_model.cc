@@ -7,6 +7,8 @@
 #include "common/thread_pool.hh"
 #include "model/bert_model.hh"
 #include "model/tokenizer.hh"
+#include "numerics/float_bits.hh"
+#include "numerics/kernels/kernel_dispatch.hh"
 
 namespace prose {
 namespace {
@@ -258,6 +260,38 @@ TEST(BertModelPooled, ForwardBitIdenticalSerialVsPooled)
         EXPECT_EQ(Matrix::maxAbsDiff(serial.pooled, pooled.pooled), 0.0f)
             << "mode " << static_cast<int>(mode);
     }
+}
+
+/** Bitwise equality of two same-shape matrices (so -0 != +0). */
+bool
+sameBits(const Matrix &a, const Matrix &b)
+{
+    return a.sameShape(b) && bitsEqual(a.data(), b.data(), a.size());
+}
+
+TEST(BertModelSimd, BertBaseLayerBf16LutBitIdenticalScalarVsActiveTier)
+{
+    // One encoder layer at BERT-base width (H=768, 12 heads, FFN 3072)
+    // over 64 tokens: every GEMM shape of the real model, with real
+    // activations feeding the bf16 tile kernel's fused-MAC gate. The
+    // active tier must reproduce the scalar reference bit for bit.
+    BertConfig config = BertConfig::proteinBertBase();
+    config.layers = 1;
+    config.maxSeqLen = 64;
+    const BertModel model(config, 2022);
+    const auto batch =
+        encodeBatch({ "MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQAPILSRVGDGTQDNLS"
+                      "GAEKAVQVKVKAL" },
+                    64);
+    const kernels::SimdTier original = kernels::activeSimdTier();
+    kernels::setActiveSimdTier(kernels::SimdTier::Scalar);
+    const auto want = model.forward(batch, NumericsMode::Bf16Lut);
+    kernels::setActiveSimdTier(original);
+    const auto got = model.forward(batch, NumericsMode::Bf16Lut);
+    EXPECT_TRUE(sameBits(got.hidden, want.hidden))
+        << "tier " << kernels::toString(original);
+    EXPECT_TRUE(sameBits(got.pooled, want.pooled))
+        << "tier " << kernels::toString(original);
 }
 
 } // namespace

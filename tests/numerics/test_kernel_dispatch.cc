@@ -7,12 +7,18 @@
  * denormal cases pin the AVX512-BF16 hardware-convert path, whose raw
  * instruction is DAZ and must fall back to the emulation per chunk.
  *
+ * The bf16 GEMM tile gets targeted cases for its exact fused MAC:
+ * tiles whose every product is an fp32 normal (the fused core), the
+ * exponent-sum bounds of that gate, subnormal and zero operands, and
+ * special accumulators, each under every FTZ/DAZ combination.
+ *
  * Also covered: PROSE_SIMD spec parsing (strict and lenient flavors)
  * and the pool-dispatch threshold observability counter.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -24,6 +30,11 @@
 #include "numerics/float_bits.hh"
 #include "numerics/kernels/kernel_dispatch.hh"
 #include "numerics/matrix.hh"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <xmmintrin.h>
+#define PROSE_TEST_HAVE_MXCSR 1
+#endif
 
 namespace prose {
 namespace {
@@ -267,6 +278,260 @@ TEST(KernelDispatch, GemmTileBitIdenticalAcrossTiersWithStrides)
                 << "x" << s.depth;
         }
     }
+}
+
+// --- gemmTileBf16's exact fused MAC ----------------------------------
+
+/** MXCSR flush-to-zero (bit 15) and denormals-are-zero (bit 6). */
+constexpr unsigned kFtz = 0x8000u;
+constexpr unsigned kDaz = 0x0040u;
+
+/** The FTZ/DAZ combinations the fused-gate cases run under; only the
+ *  default environment where MXCSR does not exist. */
+std::vector<unsigned>
+fpModes()
+{
+#ifdef PROSE_TEST_HAVE_MXCSR
+    return { 0u, kFtz, kDaz, kFtz | kDaz };
+#else
+    return { 0u };
+#endif
+}
+
+/** Sets MXCSR's FTZ/DAZ bits to `bits` for one scope. */
+class ScopedFpMode
+{
+  public:
+    explicit ScopedFpMode(unsigned bits)
+    {
+#ifdef PROSE_TEST_HAVE_MXCSR
+        saved_ = _mm_getcsr();
+        _mm_setcsr((saved_ & ~(kFtz | kDaz)) | bits);
+#else
+        (void)bits;
+#endif
+    }
+    ~ScopedFpMode()
+    {
+#ifdef PROSE_TEST_HAVE_MXCSR
+        _mm_setcsr(saved_);
+#endif
+    }
+    ScopedFpMode(const ScopedFpMode &) = delete;
+    ScopedFpMode &operator=(const ScopedFpMode &) = delete;
+
+  private:
+    unsigned saved_ = 0;
+};
+
+/** bf16 bits from a sign, a biased exponent and a 7-bit mantissa. */
+std::uint16_t
+bf16Bits(bool negative, unsigned exponent, unsigned mantissa)
+{
+    return static_cast<std::uint16_t>((negative ? 0x8000u : 0u) |
+                                      (exponent << 7) | (mantissa & 0x7fu));
+}
+
+/**
+ * n bf16 entries with biased exponents drawn from [lo, hi] and random
+ * mantissas; a `zeros` share of them are +-0 and, when `signs` is set,
+ * half the rest are negative. Exponent 0 draws subnormals (the mantissa
+ * is forced nonzero).
+ */
+std::vector<std::uint16_t>
+exponentPlane(Rng &rng, std::size_t n, unsigned lo, unsigned hi,
+              double zeros = 0.0, bool signs = true)
+{
+    std::vector<std::uint16_t> bits(n);
+    for (std::uint16_t &x : bits) {
+        const bool negative = signs && rng.below(2) == 1;
+        if (rng.uniform(0.0, 1.0) < zeros) {
+            x = bf16Bits(negative, 0, 0);
+            continue;
+        }
+        const auto e = static_cast<unsigned>(lo + rng.below(hi - lo + 1));
+        auto m = static_cast<unsigned>(rng.below(128));
+        if (e == 0 && m == 0)
+            m = 1;
+        x = bf16Bits(negative, e, m);
+    }
+    return bits;
+}
+
+/** An rows x cols x depth problem with strided A, B and accumulator. */
+struct TileCase
+{
+    std::size_t rows, cols, depth;
+    std::size_t aStride, bStride, cStride;
+    std::vector<std::uint16_t> a, b;
+    std::vector<float> c0;
+
+    TileCase(std::size_t rows_, std::size_t cols_, std::size_t depth_)
+        : rows(rows_), cols(cols_), depth(depth_), aStride(depth_ + 3),
+          bStride(cols_ + 5), cStride(cols_ + 2)
+    {
+    }
+};
+
+/**
+ * Every tier's gemmTileBf16 against the scalar tier's, with both run
+ * under each FTZ/DAZ combination (the gate must hold under all of them).
+ */
+::testing::AssertionResult
+gemmTileMatchesScalar(const TileCase &t)
+{
+    const KernelSet &ref = kernels::kernelsForTier(SimdTier::Scalar);
+    for (unsigned mode : fpModes()) {
+        for (SimdTier tier : availableTiers()) {
+            const KernelSet &ks = kernels::kernelsForTier(tier);
+            std::vector<float> got = t.c0, want = t.c0;
+            {
+                ScopedFpMode fp(mode);
+                ks.gemmTileBf16(got.data(), t.cStride, t.a.data(),
+                                t.aStride, t.b.data(), t.bStride, t.rows,
+                                t.cols, t.depth);
+                ref.gemmTileBf16(want.data(), t.cStride, t.a.data(),
+                                 t.aStride, t.b.data(), t.bStride, t.rows,
+                                 t.cols, t.depth);
+            }
+            ::testing::AssertionResult same = bitsIdentical(got, want);
+            if (!same) {
+                return same << " (" << ks.name << ", " << t.rows << "x"
+                            << t.cols << "x" << t.depth
+                            << ", ftz/daz bits 0x" << std::hex << mode
+                            << ")";
+            }
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** Row counts through the 6-row blocks' 1..5-row remainders, column
+ *  counts through the 16-lane and 64-column tails, and depths across
+ *  one and several B chunks. */
+std::vector<TileCase>
+remainderShapes()
+{
+    std::vector<TileCase> shapes;
+    const std::size_t col_depths[][2] = { { 1, 1 },    { 17, 9 },
+                                          { 64, 128 }, { 65, 3 },
+                                          { 130, 131 }, { 100, 200 } };
+    for (std::size_t rows : { 1, 2, 3, 4, 5, 6, 7, 13 })
+        for (const auto &cd : col_depths)
+            shapes.emplace_back(rows, cd[0], cd[1]);
+    return shapes;
+}
+
+TEST(KernelDispatch, GemmTileFusedNormalTilesMatchScalar)
+{
+    // All-finite normal operands whose exponent sums sit well inside
+    // [128, 380]: every (row block x B chunk) takes the fused core.
+    // Accumulators carry +-Inf, NaN, +-0, denormals and normals.
+    Rng rng(4242);
+    for (TileCase t : remainderShapes()) {
+        t.a = exponentPlane(rng, t.rows * t.aStride, 100, 150);
+        t.b = exponentPlane(rng, t.depth * t.bStride, 100, 150);
+        t.c0 = specialVector(rng, t.rows * t.cStride);
+        EXPECT_TRUE(gemmTileMatchesScalar(t));
+    }
+}
+
+TEST(KernelDispatch, GemmTileFusedZeroProductsMatchScalar)
+{
+    // +-0 x finite products inside fused blocks, against +0 and -0
+    // accumulators (whose sums are where a sign slip would show), plus
+    // an all-zero A tile, whose envelope is the neutral one.
+    Rng rng(77);
+    for (TileCase t : remainderShapes()) {
+        t.a = exponentPlane(rng, t.rows * t.aStride, 110, 140, 0.5);
+        t.b = exponentPlane(rng, t.depth * t.bStride, 110, 140, 0.3);
+        t.c0.resize(t.rows * t.cStride);
+        for (float &c : t.c0)
+            c = rng.below(2) == 1 ? -0.0f : 0.0f;
+        EXPECT_TRUE(gemmTileMatchesScalar(t));
+        std::fill(t.a.begin(), t.a.end(), bf16Bits(true, 0, 0));
+        EXPECT_TRUE(gemmTileMatchesScalar(t));
+    }
+}
+
+TEST(KernelDispatch, GemmTileFusedGateBoundsMatchScalar)
+{
+    // Uniform exponents per operand put every product's exponent sum
+    // exactly at a gate bound or one past it. The accumulators make a
+    // wrongly fused product visible:
+    //  - sum 381: products reach [2^128, 2^129) and overflow to +Inf in
+    //    the separate multiply, while a fused MAC against the most
+    //    negative bf16 value lands finite;
+    //  - sum 127: products below 2^-126 are subnormal, which FTZ
+    //    flushes in the separate multiply, while a fused MAC adds them
+    //    exactly to 2^-120.
+    // At the bounds (128, 380) every product is normal and exact.
+    struct Bound
+    {
+        unsigned ea, eb;
+        float c;
+    };
+    const float most_negative = -Bfloat16::fromBits(
+        bf16Bits(false, 254, 0x7f)).toFloat();
+    const float tiny = std::ldexp(1.0f, -120);
+    const Bound bounds[] = {
+        { 64, 64, tiny },   { 1, 127, tiny },           // sum 128
+        { 64, 63, tiny },   { 1, 126, tiny },           // sum 127
+        { 254, 126, most_negative },                    // sum 380
+        { 190, 190, most_negative },                    // sum 380
+        { 254, 127, most_negative },                    // sum 381
+        { 191, 190, most_negative },                    // sum 381
+    };
+    Rng rng(381);
+    for (const Bound &bound : bounds) {
+        for (std::size_t depth : { 1, 2 }) {
+            TileCase t(7, 70, depth);
+            t.a = exponentPlane(rng, t.rows * t.aStride, bound.ea,
+                                bound.ea, 0.0, false);
+            t.b = exponentPlane(rng, t.depth * t.bStride, bound.eb,
+                                bound.eb, 0.0, false);
+            t.c0.assign(t.rows * t.cStride, bound.c);
+            EXPECT_TRUE(gemmTileMatchesScalar(t))
+                << "exponent sum " << bound.ea + bound.eb;
+        }
+    }
+}
+
+TEST(KernelDispatch, GemmTileSubnormalOperandsMatchScalar)
+{
+    // Subnormal entries (exponent field 0) against partners large
+    // enough that their products would pass the exponent-sum test if
+    // subnormals were not flagged: many products are still subnormal,
+    // which FTZ flushes in the separate multiply. Both operand sides.
+    Rng rng(13);
+    const float tiny = std::ldexp(1.0f, -120);
+    for (TileCase t : remainderShapes()) {
+        for (bool subnormal_a : { true, false }) {
+            t.a = subnormal_a
+                      ? exponentPlane(rng, t.rows * t.aStride, 0, 0)
+                      : exponentPlane(rng, t.rows * t.aStride, 128, 130);
+            t.b = subnormal_a
+                      ? exponentPlane(rng, t.depth * t.bStride, 128, 130)
+                      : exponentPlane(rng, t.depth * t.bStride, 0, 0);
+            t.c0.assign(t.rows * t.cStride, tiny);
+            EXPECT_TRUE(gemmTileMatchesScalar(t));
+        }
+    }
+}
+
+TEST(KernelDispatch, GemmTileMixedRowBlocksMatchScalar)
+{
+    // 19 rows = three full 6-row blocks and a 1-row remainder. Block 1
+    // holds an Inf and block 3 an exponent too small for the gate, so
+    // fused and unfused runs alternate within one call.
+    Rng rng(19);
+    TileCase t(19, 70, 20);
+    t.a = exponentPlane(rng, t.rows * t.aStride, 110, 140);
+    t.b = exponentPlane(rng, t.depth * t.bStride, 110, 140);
+    t.a[7 * t.aStride + 3] = bf16Bits(false, 255, 0);
+    t.a[18 * t.aStride + 5] = bf16Bits(true, 5, 17);
+    t.c0 = specialVector(rng, t.rows * t.cStride);
+    EXPECT_TRUE(gemmTileMatchesScalar(t));
 }
 
 TEST(KernelDispatch, GemmTileF32BitIdenticalAcrossTiersWithStrides)
