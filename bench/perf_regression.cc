@@ -447,10 +447,10 @@ main(int argc, char **argv)
         const BertShape link_shape{ 12, 768, 12, 3072,
                                     quick ? 1ull : 4ull, 512 };
         auto link_config = [](StreamMode mode) {
-            ProseConfig config = ProseConfig::bestPerf();
-            config.link = LinkSpec::nvlink2At80();
-            config.streaming.mode = mode;
-            return config;
+            ProseConfig prose = ProseConfig::bestPerf();
+            prose.link = LinkSpec::nvlink2At80();
+            prose.streaming.mode = mode;
+            return prose;
         };
         const struct
         {
@@ -462,31 +462,31 @@ main(int argc, char **argv)
             { "link_stream_ideal", StreamMode::Ideal },
         };
         for (const auto &bench : stream_benches) {
-            const ProseConfig config = link_config(bench.mode);
+            const ProseConfig prose = link_config(bench.mode);
             results.push_back(timeBench(bench.name, repeats, [&] {
                 volatile double sink =
-                    PerfSim(config).run(link_shape).makespan;
+                    PerfSim(prose).run(link_shape).makespan;
                 (void)sink;
             }));
         }
         {
-            ProseConfig config = link_config(StreamMode::DoubleBuffered);
-            config.link.compression = LinkCompression::ZeroRun;
+            ProseConfig prose = link_config(StreamMode::DoubleBuffered);
+            prose.link.compression = LinkCompression::ZeroRun;
             results.push_back(
                 timeBench("link_compress_zero_run", repeats, [&] {
                     volatile double sink =
-                        PerfSim(config).run(link_shape).makespan;
+                        PerfSim(prose).run(link_shape).makespan;
                     (void)sink;
                 }));
         }
         {
-            const ProseConfig config =
+            const ProseConfig prose =
                 link_config(StreamMode::DoubleBuffered);
             const std::vector<BertShape> tenants(2, link_shape);
             results.push_back(
                 timeBench("link_contention_2tenant", repeats, [&] {
                     volatile double sink =
-                        PerfSim(config).runShared(tenants).makespan;
+                        PerfSim(prose).runShared(tenants).makespan;
                     (void)sink;
                 }));
         }

@@ -2,8 +2,8 @@
  * @file
  * Structure-aware differential harness for the engine-equivalence
  * contract (docs/MICROARCHITECTURE.md §9): the cycle-stepped reference
- * walk, the diagonal-batched stepped engine, and the fast-forward
- * engine must agree bit-for-bit on accumulators, drains, and every
+ * walk and the fast-forward engine (alone and under validate) must
+ * agree bit-for-bit on accumulators, drains, and every
  * cycle/stall/MAC counter, across SIMD tiers, non-uniform fill
  * profiles, and fault campaigns.
  *
@@ -29,16 +29,6 @@
 using namespace prose;
 
 namespace {
-
-/** Which engine a run drives; Reference is stepped with diagonal
- *  batching off (the scalar wavefront walk). */
-enum class Engine
-{
-    Reference,
-    SteppedBatched,
-    Fast,
-    Validate,
-};
 
 /** The decoded scenario, shared verbatim by every engine run. */
 struct Scenario
@@ -71,8 +61,8 @@ decodeScenario(fuzz::FuzzInput &input)
     s.aRate = input.pick(rates);
     s.bRate = input.pick(rates);
 
-    // Optional bursty fill profile (forces the stepped engine on the
-    // fast array, which is exactly the fallback path under test).
+    // Optional bursty fill profile: the fast engine's gate replay must
+    // track the per-tick rates exactly as the stepped walk does.
     if (input.u8() % 4 == 0) {
         const std::size_t len = 1 + input.below(4);
         for (std::size_t i = 0; i < len; ++i)
@@ -153,26 +143,12 @@ struct RunResult
 };
 
 RunResult
-runScenario(const Scenario &s, Engine engine)
+runScenario(const Scenario &s, FsimMode mode)
 {
     ArrayGeometry geom = ArrayGeometry::gType(s.dim);
     geom.hasExp = true; // both LUT kinds live on one array
     SystolicArray array(geom, s.aRate, s.bRate);
-    switch (engine) {
-      case Engine::Reference:
-        array.setMode(FsimMode::Stepped);
-        array.setDiagonalBatching(false);
-        break;
-      case Engine::SteppedBatched:
-        array.setMode(FsimMode::Stepped);
-        break;
-      case Engine::Fast:
-        array.setMode(FsimMode::Fast);
-        break;
-      case Engine::Validate:
-        array.setMode(FsimMode::Validate);
-        break;
-    }
+    array.setMode(mode);
     if (!s.fillProfile.empty())
         array.aBuffer().setFillProfile(s.fillProfile);
 
@@ -298,13 +274,10 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     const Scenario scenario = decodeScenario(input);
 
     kernels::setActiveSimdTier(scenario.tier);
-    const RunResult reference = runScenario(scenario, Engine::Reference);
-    assertRunsAgree(reference,
-                    runScenario(scenario, Engine::SteppedBatched),
-                    "stepped+batched vs reference");
-    assertRunsAgree(reference, runScenario(scenario, Engine::Fast),
+    const RunResult reference = runScenario(scenario, FsimMode::Stepped);
+    assertRunsAgree(reference, runScenario(scenario, FsimMode::Fast),
                     "fast vs reference");
-    assertRunsAgree(reference, runScenario(scenario, Engine::Validate),
+    assertRunsAgree(reference, runScenario(scenario, FsimMode::Validate),
                     "validate vs reference");
     kernels::setActiveSimdTier(kernels::bestSimdTier());
     return 0;

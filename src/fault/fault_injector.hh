@@ -56,9 +56,8 @@ class FaultInjector
      * or corrupt a cell at this site: the campaign sets a transient
      * accumulator flip rate (site-independent) or schedules a stuck bit
      * whose site matches. Const and RNG-free, so the systolic layer can
-     * consult it per tile: on the stepped engine an unarmed site keeps
-     * the diagonal-batched path and an armed one takes the scalar PE
-     * walk, the reference machine (docs/FAULT_MODEL.md).
+     * consult it per tile (the fault-campaign reports count armed
+     * calls with it; docs/FAULT_MODEL.md).
      */
     bool armsAccumulators(const std::string &site) const;
 

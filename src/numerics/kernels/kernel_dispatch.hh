@@ -73,15 +73,6 @@ struct KernelSet
                        std::size_t n);
 
     /**
-     * c[j] += a[j] * b[j] — elementwise MAC-row, product and sum each
-     * rounded (no FMA). The diagonal-batched stepped engine's wavefront
-     * sweep: one call applies depth-k' operands to every PE on one
-     * anti-diagonal, whose accumulators are disjoint by construction.
-     */
-    void (*mulAccRowF32)(float *c, const float *a, const float *b,
-                         std::size_t n);
-
-    /**
      * acc[i][j] += sum_k widen(a[i][k]) * widen(b[k][j]), accumulated
      * per output element in ascending-k order — the fast-forward
      * engine's per-PE dot product and the cached-bf16 model GEMM.

@@ -148,21 +148,6 @@ macRowBf16Avx2(float *acc, const std::uint16_t *b, float av,
         acc[j] += av * widenBits(b[j]);
 }
 
-void
-mulAccRowF32Avx2(float *c, const float *a, const float *b,
-                 std::size_t n)
-{
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m256 prod =
-            _mm256_mul_ps(_mm256_loadu_ps(a + j), _mm256_loadu_ps(b + j));
-        _mm256_storeu_ps(c + j,
-                         _mm256_add_ps(_mm256_loadu_ps(c + j), prod));
-    }
-    for (; j < n; ++j)
-        c[j] += a[j] * b[j];
-}
-
 /** One row of the bf16 tile GEMM (the remainder path under the 2-row
  *  blocking): 32-wide blocks keep four accumulator vectors in
  *  registers across the whole k loop, so each accumulator's
@@ -610,7 +595,6 @@ avx2KernelSet()
         "avx2",
         macRowF32Avx2,
         macRowBf16Avx2,
-        mulAccRowF32Avx2,
         gemmTileBf16Avx2,
         gemmTileF32Avx2,
         quantizeBitsRowAvx2,

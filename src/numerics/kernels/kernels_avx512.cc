@@ -139,28 +139,6 @@ macRowF32Avx512(float *c, const float *b, float av, std::size_t n)
 }
 
 void
-mulAccRowF32Avx512(float *c, const float *a, const float *b,
-                   std::size_t n)
-{
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-        const __m512 prod = _mm512_mul_ps(_mm512_loadu_ps(a + j),
-                                          _mm512_loadu_ps(b + j));
-        _mm512_storeu_ps(c + j,
-                         _mm512_add_ps(_mm512_loadu_ps(c + j), prod));
-    }
-    if (j < n) {
-        const __mmask16 m = headMask(n - j);
-        const __m512 prod =
-            _mm512_mul_ps(_mm512_maskz_loadu_ps(m, a + j),
-                          _mm512_maskz_loadu_ps(m, b + j));
-        const __m512 sum =
-            _mm512_add_ps(_mm512_maskz_loadu_ps(m, c + j), prod);
-        _mm512_mask_storeu_ps(c + j, m, sum);
-    }
-}
-
-void
 macRowBf16Avx512(float *acc, const std::uint16_t *b, float av,
                  std::size_t n)
 {
@@ -658,7 +636,6 @@ avx512KernelSet()
         "avx512",
         macRowF32Avx512,
         macRowBf16Avx512,
-        mulAccRowF32Avx512,
         gemmTileBf16Avx512,
         gemmTileF32Avx512,
         quantizeBitsRowAvx512,

@@ -44,14 +44,6 @@ macRowBf16Scalar(float *acc, const std::uint16_t *b, float av,
 }
 
 void
-mulAccRowF32Scalar(float *c, const float *a, const float *b,
-                   std::size_t n)
-{
-    for (std::size_t j = 0; j < n; ++j)
-        c[j] += a[j] * b[j];
-}
-
-void
 gemmTileBf16Scalar(float *acc, std::size_t accStride,
                    const std::uint16_t *a, std::size_t aStride,
                    const std::uint16_t *b, std::size_t bStride,
@@ -163,7 +155,6 @@ scalarKernelSet()
         "scalar",
         macRowF32Scalar,
         macRowBf16Scalar,
-        mulAccRowF32Scalar,
         gemmTileBf16Scalar,
         gemmTileF32Scalar,
         quantizeBitsRowScalar,

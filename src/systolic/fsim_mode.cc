@@ -1,6 +1,7 @@
 #include "fsim_mode.hh"
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "common/logging.hh"
@@ -21,16 +22,28 @@ toString(FsimMode mode)
     return "?";
 }
 
+namespace {
+
+/** The mode toString() spells `name`: its switch is the one name list. */
+std::optional<FsimMode>
+lookupFsimMode(const std::string &name)
+{
+    for (const FsimMode mode :
+         { FsimMode::Fast, FsimMode::Stepped, FsimMode::Validate }) {
+        if (name == toString(mode))
+            return mode;
+    }
+    return std::nullopt;
+}
+
+} // namespace
+
 FsimMode
 parseFsimMode(const char *name)
 {
     const std::string s = name ? name : "";
-    if (s == "fast")
-        return FsimMode::Fast;
-    if (s == "stepped")
-        return FsimMode::Stepped;
-    if (s == "validate")
-        return FsimMode::Validate;
+    if (const std::optional<FsimMode> mode = lookupFsimMode(s))
+        return *mode;
     fatal("unknown functional-sim mode \"", s,
           "\"; expected fast, stepped, or validate");
 }
@@ -42,14 +55,9 @@ defaultFsimMode()
         const char *spec = std::getenv("PROSE_FSIM_MODE");
         if (!spec || !*spec)
             return FsimMode::Fast;
-        const std::string s = spec;
-        if (s == "fast")
-            return FsimMode::Fast;
-        if (s == "stepped")
-            return FsimMode::Stepped;
-        if (s == "validate")
-            return FsimMode::Validate;
-        warn("ignoring invalid PROSE_FSIM_MODE=\"", s,
+        if (const std::optional<FsimMode> parsed = lookupFsimMode(spec))
+            return *parsed;
+        warn("ignoring invalid PROSE_FSIM_MODE=\"", spec,
              "\"; using fast (expected fast, stepped, or validate)");
         return FsimMode::Fast;
     }();

@@ -3,10 +3,11 @@
  * Execution-engine selection for the functional simulation of the
  * systolic arrays. The cycle-stepped wavefront model is the reference;
  * the fast-forward engine computes the same register file and the same
- * cycle/stall/MAC counters in closed form whenever the schedule is
- * provably deterministic (no fault injector, uniform stream-buffer fill
- * rates), which is what makes full-model functional runs, LUT-accuracy
- * sweeps, and validated DSE routinely affordable.
+ * cycle/stall/MAC counters for every operation — closed form under
+ * ideal stream-buffer supply, an O(1)-per-cycle gate replay under
+ * fractional rates or fill profiles — which is what makes full-model
+ * functional runs, LUT-accuracy sweeps, and validated DSE routinely
+ * affordable. Fault injection and ABFT run on either engine.
  *
  * The mode can be chosen per array / per simulator through the API, or
  * process-wide through the PROSE_FSIM_MODE environment variable
@@ -23,7 +24,7 @@ namespace prose {
 /** Functional-simulation execution engine. */
 enum class FsimMode
 {
-    Fast,     ///< fast-forward; auto-falls back to Stepped when unsafe
+    Fast,     ///< fast-forward GEMM plus stream-buffer gate replay
     Stepped,  ///< the cycle-stepped reference wavefront machine
     Validate, ///< run both engines, assert bit/cycle/stall equality
 };

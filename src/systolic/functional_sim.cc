@@ -69,12 +69,9 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
     // in place as one contiguous plane; B is compacted one column panel
     // at a time (below), because the fast engine's GEMM core would
     // otherwise stride through the full row pitch and thrash the DTLB
-    // on wide operands. Both engines consume these: the fast GEMM core
-    // directly, the diagonal-batched stepped engine through its
-    // transposed/reversed wavefront planes, and the ABFT checksums.
-    // Only the scalar PE walk (stepped engine on an armed fault site,
-    // non-uniform fill) ignores them, and its tiles are dominated by
-    // the O(dim^2) register sweeps anyway.
+    // on wide operands. The fast GEMM core and the ABFT checksums
+    // consume these. The stepped engine's scalar PE walk ignores them:
+    // its tiles are dominated by the O(dim^2) register sweeps anyway.
     float *wa = arena.alloc<float>(a.size());
     ks.widenRow(wa, qa, a.size());
     float *wpb = arena.alloc<float>(k * std::min(s, n));

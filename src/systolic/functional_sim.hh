@@ -103,8 +103,7 @@ class FunctionalSimulator
      * Select the functional-simulation engine for all arrays (defaults
      * to PROSE_FSIM_MODE). Fault-injected and ABFT-checked runs use it
      * too: corruption and checksums act on the finished tile, whichever
-     * engine computed it. An array still falls back to stepped on its
-     * own under a non-uniform fill profile.
+     * engine computed it. No array overrides it.
      */
     void setMode(FsimMode mode);
 

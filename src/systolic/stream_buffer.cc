@@ -75,7 +75,7 @@ StreamBuffer::setFillProfile(std::vector<double> rates)
         period_total += rate;
     }
     // An all-zero period never delivers an element, so tick() can never
-    // succeed and the stepped engine livelocks (found by
+    // succeed and either engine livelocks (found by
     // fuzz_engine_equiv; see tests/fuzz/corpus/engine_equiv).
     PROSE_ASSERT(rates.empty() || period_total > 0.0,
                  "fill profile supplies nothing over its period; the "

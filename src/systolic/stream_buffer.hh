@@ -85,10 +85,9 @@ class StreamBuffer
     /**
      * Install a non-uniform fill profile: fill tick t adds
      * rates[t % rates.size()] entries instead of the uniform supply
-     * rate. An empty vector restores the uniform profile. Arrays fed
-     * through a non-uniform profile always take the cycle-stepped
-     * engine (the fast-forward eligibility check consults
-     * uniformFill()).
+     * rate. An empty vector restores the uniform profile. Both engines
+     * replay a profile tick by tick; only the closed-form advance
+     * (idealSupply()) is ruled out.
      */
     void setFillProfile(std::vector<double> rates);
 

@@ -77,17 +77,6 @@ SystolicArray::SystolicArray(const ArrayGeometry &geometry,
     bReg_.valid.assign(n * n, 0);
 }
 
-FsimMode
-SystolicArray::effectiveMode() const
-{
-    // A non-uniform fill profile has no closed form, so it forces the
-    // cycle-stepped reference engine. A fault injector does not: it
-    // corrupts the finished tile once, after either engine (matmulTile).
-    if (!aBuffer_.uniformFill() || !bBuffer_.uniformFill())
-        return FsimMode::Stepped;
-    return mode_;
-}
-
 SystolicArray::EngineState
 SystolicArray::captureState() const
 {
@@ -187,7 +176,7 @@ template <typename SteppedFn, typename FastFn>
 std::uint64_t
 SystolicArray::dispatch(const char *what, SteppedFn stepped, FastFn fast)
 {
-    switch (effectiveMode()) {
+    switch (mode_) {
       case FsimMode::Stepped:
         return stepped();
       case FsimMode::Fast:
@@ -321,25 +310,6 @@ SystolicArray::matmulTile(const Matrix &a, const Matrix &b)
 std::uint64_t
 SystolicArray::steppedMatmulTile(const TileOperand &a, const TileOperand &b)
 {
-    // The scalar PE walk is the reference machine; every other stepped
-    // tile runs the diagonal-batched engine. Tiles the injector arms
-    // for this array's site take the scalar walk too, so stepped fault
-    // drills keep the oracle under every faulted tile. The test is per
-    // tile, not per attachment: a campaign that only kills arrays or
-    // faults links leaves the accumulator path unarmed, and a stuck-bit
-    // campaign arms only the site it targets.
-    const bool scalar_walk =
-        !diagonalBatching_ ||
-        (injector_ && injector_->armsAccumulators(faultSite_)) ||
-        !aBuffer_.uniformFill() || !bBuffer_.uniformFill();
-    return scalar_walk ? scalarSteppedMatmulTile(a, b)
-                       : diagonalSteppedMatmulTile(a, b);
-}
-
-std::uint64_t
-SystolicArray::scalarSteppedMatmulTile(const TileOperand &a,
-                                       const TileOperand &b)
-{
     const std::size_t rows = a.rows;
     const std::size_t cols = b.cols;
     const std::size_t k_depth = a.cols;
@@ -384,111 +354,6 @@ SystolicArray::scalarSteppedMatmulTile(const TileOperand &a,
     }
     matmulCycles_ += cycles;
     return cycles;
-}
-
-std::uint64_t
-SystolicArray::diagonalSteppedMatmulTile(const TileOperand &a,
-                                         const TileOperand &b)
-{
-    const std::size_t n = geometry_.dim;
-    const std::size_t rows = a.rows;
-    const std::size_t cols = b.cols;
-    const std::size_t k_depth = a.cols;
-
-    liveRows_ = std::max(liveRows_, rows);
-    liveCols_ = std::max(liveCols_, cols);
-
-    // The wavefront machine, re-sorted by anti-diagonal. PE(i, j)
-    // latches A(i, k') and B(k', j) together at wavefront w = i + j +
-    // k', so the PEs that MAC at any one cycle all sit on the diagonal
-    // d = i + j = w - k' and touch disjoint accumulators; evaluating a
-    // whole diagonal at once cannot reorder any accumulator's op
-    // sequence. Walking d outer and k' inner ascending replays, for
-    // every accumulator, exactly the scalar walk's ascending-k' MAC
-    // order — each product and sum rounds separately in the kernels
-    // (-ffp-contract=off, no FMA), and widen(bf16 bits) equals what the
-    // scalar walk's edge latch quantizes, by the TileOperand invariant.
-    //
-    // Structure-of-arrays planes (per-thread arena scratch) make each
-    // (d, k') sweep one contiguous elementwise MAC row:
-    //   aT[k'*rows + i]          = widen(A bits (i, k'))    (k-major)
-    //   bR[k'*cols + cols-1-j]   = widen(B bits (k', j))    (reversed)
-    //   accD[diagBase(d) + t]    = acc(i0(d)+t, d-i0(d)-t)  (diag-major)
-    // On diagonal d, element t has i = i0 + t and j = d - i0 - t, so
-    // its A value lives at aT offset t and its B value at bR offset t
-    // from the slice bases below — all three streams advance together.
-    const kernels::KernelSet &ks = kernels::activeKernels();
-    Arena &arena = Arena::threadLocal();
-    Arena::Scope scope(arena);
-
-    const float *awide = a.wide;
-    std::size_t awstride = a.wideStride;
-    if (!awide) {
-        float *scratch = arena.alloc<float>(rows * k_depth);
-        for (std::size_t i = 0; i < rows; ++i)
-            ks.widenRow(scratch + i * k_depth,
-                        a.bf16 + i * a.bf16Stride, k_depth);
-        awide = scratch;
-        awstride = k_depth;
-    }
-    float *aT = arena.alloc<float>(k_depth * rows);
-    for (std::size_t k = 0; k < k_depth; ++k) {
-        float *dst = aT + k * rows;
-        for (std::size_t i = 0; i < rows; ++i)
-            dst[i] = awide[i * awstride + k];
-    }
-
-    float *bR = arena.alloc<float>(k_depth * cols);
-    for (std::size_t k = 0; k < k_depth; ++k) {
-        float *row = bR + k * cols;
-        if (b.wide) {
-            const float *src = b.wide + k * b.wideStride;
-            for (std::size_t j = 0; j < cols; ++j)
-                row[cols - 1 - j] = src[j];
-        } else {
-            ks.widenRow(row, b.bf16 + k * b.bf16Stride, cols);
-            std::reverse(row, row + cols);
-        }
-    }
-
-    // Gather the tile's accumulators diag-major, sweep, scatter back.
-    const std::size_t ndiag = rows + cols - 1;
-    float *accD = arena.alloc<float>(rows * cols);
-    std::size_t base = 0;
-    for (std::size_t d = 0; d < ndiag; ++d) {
-        const std::size_t i0 = d >= cols ? d - cols + 1 : 0;
-        const std::size_t len = std::min(rows - 1, d) - i0 + 1;
-        for (std::size_t t = 0; t < len; ++t)
-            accD[base + t] = acc_[(i0 + t) * n + (d - i0 - t)];
-        base += len;
-    }
-    base = 0;
-    for (std::size_t d = 0; d < ndiag; ++d) {
-        const std::size_t i0 = d >= cols ? d - cols + 1 : 0;
-        const std::size_t len = std::min(rows - 1, d) - i0 + 1;
-        const std::size_t j0 = d - i0; ///< largest j on the diagonal
-        float *adiag = accD + base;
-        for (std::size_t k = 0; k < k_depth; ++k) {
-            ks.mulAccRowF32(adiag, aT + k * rows + i0,
-                            bR + k * cols + (cols - 1 - j0), len);
-        }
-        base += len;
-    }
-    base = 0;
-    for (std::size_t d = 0; d < ndiag; ++d) {
-        const std::size_t i0 = d >= cols ? d - cols + 1 : 0;
-        const std::size_t len = std::min(rows - 1, d) - i0 + 1;
-        for (std::size_t t = 0; t < len; ++t)
-            acc_[(i0 + t) * n + (d - i0 - t)] = accD[base + t];
-        base += len;
-    }
-    macCount_ += static_cast<std::uint64_t>(rows) * cols * k_depth;
-
-    // Idle-cycle elision: every cycle's register shuffling is gone, so
-    // only the stream-buffer gating is left to advance the cycle,
-    // stall, and consume counters — the same closed-form/replay
-    // machinery the fast engine uses, bit-equal to the scalar walk.
-    return fastForwardMatmulGating(rows, cols, k_depth);
 }
 
 std::uint64_t
@@ -552,12 +417,13 @@ SystolicArray::fastForwardMatmulGating(std::size_t rows,
         return advances;
     }
 
-    // Constant sub-capacity fill rates: replay only the O(1)-per-cycle
-    // gate recurrence. The repeated clamped additions are not
-    // associative in floating point, so an occupancy = o0 + t * rate
-    // closed form would not be bit-equal; replaying the identical
-    // sequence of occupancy operations is. The O(dim^2) PE sweep — where
-    // virtually all the stepped engine's time goes — is still skipped.
+    // Sub-capacity or non-uniform fill: replay only the O(1)-per-cycle
+    // gate recurrence (fillTick reads the fill profile, if any). The
+    // repeated clamped additions are not associative in floating point,
+    // so an occupancy = o0 + t * rate closed form would not be
+    // bit-equal; replaying the identical sequence of occupancy
+    // operations is. The O(dim^2) PE sweep — where virtually all the
+    // stepped engine's time goes — is still skipped.
     std::uint64_t cycles = 0;
     std::uint64_t wavefront = 0;
     while (wavefront < advances) {

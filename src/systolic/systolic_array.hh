@@ -31,29 +31,22 @@
  * every operation can run on either of two engines that produce
  * bit-identical register files and identical cycle/stall/MAC counters:
  *
- *  - stepped: the reference wavefront machine above. The PEs active at
- *    wavefront w form one anti-diagonal (i + j + k' == w), and PEs on a
- *    diagonal never depend on each other within a cycle, so the default
- *    stepped path evaluates each diagonal's MACs as contiguous
- *    structure-of-arrays planes through the kernel layer and elides the
- *    per-cycle register sweeps entirely (diagonal batching, bit- and
- *    counter-identical to the scalar PE walk by construction). The
- *    O(dim^2)-per-cycle scalar walk remains as the per-tile fallback
- *    whenever the fault injector is armed for this array's site or a
- *    fill profile is non-uniform, so stepped fault drills run every
- *    faulted tile on the reference machine.
+ *  - stepped: the reference wavefront machine above, one O(dim^2)
+ *    register sweep per cycle. It is the oracle: self-contained, no
+ *    kernel layer, no shared gating code.
  *  - fast-forward: PE(i, j) receives A(i, k') and B(k', j) together at
  *    wavefront k' + i + j, so its MAC order is ascending k' — a plain
  *    fp32 dot product of the bf16-quantized operands. Cycle and buffer
  *    counters advance by closed form when the stream buffers provably
- *    cannot starve, or by an O(1)-per-cycle gate replay when they can.
+ *    cannot starve, or by an O(1)-per-cycle gate replay when they can
+ *    (fractional rates and non-uniform fill profiles alike).
  *
  * FsimMode selects the engine (API or PROSE_FSIM_MODE); Validate runs
- * both and panics on any state divergence. A non-uniform fill profile
- * forces the stepped engine (no closed form). A fault injector does
- * not: it corrupts the finished tile once, after whichever engine ran
- * (Validate: after both agreed on the clean tile), so the corruption,
- * the injector's RNG stream and the event log are engine-independent.
+ * both and panics on any state divergence. Nothing overrides the
+ * requested engine. A fault injector corrupts the finished tile once,
+ * after whichever engine ran (Validate: after both agreed on the clean
+ * tile), so the corruption, the injector's RNG stream and the event log
+ * are engine-independent.
  */
 
 #ifndef PROSE_SYSTOLIC_SYSTOLIC_ARRAY_HH
@@ -155,7 +148,7 @@ class SystolicArray
     /**
      * Accumulate C += A x B for one tile. A is (rows <= n) x k; B is
      * k x (cols <= n). Rows/columns beyond the operand shapes simply see
-     * no traffic. Runs on the engine selected by effectiveMode().
+     * no traffic. Runs on the engine selected by mode().
      *
      * The view overload is the zero-copy hot path: both operand planes
      * (fp32 + pre-quantized bf16 bits) are the caller's, nothing is
@@ -242,28 +235,6 @@ class SystolicArray
     /** The requested engine. */
     FsimMode mode() const { return mode_; }
 
-    /**
-     * Enable/disable the diagonal-batched stepped matmul path (default
-     * on). With batching off every stepped tile runs the scalar PE
-     * walk — the reference machine the randomized differential tests
-     * compare the batched path against.
-     */
-    void setDiagonalBatching(bool enabled)
-    {
-        diagonalBatching_ = enabled;
-    }
-
-    /** True while the diagonal-batched stepped path is enabled. */
-    bool diagonalBatching() const { return diagonalBatching_; }
-
-    /**
-     * The engine the next operation will actually use: Stepped whenever
-     * either stream buffer has a non-uniform fill profile (no closed
-     * form), otherwise mode(). An attached fault injector does not
-     * change it.
-     */
-    FsimMode effectiveMode() const;
-
     /** Stream-buffer access (fill profiles, occupancy inspection). */
     StreamBuffer &aBuffer() { return aBuffer_; }
     StreamBuffer &bBuffer() { return bBuffer_; }
@@ -317,36 +288,16 @@ class SystolicArray
         const EngineState &fast, std::uint64_t stepped_ret,
         std::uint64_t fast_ret) const;
 
-    /** Run `stepped`/`fast` per effectiveMode(); Validate runs both. */
+    /** Run `stepped`/`fast` per mode(); Validate runs both. */
     template <typename SteppedFn, typename FastFn>
     std::uint64_t dispatch(const char *what, SteppedFn stepped,
                            FastFn fast);
 
     /** @name The cycle-stepped reference engine @{ */
 
-    /**
-     * Stepped matmul dispatcher: the diagonal-batched path unless this
-     * tile needs the scalar PE walk (batching disabled, the injector is
-     * armed for this array's site, or a fill profile is non-uniform).
-     */
+    /** The O(dim^2)-per-cycle scalar PE walk (the reference machine). */
     std::uint64_t steppedMatmulTile(const TileOperand &a,
                                     const TileOperand &b);
-
-    /** The O(dim^2)-per-cycle scalar PE walk (the reference machine). */
-    std::uint64_t scalarSteppedMatmulTile(const TileOperand &a,
-                                          const TileOperand &b);
-
-    /**
-     * The diagonal-batched stepped engine: gathers the PE state touched
-     * by each anti-diagonal into contiguous arena SoA planes, runs each
-     * diagonal's independent MACs through the kernel layer in
-     * ascending-k' order per accumulator, and elides the idle register
-     * sweeps by advancing cycle/consume counters through the shared
-     * stream-buffer gating. Bit- and counter-identical to the scalar
-     * walk (docs/MICROARCHITECTURE.md §9).
-     */
-    std::uint64_t diagonalSteppedMatmulTile(const TileOperand &a,
-                                            const TileOperand &b);
 
     std::uint64_t steppedSimdScalar(SimdOp op, float scalar);
     std::uint64_t steppedSimdVector(SimdOp op, const TileSpan &operand);
@@ -373,10 +324,8 @@ class SystolicArray
      * closed form when both buffers have ideal supply, otherwise an
      * O(1)-per-cycle replay of the gate recurrence (bit-equal to the
      * stepped loop because it performs the identical sequence of
-     * occupancy operations). Shared by the fast engine and the
-     * diagonal-batched stepped path — it is the idle-cycle elision:
-     * with ideal supply no cycle is visited at all, and under
-     * fractional rates only the O(1) gate survives per cycle.
+     * fillTick/available/consume operations, so fractional rates and
+     * non-uniform fill profiles replay alike).
      */
     std::uint64_t fastForwardMatmulGating(std::size_t rows,
                                           std::size_t cols,
@@ -394,7 +343,6 @@ class SystolicArray
     TwoLevelLut geluLut_;
     TwoLevelLut expLut_;
     FsimMode mode_ = defaultFsimMode();
-    bool diagonalBatching_ = true;
 
     std::vector<float> acc_;   ///< n*n fp32 accumulators
     Lane aReg_;                ///< eastward-flowing operand registers

@@ -101,8 +101,6 @@ TEST_P(PerfSimSweep, AchievedFlopsBelowConfiguredPeak)
 TEST_P(PerfSimSweep, RuntimeMonotoneInLength)
 {
     const auto &[name, len] = GetParam();
-    if (len >= 1024)
-        GTEST_SKIP();
     const ProseConfig config = configByName(name);
     const BertShape shape{ 2, 768, 12, 3072, 8, len };
     BertShape longer = shape;

@@ -156,15 +156,6 @@ TEST(KernelDispatch, RowKernelsBitIdenticalAcrossTiers)
             EXPECT_TRUE(bitsIdentical(got, want))
                 << ks.name << " macRowBf16 n=" << n;
 
-            // mulAccRowF32 (the diagonal-batched wavefront sweep)
-            const std::vector<float> src2 = specialVector(rng, n);
-            got = acc0;
-            want = acc0;
-            ks.mulAccRowF32(got.data(), src.data(), src2.data(), n);
-            ref.mulAccRowF32(want.data(), src.data(), src2.data(), n);
-            EXPECT_TRUE(bitsIdentical(got, want))
-                << ks.name << " mulAccRowF32 n=" << n;
-
             // quantizeBitsRow
             std::vector<std::uint16_t> qgot(n), qwant(n);
             ks.quantizeBitsRow(qgot.data(), src.data(), n);

@@ -4,9 +4,9 @@
  *  cycle/stall/MAC counters, and stream-buffer state. Fault injection
  *  and ABFT run on the requested engine and must leave outputs, event
  *  logs and ABFT accounting identical across fast, stepped and
- *  validate; a non-uniform fill profile forces the stepped engine.
- *  Also pins down the live-region (bounding-box union) semantics with
- *  mixed tile sizes. */
+ *  validate, and the fast engine's gate replay must track bursty
+ *  fill profiles. Also pins down the live-region (bounding-box union)
+ *  semantics with mixed tile sizes and the degenerate edge shapes. */
 
 #include <gtest/gtest.h>
 
@@ -70,6 +70,22 @@ struct SequenceResult
     std::uint64_t aConsumed = 0;
     std::uint64_t bConsumed = 0;
 };
+
+void
+captureStats(const SystolicArray &array, SequenceResult &result)
+{
+    result.matmulCycles = array.matmulCycles();
+    result.simdCycles = array.simdCycles();
+    result.stallCycles = array.stallCycles();
+    result.macCount = array.macCount();
+    result.simdOpCount = array.simdOpCount();
+    result.aOccupancy = array.aBuffer().occupancy();
+    result.bOccupancy = array.bBuffer().occupancy();
+    result.aStalls = array.aBuffer().stallCycles();
+    result.bStalls = array.bBuffer().stallCycles();
+    result.aConsumed = array.aBuffer().consumed();
+    result.bConsumed = array.bBuffer().consumed();
+}
 
 /**
  * Replay a seed-determined random op sequence on one array. The rng
@@ -135,17 +151,37 @@ runRandomSequence(FsimMode mode, std::uint64_t seed, bool ideal_rates)
     }
     if (live)
         result.finalAcc = array.accumulators();
-    result.matmulCycles = array.matmulCycles();
-    result.simdCycles = array.simdCycles();
-    result.stallCycles = array.stallCycles();
-    result.macCount = array.macCount();
-    result.simdOpCount = array.simdOpCount();
-    result.aOccupancy = array.aBuffer().occupancy();
-    result.bOccupancy = array.bBuffer().occupancy();
-    result.aStalls = array.aBuffer().stallCycles();
-    result.bStalls = array.bBuffer().stallCycles();
-    result.aConsumed = array.aBuffer().consumed();
-    result.bConsumed = array.bBuffer().consumed();
+    captureStats(array, result);
+    return result;
+}
+
+/**
+ * Three matmul tiles, each followed by two vector passes and a drain,
+ * on an 8 x 8 array whose A (or B) stream buffer fills through the
+ * given per-tick profile.
+ */
+SequenceResult
+runProfiledSequence(FsimMode mode, const std::vector<double> &profile,
+                    bool profile_on_a)
+{
+    SystolicArray array(ArrayGeometry::mType(8), 1.0, 1.0);
+    array.setMode(mode);
+    StreamBuffer &bursty = profile_on_a ? array.aBuffer() : array.bBuffer();
+    bursty.setFillProfile(profile);
+
+    Rng rng(3);
+    SequenceResult result;
+    for (int tile = 0; tile < 3; ++tile) {
+        const Matrix a = randomMatrix(rng, 6, 9, 1.0f);
+        const Matrix b = randomMatrix(rng, 9, 8, 1.0f);
+        array.matmulTile(a, b);
+        array.simdVector(SimdOp::MulVector, randomMatrix(rng, 8, 8, 1.0f));
+        array.simdVector(SimdOp::AddVector, randomMatrix(rng, 8, 8, 1.0f));
+        Matrix out;
+        array.drain(out);
+        result.drains.push_back(std::move(out));
+    }
+    captureStats(array, result);
     return result;
 }
 
@@ -212,6 +248,43 @@ TEST(FastForward, ValidateModeRunsBothEnginesAndAgrees)
             runRandomSequence(FsimMode::Validate, seed, false),
             runRandomSequence(FsimMode::Stepped, seed, false));
     }
+
+    // The degenerate wavefront geometries, each on a fresh array so a
+    // divergence names the exact shape: 1-wide tiles, full-dim tiles,
+    // depth-1 products, and a depth past the GEMM kernels' blocking.
+    const std::size_t dim = 8;
+    const std::size_t extents[] = { 1, 2, 3, dim - 1, dim };
+    const std::size_t depths[] = { 1, 2, 5, 33 };
+    Rng rng(2024);
+    for (const std::size_t rows : extents) {
+        for (const std::size_t cols : extents) {
+            for (const std::size_t k : depths) {
+                SCOPED_TRACE(testing::Message()
+                             << rows << "x" << k << " * " << k << "x"
+                             << cols);
+                SystolicArray array(ArrayGeometry::mType(dim));
+                array.setMode(FsimMode::Validate);
+                array.matmulTile(randomMatrix(rng, rows, k, 2.0f),
+                                 randomMatrix(rng, k, cols, 2.0f));
+                EXPECT_EQ(array.macCount(), rows * cols * k);
+            }
+        }
+    }
+
+    // Mixed tiles accumulating into one live region: wider, taller and
+    // strict-subset steps of the bounding-box union, then the drain.
+    SystolicArray array(ArrayGeometry::mType(dim));
+    array.setMode(FsimMode::Validate);
+    const std::size_t shapes[][3] = {
+        { 5, 3, 4 }, { 2, 7, 6 }, { 1, 4, 2 }, { 8, 2, 8 }, { 3, 9, 3 }
+    };
+    for (const auto &shape : shapes) {
+        array.matmulTile(randomMatrix(rng, shape[0], shape[1], 1.0f),
+                         randomMatrix(rng, shape[1], shape[2], 1.0f));
+    }
+    Matrix out;
+    EXPECT_EQ(array.drain(out), dim);
+    EXPECT_EQ(out.rows(), dim);
 }
 
 TEST(FastForward, AlphaAndAddendVariantsThroughFunctionalSim)
@@ -331,33 +404,36 @@ TEST(LiveRegion, MixedTileSizesKeepTheBoundingBoxUnion)
     EXPECT_EQ(array.accumulators().cols(), 6u);
 }
 
-TEST(FastForwardFallback, NonUniformFillProfileForcesStepped)
+TEST(FastForward, BurstyFillProfileMatchesStepped)
 {
-    Rng rng(3);
-    const Matrix a = randomMatrix(rng, 6, 9, 1.0f);
-    const Matrix b = randomMatrix(rng, 9, 5, 1.0f);
-
-    SystolicArray fast_array(ArrayGeometry::mType(8), 1.0, 1.0);
-    fast_array.setMode(FsimMode::Fast);
-    EXPECT_EQ(fast_array.effectiveMode(), FsimMode::Fast);
-    // Bursty host: nothing on even fill ticks, two entries on odd.
-    fast_array.aBuffer().setFillProfile({ 0.0, 2.0 });
-    EXPECT_EQ(fast_array.effectiveMode(), FsimMode::Stepped);
-
-    SystolicArray stepped_array(ArrayGeometry::mType(8), 1.0, 1.0);
-    stepped_array.setMode(FsimMode::Stepped);
-    stepped_array.aBuffer().setFillProfile({ 0.0, 2.0 });
-
-    EXPECT_EQ(fast_array.matmulTile(a, b),
-              stepped_array.matmulTile(a, b));
-    expectBitIdentical(fast_array.accumulators(),
-                       stepped_array.accumulators(), "profile acc");
-    EXPECT_EQ(fast_array.stallCycles(), stepped_array.stallCycles());
-    EXPECT_GT(fast_array.stallCycles(), 0u);
-
-    // Restoring the uniform profile restores fast-forward eligibility.
-    fast_array.aBuffer().setFillProfile({});
-    EXPECT_EQ(fast_array.effectiveMode(), FsimMode::Fast);
+    // The fast engine's gate replay reads a profile through the same
+    // fillTick sequence as the stepped walk, for matmul tiles and for
+    // the vector register's west-edge stream alike. {0, 2} (nothing on
+    // even ticks, two entries on odd ones) keeps pace with one consume
+    // per cycle once primed; {0, 1} starves every other cycle.
+    const std::vector<double> bursty = { 0.0, 2.0 };
+    const std::vector<double> starved = { 0.0, 1.0 };
+    for (const std::vector<double> &profile : { bursty, starved }) {
+        for (const bool on_a : { true, false }) {
+            SCOPED_TRACE(testing::Message()
+                         << "profile {" << profile[0] << ", " << profile[1]
+                         << "} on " << (on_a ? "A" : "B"));
+            const SequenceResult stepped =
+                runProfiledSequence(FsimMode::Stepped, profile, on_a);
+            expectSequencesAgree(
+                runProfiledSequence(FsimMode::Fast, profile, on_a),
+                stepped);
+            expectSequencesAgree(
+                runProfiledSequence(FsimMode::Validate, profile, on_a),
+                stepped);
+            EXPECT_GT(on_a ? stepped.aStalls : stepped.bStalls, 0u);
+        }
+    }
+    // Two 8-column vector passes and a drain per tile take 72 SIMD
+    // cycles unstalled; the starved A profile stalls the passes too.
+    EXPECT_GT(
+        runProfiledSequence(FsimMode::Fast, starved, true).simdCycles,
+        72u);
 }
 
 TEST(FastForwardFallback, InjectorKeepsRequestedEngineWithUnchangedReplay)
@@ -372,16 +448,12 @@ TEST(FastForwardFallback, InjectorKeepsRequestedEngineWithUnchangedReplay)
     SystolicArray fast_array(ArrayGeometry::mType(8));
     fast_array.setMode(FsimMode::Fast);
     fast_array.setFaultInjector(&fast_injector, "M0");
-    // The injector corrupts the finished tile after whichever engine
-    // computed it, so attaching one leaves the requested engine.
-    EXPECT_EQ(fast_array.effectiveMode(), FsimMode::Fast);
 
     // Validate runs both engines on the clean tile, then corrupts once.
     SystolicArray validate_array(ArrayGeometry::mType(8));
     validate_array.setMode(FsimMode::Validate);
     FaultInjector validate_injector(spec);
     validate_array.setFaultInjector(&validate_injector, "M0");
-    EXPECT_EQ(validate_array.effectiveMode(), FsimMode::Validate);
 
     SystolicArray stepped_array(ArrayGeometry::mType(8));
     stepped_array.setMode(FsimMode::Stepped);
@@ -404,10 +476,6 @@ TEST(FastForwardFallback, InjectorKeepsRequestedEngineWithUnchangedReplay)
     EXPECT_EQ(validate_injector.eventLogText(),
               stepped_injector.eventLogText());
     EXPECT_FALSE(fast_injector.events().empty());
-
-    // Detaching the injector keeps the requested engine.
-    fast_array.setFaultInjector(nullptr, "");
-    EXPECT_EQ(fast_array.effectiveMode(), FsimMode::Fast);
 }
 
 TEST(FastForwardFallback, AbftKeepsRequestedEngineWithUnchangedDetection)
@@ -433,13 +501,13 @@ TEST(FastForwardFallback, AbftKeepsRequestedEngineWithUnchangedDetection)
     // ABFT checks the finished tile before the SIMD passes, whichever
     // engine computed it: the simulator keeps the requested engine.
     EXPECT_EQ(fast_sim.mode(), FsimMode::Fast);
-    EXPECT_EQ(fast_sim.mArray().effectiveMode(), FsimMode::Fast);
+    EXPECT_EQ(fast_sim.mArray().mode(), FsimMode::Fast);
 
     FunctionalSimulator stepped_sim;
     stepped_sim.setMode(FsimMode::Stepped);
     stepped_sim.setAbft(abft);
     stepped_sim.setFaultInjector(&stepped_injector);
-    EXPECT_EQ(stepped_sim.mArray().effectiveMode(), FsimMode::Stepped);
+    EXPECT_EQ(stepped_sim.mArray().mode(), FsimMode::Stepped);
 
     expectBitIdentical(fast_sim.dataflow1(a, b, 1.0f, nullptr),
                        stepped_sim.dataflow1(a, b, 1.0f, nullptr),
@@ -558,16 +626,24 @@ TEST(FaultedEngines, LayerChainUnderFlipsAndAbftMatchesAcrossEngines)
 TEST(FaultedEngines, LayerChainUnderStuckBitsAndAbftMatchesAcrossEngines)
 {
     // One stuck bit per array type: M0 and G0 inside their first
-    // tile, E0 inside the 16 x 16 attention tiles.
-    const std::string spec =
-        "seed=5 stuck=M0:3:5:30:1 stuck=G0:7:2:29:1 stuck=E0:1:9:28:0";
-    const ChainResult stepped = runFaultedChain(FsimMode::Stepped, spec);
-    expectChainsAgree(runFaultedChain(FsimMode::Fast, spec), stepped,
-                      "fast");
-    expectChainsAgree(runFaultedChain(FsimMode::Validate, spec), stepped,
-                      "validate");
-    EXPECT_FALSE(stepped.eventLog.empty());
-    EXPECT_GT(stepped.abft.tilesFlagged, 0u);
+    // tile, E0 inside the 16 x 16 attention tiles. The second campaign
+    // arms only M0, so G0 and E0 run with an attached injector that
+    // never touches their accumulators.
+    const char *specs[] = {
+        "seed=5 stuck=M0:3:5:30:1 stuck=G0:7:2:29:1 stuck=E0:1:9:28:0",
+        "seed=31 stuck=M0:2:3:30:1",
+    };
+    for (const char *spec : specs) {
+        SCOPED_TRACE(spec);
+        const ChainResult stepped =
+            runFaultedChain(FsimMode::Stepped, spec);
+        expectChainsAgree(runFaultedChain(FsimMode::Fast, spec), stepped,
+                          "fast");
+        expectChainsAgree(runFaultedChain(FsimMode::Validate, spec),
+                          stepped, "validate");
+        EXPECT_FALSE(stepped.eventLog.empty());
+        EXPECT_GT(stepped.abft.tilesFlagged, 0u);
+    }
 }
 
 TEST(FaultedEngines, CleanLayerChainWithAbftFlagsNothing)
