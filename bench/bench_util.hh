@@ -92,15 +92,16 @@ platformEfficiency(const PlatformModel &platform, const BertShape &shape)
 }
 
 /**
- * fatal() on any command-line argument: the exhibit binaries take no
- * flags, and a flag silently ignored would look honoured.
+ * fatal() on any command-line argument: the exhibit binaries and the
+ * arg-less examples take no flags, and a flag silently ignored would
+ * look honoured.
  */
 inline void
 rejectArgs(int argc, char **argv)
 {
     if (argc > 1)
         fatal(argv[0], ": unexpected argument \"", argv[1],
-              "\"; this exhibit takes no arguments");
+              "\"; this program takes no arguments");
 }
 
 /** Print a section banner. */

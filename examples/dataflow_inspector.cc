@@ -13,6 +13,7 @@
 
 #include <iostream>
 
+#include "bench_util.hh"
 #include "common/random.hh"
 #include "common/table.hh"
 #include "numerics/lut.hh"
@@ -23,8 +24,9 @@
 using namespace prose;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectArgs(argc, argv);
     std::cout << "ProSE dataflow inspector\n========================\n\n";
 
     // --- One fused Dataflow 2 on a 16x16 G-Type array ------------------

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <iostream>
 
+#include "bench_util.hh"
 #include "common/table.hh"
 #include "model/bert_model.hh"
 #include "model/downstream.hh"
@@ -63,8 +64,9 @@ extract(const BertModel &model, const std::vector<std::string> &pool,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectArgs(argc, argv);
     std::cout << "ML-guided directed evolution\n"
               << "============================\n\n";
 

@@ -19,6 +19,7 @@
 #include <iostream>
 
 #include "accel/system.hh"
+#include "bench_util.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/table.hh"
@@ -28,8 +29,9 @@
 using namespace prose;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectArgs(argc, argv);
     std::cout << "ProSE fault drill\n=================\n\n";
 
     // --- 1. The campaign spec ------------------------------------------

@@ -18,12 +18,14 @@
 #include "protein/binding.hh"
 #include "model/mlm_head.hh"
 #include "protein/mutation_scan.hh"
+#include "bench_util.hh"
 
 using namespace prose;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectArgs(argc, argv);
     std::cout << "Deep mutational scan\n====================\n\n";
 
     // Train a fitness head on the binding benchmark's training family.

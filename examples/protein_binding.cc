@@ -21,6 +21,7 @@
 
 #include "accel/perf_sim.hh"
 #include "baseline/platform.hh"
+#include "bench_util.hh"
 #include "common/table.hh"
 #include "model/bert_model.hh"
 #include "model/tokenizer.hh"
@@ -30,8 +31,9 @@
 using namespace prose;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectArgs(argc, argv);
     std::cout << "Antibody binding-affinity screening (Section 2.2)\n"
               << "==================================================\n\n";
 

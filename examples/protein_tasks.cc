@@ -11,6 +11,7 @@
 
 #include <iostream>
 
+#include "bench_util.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "model/bert_model.hh"
@@ -60,8 +61,9 @@ featuresFor(const BertModel &model,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectArgs(argc, argv);
     std::cout << "Protein BERT downstream tasks (Figure 2(b))\n"
               << "===========================================\n\n";
 

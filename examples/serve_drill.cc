@@ -20,6 +20,7 @@
 #include <iostream>
 #include <string>
 
+#include "bench_util.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "serve/serve_sim.hh"
@@ -28,8 +29,9 @@
 using namespace prose;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectArgs(argc, argv);
     std::cout << "ProSE serve drill\n=================\n\n";
 
     // --- 1. The serving spec -------------------------------------------

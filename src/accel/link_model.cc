@@ -158,20 +158,6 @@ LinkSpec::paperSweep()
              infinite() };
 }
 
-std::string
-LinkSpec::describe() const
-{
-    std::ostringstream os;
-    os << name << " (" << totalBytesPerSecond / gbps(1.0) << " GB/s, "
-       << lanes << " lanes, timeout " << timeoutDetectSeconds * 1e6
-       << " us";
-    if (compression != LinkCompression::None)
-        os << ", " << toString(compression) << " ratio "
-           << compressionRatio();
-    os << ")";
-    return os.str();
-}
-
 std::uint32_t
 LanePartition::lanesFor(ArrayType type) const
 {

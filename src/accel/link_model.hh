@@ -127,9 +127,6 @@ struct LinkSpec
     /** Panics on out-of-range compression statistics. */
     void validate() const;
 
-    /** One-line human-readable summary. */
-    std::string describe() const;
-
     /** NVLink 2.0 at 80% achievable: 240 GB/s over 6 lanes. */
     static LinkSpec nvlink2At80();
     /** NVLink 2.0 at 90% achievable: 270 GB/s over 6 lanes. */

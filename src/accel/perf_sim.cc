@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 
 namespace prose {
 
@@ -39,10 +40,33 @@ expandInferenceEnds(SimReport &report,
 
 } // namespace
 
-double
-RetryPolicy::delayFor(std::uint32_t retry) const
+void
+RetryPolicy::validate() const
 {
-    return backoffSeconds * std::pow(backoffFactor, retry);
+    if (maxAttempts == 0)
+        fatal("retry: max_attempts must be at least 1");
+    if (!(backoffSeconds >= 0.0) || !std::isfinite(backoffSeconds))
+        fatal("retry: negative or non-finite backoff");
+    if (!(backoffFactor >= 1.0) || !std::isfinite(backoffFactor))
+        fatal("retry: backoff factor must be >= 1");
+    if (!(jitterFraction >= 0.0) || !(jitterFraction <= 1.0))
+        fatal("retry: jitter fraction must be in [0, 1]");
+}
+
+double
+RetryPolicy::delayFor(std::uint32_t retry, std::uint64_t seed,
+                      std::uint64_t id) const
+{
+    double delay = backoffSeconds;
+    for (std::uint32_t i = 0; i < retry; ++i)
+        delay *= backoffFactor;
+    if (jitterFraction > 0.0) {
+        // Keyed on (seed, id, retry): the draw is independent of event
+        // order, so replays and thread counts cannot perturb it.
+        Rng rng(seed ^ (id * 0x9e3779b97f4a7c15ull + retry));
+        delay *= 1.0 + jitterFraction * rng.uniform();
+    }
+    return delay;
 }
 
 ArrayType

@@ -135,19 +135,29 @@ struct SimReport
 };
 
 /**
- * Recovery policy for faulted link transfers: exponential backoff
- * between retries, with a bounded attempt budget. After maxAttempts the
- * transfer is forced through a degraded path and counted as abandoned
- * (the run completes; the counter is the alarm).
+ * Exponential backoff with a bounded attempt budget, for both fault
+ * layers. PerfSim retries faulted link transfers under the defaults
+ * below; after maxAttempts a transfer is forced through a degraded path
+ * and counted as abandoned (the run completes; the counter is the
+ * alarm). ServeSim retries the requests a dying instance drops under
+ * its own defaults (ServeSpec::retry).
  */
 struct RetryPolicy
 {
     std::uint32_t maxAttempts = 4; ///< first try + up to 3 retries
     double backoffSeconds = 10e-6; ///< delay before the first retry
     double backoffFactor = 2.0;    ///< growth per subsequent retry
+    /** Deterministic jitter: uniform in [0, fraction] of the delay,
+     *  keyed on (seed, id, retry) — independent of event order, so
+     *  replays stay bit-identical. */
+    double jitterFraction = 0.0;
 
-    /** Backoff delay preceding retry number `retry` (0-based). */
-    double delayFor(std::uint32_t retry) const;
+    void validate() const;
+
+    /** Backoff + jitter before retry number `retry` (0-based) of work
+     *  item `id` under stream seed `seed`. */
+    double delayFor(std::uint32_t retry, std::uint64_t seed = 0,
+                    std::uint64_t id = 0) const;
 };
 
 /** Simulator knobs. */

@@ -1,9 +1,10 @@
 #include "system.hh"
 
 #include <algorithm>
-#include <limits>
+#include <numeric>
 
 #include "common/logging.hh"
+#include "instance_pool.hh"
 
 namespace prose {
 
@@ -30,160 +31,99 @@ ProseSystem::ProseSystem(SystemConfig config)
 }
 
 SystemReport
-ProseSystem::run(const BertShape &shape) const
-{
-    return run(shape, nullptr);
-}
-
-SystemReport
-ProseSystem::run(const BertShape &shape, FaultInjector *injector,
-                 const RetryPolicy &retry) const
+ProseSystem::run(const BertShape &shape, FaultInjector *injector) const
 {
     PROSE_ASSERT(shape.batch > 0, "empty batch");
     const std::uint32_t used = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(config_.instanceCount, shape.batch));
 
-    // The shared host splits its throughput across active instances.
-    HostSpec shared = config_.hostSpec;
-    shared.elemThroughput /= used;
-    shared.slots = std::max<std::uint32_t>(1, shared.slots / used);
-    const HostModel host(shared);
-
     SimOptions options;
     options.injector = injector;
-    options.retry = retry;
+
+    // A closed batch: every inference arrives at t=0, so an arrival-
+    // indexed kill inside the batch fires at t=0 too.
+    InstancePool pool(used);
+    if (injector)
+        pool.armKills(*injector, shape.batch,
+                      [](std::uint64_t) { return 0.0; });
 
     SystemReport report;
     report.inferences = shape.batch;
+    report.completionSeconds.resize(shape.batch);
+    std::vector<std::uint64_t> pending(shape.batch);
+    std::iota(pending.begin(), pending.end(), std::uint64_t{ 0 });
+    std::uint64_t stamped = 0;
+    double now = 0.0;
+    double healthy_makespan = 0.0;
+    double first_reshard = -1.0;
     double host_busy = 0.0;
-    std::vector<std::uint64_t> slices(used, 0);
-    for (std::uint32_t i = 0; i < used; ++i) {
-        BertShape slice = shape;
-        slice.batch = shape.batch / used +
-                      (i < shape.batch % used ? 1 : 0);
-        if (slice.batch == 0)
-            continue;
-        slices[i] = slice.batch;
-        PerfSim sim(config_.instance,
-                    TimingModel(config_.instance.partialInputBuffer),
-                    host, options);
-        SimReport instance_report = sim.run(slice);
-        report.makespan =
-            std::max(report.makespan, instance_report.makespan);
-        host_busy += instance_report.hostBusySeconds;
-        report.perInstance.push_back(std::move(instance_report));
-    }
-    const double healthy_makespan = report.makespan;
-
-    // Degraded-instance operation: when the campaign kills an instance
-    // before it drains its shard, the incomplete inferences are
-    // re-sharded across the survivors as a recovery wave that starts
-    // once the death is detected and the survivors are free.
-    double wave_start = 0.0;
-    if (injector) {
-        std::uint64_t lost = 0;
-        std::vector<std::uint32_t> survivors;
-        double death_floor = 0.0;
-        for (std::uint32_t i = 0; i < used; ++i) {
-            const double death = injector->instanceKillSeconds(i);
-            const double span = report.perInstance[i].makespan;
-            if (death < span) {
-                ++report.failedInstances;
-                // Uniform-progress model: inferences finished before
-                // the death stay finished, the rest must move.
-                const std::uint64_t done = static_cast<std::uint64_t>(
-                    static_cast<double>(slices[i]) * (death / span));
-                lost += slices[i] - done;
-                death_floor = std::max(death_floor, death);
-            } else {
-                survivors.push_back(i);
-            }
-        }
-        if (report.failedInstances > 0) {
-            if (survivors.empty())
+    for (;;) {
+        if (pool.idle()) {
+            if (pending.empty())
+                break;
+            // Shard the pending work over the alive instances; the
+            // shared host splits its throughput across them.
+            const std::vector<std::uint32_t> alive = pool.alive();
+            if (alive.empty())
                 fatal("fault campaign killed every ProSE instance; "
                       "nothing left to re-shard onto");
-            wave_start = death_floor;
-            for (const std::uint32_t s : survivors)
-                wave_start = std::max(wave_start,
-                                      report.perInstance[s].makespan);
-            HostSpec wave_spec = config_.hostSpec;
-            wave_spec.elemThroughput /=
-                static_cast<double>(survivors.size());
-            wave_spec.slots = std::max<std::uint32_t>(
-                1, wave_spec.slots /
-                       static_cast<std::uint32_t>(survivors.size()));
-            const HostModel wave_host(wave_spec);
-            double wave_max = 0.0;
-            for (std::size_t j = 0; j < survivors.size(); ++j) {
-                BertShape wave_slice = shape;
-                wave_slice.batch =
-                    lost / survivors.size() +
-                    (j < lost % survivors.size() ? 1 : 0);
-                if (wave_slice.batch == 0)
+            const bool reshard = !report.perInstance.empty();
+            if (reshard && first_reshard < 0.0)
+                first_reshard = now;
+            const std::uint32_t ways =
+                static_cast<std::uint32_t>(alive.size());
+            HostSpec shared = config_.hostSpec;
+            shared.elemThroughput /= ways;
+            shared.slots = std::max<std::uint32_t>(1, shared.slots / ways);
+            const HostModel host(shared);
+            std::size_t next = 0;
+            for (std::uint32_t j = 0; j < ways; ++j) {
+                BertShape slice = shape;
+                slice.batch = pending.size() / ways +
+                              (j < pending.size() % ways ? 1 : 0);
+                if (slice.batch == 0)
                     continue;
-                PerfSim sim(
-                    config_.instance,
-                    TimingModel(config_.instance.partialInputBuffer),
-                    wave_host, options);
-                SimReport wave_report = sim.run(wave_slice);
-                wave_max = std::max(wave_max, wave_report.makespan);
-                host_busy += wave_report.hostBusySeconds;
-                report.perInstance.push_back(std::move(wave_report));
+                PerfSim sim(config_.instance,
+                            TimingModel(config_.instance.partialInputBuffer),
+                            host, options);
+                SimReport shard = sim.run(slice);
+                std::vector<InstancePool::Member> members;
+                members.reserve(slice.batch);
+                for (const double end : shard.inferenceEndSeconds)
+                    members.push_back({ pending[next++], now + end });
+                pool.dispatch(alive[j], std::move(members));
+                if (!reshard)
+                    healthy_makespan =
+                        std::max(healthy_makespan, shard.makespan);
+                host_busy += shard.hostBusySeconds;
+                report.linkTransferErrors += shard.linkTransferErrors;
+                report.linkTimeouts += shard.linkTimeouts;
+                report.taskRetries += shard.taskRetries;
+                report.perInstance.push_back(std::move(shard));
             }
-            report.reshardedInferences = lost;
-            report.reshardSeconds = wave_max;
-            report.makespan = wave_start + wave_max;
-            if (report.makespan > 0.0)
-                report.throughputRetention =
-                    healthy_makespan / report.makespan;
+            pending.clear();
         }
-        for (const SimReport &inst : report.perInstance) {
-            report.linkTransferErrors += inst.linkTransferErrors;
-            report.linkTimeouts += inst.linkTimeouts;
-            report.taskRetries += inst.taskRetries;
-        }
+        const InstancePool::Event event = pool.next();
+        now = event.seconds;
+        pool.apply(event);
+        for (const InstancePool::Member &member : pool.done())
+            report.completionSeconds[member.id] = member.endSeconds;
+        stamped += pool.done().size();
+        for (const InstancePool::Member &member : pool.dropped())
+            pending.push_back(member.id);
+        report.reshardedInferences += pool.dropped().size();
     }
-
-    // Per-inference completion times (doc on SystemReport): the first
-    // `used` perInstance entries are the original shards, anything past
-    // them is the recovery wave shifted to its start time. A killed
-    // shard's pre-death completions follow the same uniform-progress
-    // model that sized the re-shard, so count and tail stay consistent.
-    report.completionSeconds.reserve(report.inferences);
-    for (std::uint32_t i = 0; i < used; ++i) {
-        const SimReport &inst = report.perInstance[i];
-        const double death =
-            injector ? injector->instanceKillSeconds(i)
-                     : std::numeric_limits<double>::infinity();
-        if (death < inst.makespan) {
-            const std::uint64_t completed = static_cast<std::uint64_t>(
-                static_cast<double>(slices[i]) *
-                (death / inst.makespan));
-            const double step =
-                inst.makespan / static_cast<double>(slices[i]);
-            for (std::uint64_t j = 0; j < completed; ++j)
-                report.completionSeconds.push_back(
-                    static_cast<double>(j + 1) * step);
-        } else {
-            report.completionSeconds.insert(
-                report.completionSeconds.end(),
-                inst.inferenceEndSeconds.begin(),
-                inst.inferenceEndSeconds.end());
-        }
-    }
-    for (std::size_t w = used; w < report.perInstance.size(); ++w)
-        for (const double end :
-             report.perInstance[w].inferenceEndSeconds)
-            report.completionSeconds.push_back(wave_start + end);
-    PROSE_ASSERT(report.completionSeconds.size() == report.inferences,
+    PROSE_ASSERT(stamped == report.inferences,
                  "per-inference completion times do not cover the "
                  "batch: ",
-                 report.completionSeconds.size(), " of ",
-                 report.inferences);
-
-    // Combined host duty over the whole host's capacity.
+                 stamped, " of ", report.inferences);
+    report.makespan = now;
+    report.failedInstances = pool.killed();
+    if (first_reshard >= 0.0)
+        report.reshardSeconds = report.makespan - first_reshard;
     if (report.makespan > 0.0) {
+        report.throughputRetention = healthy_makespan / report.makespan;
+        // Combined host duty over the whole host's capacity.
         report.hostDuty = std::min(
             1.0, host_busy / (report.makespan *
                               config_.hostSpec.slots));

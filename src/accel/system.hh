@@ -8,7 +8,8 @@
  * Instances are independent accelerator cards on independent links; the
  * system shards an inference batch across them and the host CPU serves
  * all of their softmax/Other work. This is the deployment-scale view on
- * top of the single-instance PerfSim.
+ * top of the single-instance PerfSim, driven on the same instance pool
+ * as the serving simulator (accel/instance_pool.hh).
  */
 
 #ifndef PROSE_ACCEL_SYSTEM_HH
@@ -46,27 +47,30 @@ struct SystemReport
     std::vector<SimReport> perInstance;
 
     /** @name Degraded-mode accounting (defaults when fault-free) @{ */
-    std::uint32_t failedInstances = 0;  ///< instances killed mid-run
-    std::uint64_t reshardedInferences = 0; ///< work moved to survivors
-    double reshardSeconds = 0.0;    ///< recovery-wave tail duration
+    /** Instances killed before the batch drained (busy or idle). */
+    std::uint32_t failedInstances = 0;
+    /** Inferences a kill dropped, summed over kills: an inference
+     *  dropped by two kills counts twice. */
+    std::uint64_t reshardedInferences = 0;
+    /** From the first re-shard to the makespan (0 without one). */
+    double reshardSeconds = 0.0;
     /**
      * Throughput kept relative to the same campaign without instance
      * deaths: healthy makespan / degraded makespan. 1.0 when no
      * instance died.
      */
     double throughputRetention = 1.0;
-    /** Link-fault counters summed over instances and recovery wave. */
+    /** Link-fault counters summed over every dispatched shard. */
     std::uint64_t linkTransferErrors = 0;
     std::uint64_t linkTimeouts = 0;
     std::uint64_t taskRetries = 0;
     /**
-     * Per-inference completion times (size == inferences), instance-
-     * major: surviving shards report their simulated per-thread finish
-     * times; a killed shard contributes its pre-death completions under
-     * the same uniform-progress model that sizes the re-shard; re-
-     * sharded inferences land at wave start + wave completion time. The
-     * maximum entry equals the makespan — the resharded-tail regression
-     * test pins both that and the count.
+     * Per-inference completion times (size == inferences), indexed by
+     * inference; the first wave shards the batch in instance order, so
+     * a healthy run lists each instance's PerfSim inferenceEndSeconds
+     * in turn. An inference ends at the dispatch time of the shard
+     * that completed it plus its PerfSim end time in that shard. The
+     * maximum entry equals the makespan.
      */
     std::vector<double> completionSeconds;
     /** @} */
@@ -85,20 +89,18 @@ class ProseSystem
      * Shard `shape.batch` as evenly as possible across the instances
      * and simulate each; the system finishes when the slowest instance
      * does. Host softmax throughput is divided among active instances.
+     *
+     * Under a fault campaign each shard's simulator samples the link
+     * faults and array kills, and instance kills fire on the pool at
+     * their time (an arrival-indexed kill at t=0: the whole batch
+     * arrives then). A kill keeps the inferences whose PerfSim end
+     * time falls before it and drops the rest. Whenever the pool is
+     * idle with dropped work left, that work is re-sharded over the
+     * alive instances; a kill during a re-shard simply triggers the
+     * next one. The report's throughputRetention quantifies the loss.
      */
-    SystemReport run(const BertShape &shape) const;
-
-    /**
-     * Same sharded run under a fault campaign. Each instance's
-     * simulator samples the campaign's link faults and array kills;
-     * instances the campaign kills mid-run lose their incomplete
-     * inferences, which are re-sharded across the surviving instances
-     * as a recovery wave once the death is detected. The report's
-     * throughputRetention quantifies the loss. A null injector
-     * reproduces run(shape) exactly.
-     */
-    SystemReport run(const BertShape &shape, FaultInjector *injector,
-                     const RetryPolicy &retry = RetryPolicy{}) const;
+    SystemReport run(const BertShape &shape,
+                     FaultInjector *injector = nullptr) const;
 
     const SystemConfig &config() const { return config_; }
 

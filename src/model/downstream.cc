@@ -22,13 +22,6 @@ RegressionHead::predict(const Matrix &features) const
     return model_.predictRows(features);
 }
 
-const RidgeModel &
-RegressionHead::model() const
-{
-    PROSE_ASSERT(fitted_, "RegressionHead used before fit()");
-    return model_;
-}
-
 void
 LogisticHead::fit(const Matrix &features, const std::vector<int> &labels,
                   FitOptions options)

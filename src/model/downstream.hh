@@ -30,7 +30,6 @@ class RegressionHead
     std::vector<double> predict(const Matrix &features) const;
 
     bool fitted() const { return fitted_; }
-    const RidgeModel &model() const;
 
   private:
     RidgeModel model_;

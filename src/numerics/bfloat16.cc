@@ -51,12 +51,6 @@ Bfloat16::operator*(Bfloat16 other) const
     return Bfloat16(toFloat() * other.toFloat());
 }
 
-Bfloat16
-Bfloat16::operator/(Bfloat16 other) const
-{
-    return Bfloat16(toFloat() / other.toFloat());
-}
-
 bool
 Bfloat16::operator==(Bfloat16 other) const
 {

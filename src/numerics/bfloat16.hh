@@ -81,7 +81,6 @@ class Bfloat16
     Bfloat16 operator+(Bfloat16 other) const;
     Bfloat16 operator-(Bfloat16 other) const;
     Bfloat16 operator*(Bfloat16 other) const;
-    Bfloat16 operator/(Bfloat16 other) const;
 
     /** Bit-pattern equality except both zeros compare equal. */
     bool operator==(Bfloat16 other) const;

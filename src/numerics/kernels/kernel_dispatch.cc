@@ -221,17 +221,6 @@ bestSimdTier()
     return SimdTier::Scalar;
 }
 
-bool
-avx512Bf16InUse()
-{
-#if defined(PROSE_KERNELS_HAVE_AVX512) && \
-    defined(PROSE_KERNELS_HAVE_AVX512BF16)
-    return simdTierAvailable(SimdTier::Avx512) && cpu().avx512bf16;
-#else
-    return false;
-#endif
-}
-
 SimdTier
 defaultSimdTier()
 {
@@ -289,15 +278,6 @@ setActiveSimdTier(SimdTier tier)
 {
     activeKernelSlot().store(&kernelsForTier(tier),
                              std::memory_order_release);
-}
-
-std::string
-describeSimdSupport()
-{
-    std::string out = toString(activeSimdTier());
-    if (activeSimdTier() == SimdTier::Avx512 && avx512Bf16InUse())
-        out += " (bf16)";
-    return out;
 }
 
 } // namespace prose::kernels

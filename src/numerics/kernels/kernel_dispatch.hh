@@ -189,10 +189,6 @@ bool simdTierAvailable(SimdTier tier);
 /** Widest tier available on this build+CPU. */
 SimdTier bestSimdTier();
 
-/** True when the AVX-512 tier is using the hardware BF16 convert
- *  (AVX512-BF16 present and compiled in). */
-bool avx512Bf16InUse();
-
 /** The PROSE_SIMD-resolved startup tier (read once, cached). */
 SimdTier defaultSimdTier();
 
@@ -212,9 +208,6 @@ SimdTier activeSimdTier();
  * mid-parallel-region is a race on the dispatch pointer.
  */
 void setActiveSimdTier(SimdTier tier);
-
-/** One-line human summary, e.g. "avx512 (bf16)" — for startup logs. */
-std::string describeSimdSupport();
 
 } // namespace prose::kernels
 

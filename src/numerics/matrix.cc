@@ -43,13 +43,6 @@ Matrix::fillGaussian(Rng &rng, float mean, float stddev)
 }
 
 void
-Matrix::fillUniform(Rng &rng, float lo, float hi)
-{
-    for (float &x : data_)
-        x = static_cast<float>(rng.uniform(lo, hi));
-}
-
-void
 Matrix::quantizeBf16InPlace()
 {
     kernels::activeKernels().quantizeRoundtripRow(
@@ -350,30 +343,6 @@ layerNorm(const Matrix &a, const std::vector<float> &gamma,
                 gamma[j] * (a(i, j) - mu) * inv + beta[j]);
         }
     }
-    return c;
-}
-
-std::vector<Matrix>
-bmm(const std::vector<Matrix> &a, const std::vector<Matrix> &b)
-{
-    PROSE_ASSERT(a.size() == b.size(), "bmm batch mismatch");
-    std::vector<Matrix> c(a.size());
-    std::size_t total_macs = 0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        total_macs += a[i].rows() * a[i].cols() * b[i].cols();
-    if (!shouldPool(total_macs)) {
-        for (std::size_t i = 0; i < a.size(); ++i)
-            c[i] = matmul(a[i], b[i]);
-        return c;
-    }
-    // Batch elements are independent; the per-element matmuls run
-    // inline inside this parallel region (nested calls never re-enter
-    // the pool).
-    ThreadPool::global().parallelFor(
-        a.size(), [&](std::size_t b0, std::size_t b1) {
-            for (std::size_t i = b0; i < b1; ++i)
-                c[i] = matmul(a[i], b[i]);
-        });
     return c;
 }
 

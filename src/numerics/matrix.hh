@@ -51,9 +51,6 @@ class Matrix
     /** Fill with i.i.d. N(mean, stddev) draws. */
     void fillGaussian(Rng &rng, float mean, float stddev);
 
-    /** Fill with uniform draws in [lo, hi). */
-    void fillUniform(Rng &rng, float lo, float hi);
-
     /** In-place quantization of every element through bfloat16. */
     void quantizeBf16InPlace();
 
@@ -166,10 +163,6 @@ Matrix rowSoftmax(const Matrix &a);
  */
 Matrix layerNorm(const Matrix &a, const std::vector<float> &gamma,
                  const std::vector<float> &beta, float eps = 1e-12f);
-
-/** Batched matmul: C[i] = A[i] x B[i], batch-parallel on the pool. */
-std::vector<Matrix> bmm(const std::vector<Matrix> &a,
-                        const std::vector<Matrix> &b);
 
 /** Concatenate matrices left-to-right (same row count). */
 Matrix hconcat(const std::vector<Matrix> &parts);

@@ -8,8 +8,8 @@
 #include <utility>
 
 #include "accel/batcher.hh"
+#include "accel/instance_pool.hh"
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "common/stats.hh"
 #include "service_model.hh"
 
@@ -19,21 +19,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** One serving instance's scheduling state inside the event loop. */
-struct InstanceState
-{
-    bool dead = false;
-    bool busy = false;
-    double freeAt = 0.0;   ///< completion time while busy
-    double killAt = kInf;  ///< resolved kill time (timed or arrival)
-    ClosedBatch inFlight;
-};
-
 /** Event categories in deterministic same-time processing order. */
 enum class EventKind
 {
-    Kill,       ///< an instance dies (chaos first: work gets dropped)
-    Completion, ///< a busy instance finishes its batch
+    Fleet,      ///< an instance dies or finishes its batch (chaos first)
     RetryReady, ///< a backed-off request re-enters admission
     Arrival,    ///< the next open-loop request arrives
     CloseTimer, ///< a bucket's latest safe close time has come
@@ -41,38 +30,6 @@ enum class EventKind
 };
 
 } // namespace
-
-void
-ServeRetrySpec::validate() const
-{
-    if (maxAttempts == 0)
-        fatal("serve retry: max_attempts must be at least 1");
-    if (!(backoffSeconds >= 0.0) || !std::isfinite(backoffSeconds))
-        fatal("serve retry: negative or non-finite backoff");
-    if (!(backoffFactor >= 1.0) || !std::isfinite(backoffFactor))
-        fatal("serve retry: backoff factor must be >= 1");
-    if (!(jitterFraction >= 0.0) || !(jitterFraction <= 1.0))
-        fatal("serve retry: jitter fraction must be in [0, 1]");
-}
-
-double
-ServeRetrySpec::delayFor(std::uint32_t retry, std::uint64_t seed,
-                         RequestId id) const
-{
-    double delay = backoffSeconds;
-    for (std::uint32_t i = 0; i < retry; ++i)
-        delay *= backoffFactor;
-    if (jitterFraction > 0.0) {
-        // Keyed on (seed, id, retry): the draw is independent of event
-        // order, so replays and thread counts cannot perturb it.
-        Rng rng(seed ^
-                (static_cast<std::uint64_t>(id) *
-                     0x9e3779b97f4a7c15ull +
-                 retry));
-        delay *= 1.0 + jitterFraction * rng.uniform();
-    }
-    return delay;
-}
 
 void
 ServeSpec::validate() const
@@ -132,12 +89,6 @@ ServeSim::ServeSim(ServeSpec spec) : spec_(std::move(spec))
 }
 
 ServeReport
-ServeSim::run() const
-{
-    return run(nullptr);
-}
-
-ServeReport
 ServeSim::run(FaultInjector *injector) const
 {
     ServeReport report;
@@ -148,18 +99,11 @@ ServeSim::run(FaultInjector *injector) const
                              spec_.dispatchOverheadSeconds);
     ServeBatcher batcher(spec_.batcher, model);
 
-    std::vector<InstanceState> instances(spec_.instanceCount);
-    if (injector != nullptr) {
-        for (std::uint32_t i = 0; i < spec_.instanceCount; ++i) {
-            double kill_at = injector->instanceKillSeconds(i);
-            const std::uint64_t kill_idx = injector->instanceKillArrival(i);
-            if (kill_idx != FaultInjector::kNoArrivalKill &&
-                kill_idx < arena.size())
-                kill_at = std::min(kill_at,
-                                   arena[kill_idx].arrivalSeconds);
-            instances[i].killAt = kill_at;
-        }
-    }
+    InstancePool pool(spec_.instanceCount);
+    if (injector != nullptr)
+        pool.armKills(*injector, arena.size(), [&](std::uint64_t n) {
+            return arena[n].arrivalSeconds;
+        });
 
     // Pending retries ordered by (ready time, request id): a std::set
     // gives the event loop a deterministic earliest-first view with
@@ -230,19 +174,12 @@ ServeSim::run(FaultInjector *injector) const
         ++report.retries;
     };
 
-    const auto freeAliveInstance = [&]() -> std::int32_t {
-        for (std::uint32_t i = 0; i < instances.size(); ++i)
-            if (!instances[i].dead && !instances[i].busy)
-                return static_cast<std::int32_t>(i);
-        return -1;
-    };
-
     // Close and dispatch every batch that should go out at time `at`.
     // `force` is the end-of-stream flush: no arrivals or retries remain,
     // so waiting for fuller batches can only cost deadline slack.
     const auto dispatchReady = [&](double at, bool force) {
         for (;;) {
-            const std::int32_t slot = freeAliveInstance();
+            const std::int32_t slot = pool.firstFree();
             if (slot < 0 || batcher.queued() == 0)
                 return;
             ClosedBatch batch;
@@ -252,13 +189,11 @@ ServeSim::run(FaultInjector *injector) const
             report.timedOut += batch.expired.size();
             if (batch.members.empty())
                 continue; // every member expired; nothing to run
-            InstanceState &instance =
-                instances[static_cast<std::size_t>(slot)];
             for (const RequestId id : batch.members) {
                 transition(arena[id], RequestState::Running, at);
                 arena[id].instance = slot;
             }
-            instance.busy = true;
+            double free_at = at + batch.serviceSeconds;
             if (spec_.linkTenantsPerHost > 1) {
                 // Price the batch under worst-case link sharing: every
                 // co-tenant of this host streams the same shape
@@ -269,15 +204,18 @@ ServeSim::run(FaultInjector *injector) const
                 const SharedServiceSeconds shared = model.sharedSeconds(
                     batch.paddedLength, batch.members.size(),
                     spec_.linkTenantsPerHost);
-                instance.freeAt = at + shared.seconds;
+                free_at = at + shared.seconds;
                 report.linkWaitSeconds += shared.linkWaitSeconds;
-            } else {
-                instance.freeAt = at + batch.serviceSeconds;
             }
-            instance.inFlight = std::move(batch);
+            // Every member of a serving batch ends when the batch does.
+            std::vector<InstancePool::Member> members;
+            members.reserve(batch.members.size());
+            for (const RequestId id : batch.members)
+                members.push_back({ id, free_at });
+            pool.dispatch(static_cast<std::uint32_t>(slot),
+                          std::move(members));
             ++report.batches;
-            fill_sum += static_cast<double>(
-                            instance.inFlight.members.size()) /
+            fill_sum += static_cast<double>(batch.members.size()) /
                         static_cast<double>(spec_.batcher.maxBatch);
         }
     };
@@ -289,39 +227,29 @@ ServeSim::run(FaultInjector *injector) const
         // loop is bit-identical however the doubles tie.
         EventKind kind = EventKind::None;
         double when = kInf;
-        std::int32_t which = -1;
 
-        const auto consider = [&](EventKind k, double t,
-                                  std::int32_t index) {
+        const auto consider = [&](EventKind k, double t) {
             if (t < when) {
                 kind = k;
                 when = t;
-                which = index;
             }
         };
 
-        for (std::uint32_t i = 0; i < instances.size(); ++i)
-            if (!instances[i].dead)
-                consider(EventKind::Kill, instances[i].killAt,
-                         static_cast<std::int32_t>(i));
-        for (std::uint32_t i = 0; i < instances.size(); ++i)
-            if (instances[i].busy)
-                consider(EventKind::Completion, instances[i].freeAt,
-                         static_cast<std::int32_t>(i));
+        const InstancePool::Event fleet = pool.next();
+        consider(EventKind::Fleet, fleet.seconds);
         if (!retryQueue.empty())
-            consider(EventKind::RetryReady, retryQueue.begin()->first,
-                     -1);
+            consider(EventKind::RetryReady, retryQueue.begin()->first);
         if (next_arrival < arena.size())
             consider(EventKind::Arrival,
-                     arena[next_arrival].arrivalSeconds, -1);
+                     arena[next_arrival].arrivalSeconds);
         const bool stream_drained =
             next_arrival >= arena.size() && retryQueue.empty();
-        if (batcher.queued() > 0 && freeAliveInstance() >= 0) {
+        if (batcher.queued() > 0 && pool.firstFree() >= 0) {
             const double close_at =
                 stream_drained
                     ? now
                     : std::max(now, batcher.nextCloseSeconds(arena));
-            consider(EventKind::CloseTimer, close_at, -1);
+            consider(EventKind::CloseTimer, close_at);
         }
 
         if (kind == EventKind::None) {
@@ -344,38 +272,23 @@ ServeSim::run(FaultInjector *injector) const
 
         now = when;
         switch (kind) {
-          case EventKind::Kill: {
-            InstanceState &instance =
-                instances[static_cast<std::size_t>(which)];
-            instance.dead = true;
-            instance.killAt = kInf;
-            ++report.instancesKilled;
-            if (instance.busy) {
-                instance.busy = false;
-                for (const RequestId id : instance.inFlight.members)
-                    dropWork(id, now);
-                instance.inFlight.members.clear();
-            }
-            break;
-          }
-          case EventKind::Completion: {
-            InstanceState &instance =
-                instances[static_cast<std::size_t>(which)];
-            instance.busy = false;
-            for (const RequestId id : instance.inFlight.members) {
-                Request &request = arena[id];
-                if (now <= request.deadlineSeconds) {
-                    transition(request, RequestState::Done, now);
+          case EventKind::Fleet:
+            pool.apply(fleet);
+            for (const InstancePool::Member &member : pool.done()) {
+                Request &request = arena[member.id];
+                const double at = member.endSeconds;
+                if (at <= request.deadlineSeconds) {
+                    transition(request, RequestState::Done, at);
                     ++report.done;
                 } else {
-                    transition(request, RequestState::TimedOut, now);
+                    transition(request, RequestState::TimedOut, at);
                     ++report.completedLate;
                     ++report.timedOut;
                 }
             }
-            instance.inFlight.members.clear();
+            for (const InstancePool::Member &member : pool.dropped())
+                dropWork(static_cast<RequestId>(member.id), now);
             break;
-          }
           case EventKind::RetryReady: {
             const RequestId id = retryQueue.begin()->second;
             retryQueue.erase(retryQueue.begin());
@@ -399,6 +312,7 @@ ServeSim::run(FaultInjector *injector) const
 
     // Final accounting from the arena: conservation, horizon,
     // latencies in arrival order.
+    report.instancesKilled = pool.killed();
     std::uint64_t done_check = 0;
     for (const Request &request : arena) {
         PROSE_ASSERT(isTerminal(request.state),

@@ -10,11 +10,11 @@
  *   arrivals (serve/arrival.hh, seeded)  ->  admission (bounded queue,
  *   deadline-aware, oldest-first shed)  ->  dynamic batcher
  *   (serve/serve_batcher.hh, SLO-aware close, overload degradation)
- *   ->  instance pool (per-instance busy/free/dead, lowest-free-index
- *   dispatch)  ->  completion / chaos (FaultInjector instance kills,
- *   timed or arrival-indexed; in-flight work of a dead instance retries
- *   with exponential backoff + deterministic jitter or is accounted
- *   shed/timed-out).
+ *   ->  instance pool (accel/instance_pool.hh, shared with
+ *   ProseSystem; lowest-free-index dispatch)  ->  completion / chaos
+ *   (FaultInjector instance kills, timed or arrival-indexed; in-flight
+ *   work of a dead instance retries with exponential backoff +
+ *   deterministic jitter or is accounted shed/timed-out).
  *
  * Everything is simulated virtual time on one thread: a run is
  * bit-identical for any PROSE_THREADS and any host, which is what lets
@@ -34,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "accel/prose_config.hh"
+#include "accel/perf_sim.hh"
 #include "admission.hh"
 #include "arrival.hh"
 #include "fault/fault_injector.hh"
@@ -44,33 +44,15 @@
 
 namespace prose {
 
-/** Retry policy for work dropped by a dying instance. */
-struct ServeRetrySpec
-{
-    /** Total dispatch attempts per request (1 = never retry). */
-    std::uint32_t maxAttempts = 3;
-    double backoffSeconds = 200e-6; ///< delay before the first retry
-    double backoffFactor = 2.0;     ///< growth per subsequent retry
-    /** Deterministic jitter: uniform in [0, fraction] of the delay,
-     *  keyed on (seed, request id, attempt) — independent of event
-     *  order, so replays stay bit-identical. */
-    double jitterFraction = 0.5;
-
-    void validate() const;
-
-    /** Backoff + jitter before retry number `retry` (0-based) of
-     *  request `id` under stream seed `seed`. */
-    double delayFor(std::uint32_t retry, std::uint64_t seed,
-                    RequestId id) const;
-};
-
 /** Everything one serving run needs. */
 struct ServeSpec
 {
     ArrivalSpec arrivals;
     ServeBatcherSpec batcher;
     AdmissionSpec admission;
-    ServeRetrySpec retry;
+    /** Retry policy for work dropped by a dying instance: 3 attempts,
+     *  200 us first backoff, x2 growth, 50% keyed jitter. */
+    RetryPolicy retry{ 3, 200e-6, 2.0, 0.5 };
 
     /** Default per-request latency SLO (deadline = arrival + slo). */
     double sloSeconds = 0.05;
@@ -174,17 +156,14 @@ class ServeSim
   public:
     explicit ServeSim(ServeSpec spec);
 
-    /** Healthy run: no chaos. */
-    ServeReport run() const;
-
     /**
-     * Run under a fault campaign. Only instance kills apply to the
-     * serving layer (timed kills fire at their simulated second;
+     * Run, healthy or under a fault campaign. Only instance kills apply
+     * to the serving layer (timed kills fire at their simulated second;
      * arrival-indexed kills fire when request #N arrives); link/array
      * faults belong to the per-batch PerfSim underneath and are out of
-     * scope here. A null injector reproduces run() exactly.
+     * scope here.
      */
-    ServeReport run(FaultInjector *injector) const;
+    ServeReport run(FaultInjector *injector = nullptr) const;
 
     const ServeSpec &spec() const { return spec_; }
 

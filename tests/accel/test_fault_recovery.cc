@@ -250,6 +250,92 @@ TEST(FaultRecovery, ReshardedTailCompletionTimesLandAfterTheDeath)
     EXPECT_GT(report.makespan, healthy.makespan);
 }
 
+/** BERT-base b32 len128: four shards of eight inferences. */
+const BertShape kFleetShape{ 12, 768, 12, 3072, 32, 128 };
+
+/** Every inference stamped once, none past the makespan, the last at
+ *  it exactly. */
+void
+expectStampsCoverTheBatch(const SystemReport &report)
+{
+    ASSERT_EQ(report.completionSeconds.size(), report.inferences);
+    double last = 0.0;
+    for (const double end : report.completionSeconds) {
+        EXPECT_GT(end, 0.0);
+        EXPECT_LE(end, report.makespan);
+        last = std::max(last, end);
+    }
+    EXPECT_EQ(last, report.makespan);
+}
+
+TEST(FaultRecovery, KillKeepsOnlyWhatPerfSimFinishedBeforeIt)
+{
+    // Half-way through the healthy makespan instance 1 has finished
+    // none of its shard: PerfSim's first end time is later than that.
+    const ProseSystem system{ SystemConfig{} };
+    const SystemReport healthy = system.run(kFleetShape);
+    const SimReport &shard = healthy.perInstance[1];
+    ASSERT_EQ(shard.inferenceEndSeconds.size(), 8u);
+    const double death = 0.5 * healthy.makespan;
+    ASSERT_LT(death, shard.inferenceEndSeconds.front());
+
+    CampaignSpec spec;
+    spec.instanceKills = { InstanceKill{ 1, death } };
+    FaultInjector injector(spec);
+    const SystemReport report = system.run(kFleetShape, &injector);
+
+    EXPECT_EQ(report.failedInstances, 1u);
+    EXPECT_EQ(report.reshardedInferences, 8u);
+    expectStampsCoverTheBatch(report);
+    for (std::size_t k = 0; k < 8; ++k)
+        EXPECT_GE(report.completionSeconds[8 + k],
+                  shard.inferenceEndSeconds[k]);
+    // The survivors' shards are untouched.
+    for (const std::size_t k : { 0u, 16u, 24u })
+        EXPECT_EQ(report.completionSeconds[k],
+                  healthy.completionSeconds[k]);
+    EXPECT_EQ(report.reshardSeconds,
+              report.makespan - healthy.makespan);
+}
+
+TEST(FaultRecovery, KillDuringTheReshardIsHonoured)
+{
+    const ProseSystem system{ SystemConfig{} };
+    const SystemReport healthy = system.run(kFleetShape);
+    CampaignSpec spec;
+    spec.instanceKills = { InstanceKill{ 1, 0.5 * healthy.makespan } };
+    FaultInjector single_injector(spec);
+    const SystemReport single = system.run(kFleetShape, &single_injector);
+
+    // Instance 2 dies inside the recovery wave, which starts at the
+    // healthy makespan: its share of the wave is re-sharded again.
+    spec.instanceKills.push_back(InstanceKill{ 2, 1.05 * healthy.makespan });
+    FaultInjector double_injector(spec);
+    const SystemReport twice = system.run(kFleetShape, &double_injector);
+
+    EXPECT_EQ(twice.failedInstances, 2u);
+    EXPECT_GT(twice.reshardedInferences, single.reshardedInferences);
+    EXPECT_GT(twice.makespan, single.makespan);
+    EXPECT_LT(twice.throughputRetention, single.throughputRetention);
+    expectStampsCoverTheBatch(twice);
+    // Three waves: four shards, three survivors, then two.
+    EXPECT_EQ(twice.perInstance.size(), 4u + 3u + 2u);
+}
+
+TEST(FaultRecovery, ArrivalIndexedKillFiresAtTheStartOfAClosedBatch)
+{
+    const ProseSystem system{ SystemConfig{} };
+    const SystemReport healthy = system.run(kFleetShape);
+    FaultInjector injector(CampaignSpec::parse("kill_instance=3@#5"));
+    const SystemReport report = system.run(kFleetShape, &injector);
+
+    EXPECT_EQ(report.failedInstances, 1u);
+    EXPECT_EQ(report.reshardedInferences, 8u);
+    EXPECT_EQ(report.reshardSeconds,
+              report.makespan - healthy.makespan);
+    expectStampsCoverTheBatch(report);
+}
+
 TEST(FaultRecoveryDeathTest, KillingEveryInstanceIsFatal)
 {
     const ProseSystem system{ SystemConfig{} };

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "accel/perf_sim.hh"
 #include "accel/prose_config.hh"
 #include "report_match.hh"
@@ -248,6 +251,75 @@ TEST(LinkStreaming, SchedulersAgreeOnSharedRuns)
         PerfSim(config, timing, HostModel{}, reference).runShared(tenants);
     ASSERT_FALSE(queues.schedule.empty());
     expectReportsIdentical(queues, scan);
+}
+
+TEST(LinkStreaming, FullSizeWallKeepsItsInvariantsWhereTheyHold)
+{
+    // The paper point (BestPerf, BERT-base b128 len512) over link_wall's
+    // full sweep. Per task the modes order serialized >= double-
+    // buffered >= ideal by construction, at every thread count. Once
+    // threads outnumber the pools the greedy list scheduler can break
+    // that order for the makespan (Graham's anomaly: at 16 and 32
+    // threads), and even a faster link can slow it down (serialized at
+    // 8 threads, 495 GB/s). So the makespan ordering is pinned at <= 8
+    // threads and monotonicity in bandwidth at <= 4.
+    const BertShape shape{ 12, 768, 12, 3072, 128, 512 };
+    const StreamMode modes[] = { StreamMode::Serialized,
+                                 StreamMode::DoubleBuffered,
+                                 StreamMode::Ideal };
+    SimOptions recorded;
+    recorded.recordSchedule = true;
+    for (const std::uint32_t threads : { 1u, 2u, 4u, 8u, 16u, 32u }) {
+        std::vector<double> prev(3, 1e300);
+        for (double gbps = 45.0; gbps <= 630.0 + 1e-9; gbps += 45.0) {
+            std::vector<SimReport> runs;
+            for (const StreamMode mode : modes) {
+                ProseConfig config = ProseConfig::bestPerf();
+                config.threads = threads;
+                config.link = LinkSpec::custom(gbps);
+                config.streaming.mode = mode;
+                runs.push_back(PerfSim(config,
+                                       TimingModel(config.partialInputBuffer),
+                                       HostModel{}, recorded)
+                                   .run(shape));
+            }
+            const std::string at = std::to_string(threads) +
+                                   " threads, " + std::to_string(gbps) +
+                                   " GB/s";
+            // Per task: the k-th item of a thread is the same task in
+            // every mode.
+            ASSERT_FALSE(runs[0].schedule.empty());
+            std::vector<std::vector<std::vector<double>>> durations(3);
+            for (std::size_t m = 0; m < 3; ++m) {
+                durations[m].resize(threads);
+                for (const ScheduledItem &item : runs[m].schedule)
+                    durations[m][item.thread].push_back(item.end -
+                                                        item.start);
+            }
+            for (std::uint32_t t = 0; t < threads; ++t) {
+                ASSERT_EQ(durations[0][t].size(), durations[2][t].size());
+                ASSERT_EQ(durations[1][t].size(), durations[2][t].size());
+                for (std::size_t k = 0; k < durations[0][t].size(); ++k) {
+                    ASSERT_GE(durations[0][t][k] + 1e-12,
+                              durations[1][t][k])
+                        << at;
+                    ASSERT_GE(durations[1][t][k] + 1e-12,
+                              durations[2][t][k])
+                        << at;
+                }
+            }
+            if (threads <= 8) {
+                EXPECT_GE(runs[0].makespan + 1e-12, runs[1].makespan) << at;
+                EXPECT_GE(runs[1].makespan + 1e-12, runs[2].makespan) << at;
+            }
+            for (std::size_t m = 0; m < 3; ++m) {
+                if (threads <= 4) {
+                    EXPECT_LE(runs[m].makespan, prev[m] + 1e-12) << at;
+                }
+                prev[m] = runs[m].makespan;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -221,20 +221,6 @@ TEST(LayerNorm, GainAndBiasApplied)
     EXPECT_NEAR(sum / 4.0, 10.0, 1e-4);
 }
 
-TEST(Bmm, BatchedMatchesLooped)
-{
-    Rng rng(9);
-    std::vector<Matrix> as, bs;
-    for (int i = 0; i < 4; ++i) {
-        as.push_back(randomMatrix(rng, 3, 5));
-        bs.push_back(randomMatrix(rng, 5, 2));
-    }
-    const auto cs = bmm(as, bs);
-    ASSERT_EQ(cs.size(), 4u);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(Matrix::maxAbsDiff(cs[i], matmul(as[i], bs[i])), 0.0f);
-}
-
 TEST(SliceAndConcat, RoundTrip)
 {
     Rng rng(10);
@@ -360,24 +346,6 @@ TEST(MatmulPooled, Bf16BitIdenticalAcrossPoolSizes)
         EXPECT_EQ(Matrix::maxAbsDiff(serial, want), 0.0f);
         EXPECT_EQ(Matrix::maxAbsDiff(pooled, want), 0.0f);
     }
-}
-
-TEST(MatmulPooled, BmmMatchesPerElementMatmul)
-{
-    ThreadPool pool(4);
-    ThreadPool::setGlobalOverride(&pool);
-    Rng rng(24);
-    std::vector<Matrix> as, bs;
-    for (int i = 0; i < 5; ++i) {
-        as.push_back(randomMatrix(rng, 9, 13));
-        bs.push_back(randomMatrix(rng, 13, 7));
-    }
-    const std::vector<Matrix> cs = bmm(as, bs);
-    ASSERT_EQ(cs.size(), as.size());
-    for (std::size_t i = 0; i < as.size(); ++i)
-        EXPECT_EQ(Matrix::maxAbsDiff(cs[i], naiveMatmul(as[i], bs[i])),
-                  0.0f);
-    ThreadPool::setGlobalOverride(nullptr);
 }
 
 // --- Non-finite propagation (the aik == 0 skip regression) ------------

@@ -58,9 +58,9 @@ TEST(Admission, DecisionTable)
     EXPECT_STREQ(toString(AdmissionDecision::ShedOldest), "shed-oldest");
 }
 
-TEST(ServeRetrySpec, BackoffGrowsAndJitterIsDeterministic)
+TEST(RetryPolicy, BackoffGrowsAndJitterIsDeterministic)
 {
-    ServeRetrySpec retry;
+    RetryPolicy retry;
     retry.backoffSeconds = 1e-4;
     retry.backoffFactor = 2.0;
     retry.jitterFraction = 0.5;
@@ -76,17 +76,17 @@ TEST(ServeRetrySpec, BackoffGrowsAndJitterIsDeterministic)
     EXPECT_DOUBLE_EQ(retry.delayFor(2, 42, 7), 4e-4);
 }
 
-TEST(ServeRetrySpecDeathTest, Validation)
+TEST(RetryPolicyDeathTest, Validation)
 {
-    ServeRetrySpec zero;
+    RetryPolicy zero;
     zero.maxAttempts = 0;
     EXPECT_EXIT(zero.validate(), testing::ExitedWithCode(1),
                 "max_attempts");
-    ServeRetrySpec shrink;
+    RetryPolicy shrink;
     shrink.backoffFactor = 0.5;
     EXPECT_EXIT(shrink.validate(), testing::ExitedWithCode(1),
                 "backoff factor");
-    ServeRetrySpec jitter;
+    RetryPolicy jitter;
     jitter.jitterFraction = 2.0;
     EXPECT_EXIT(jitter.validate(), testing::ExitedWithCode(1),
                 "jitter");
