@@ -94,9 +94,13 @@ int
 main(int argc, char **argv)
 {
     bool quick = false;
-    for (int i = 1; i < argc; ++i)
+    for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0)
             quick = true;
+        else
+            fatal("unknown argument \"", argv[i],
+                  "\"; usage: fault_campaign [--quick]");
+    }
 
     // ------------------------------------------------------------------
     banner("ABFT coverage vs accumulator flip rate (Huang-Abraham)");
@@ -155,8 +159,9 @@ main(int argc, char **argv)
             return n;
         };
 
-        Table table({ "dataflow", "site", "armed", "stuck_events",
-                      "wall(ms)" });
+        // Wall-clock times go to stderr: stdout holds modelled results
+        // only, so it is the same on every run.
+        Table table({ "dataflow", "site", "armed", "stuck_events" });
         std::uint64_t seen = 0;
         const auto timeRow = [&](const char *name, const char *site,
                                  auto &&run) {
@@ -171,7 +176,9 @@ main(int argc, char **argv)
             seen = total;
             table.addRow({ name, site,
                            injector.armsAccumulators(site) ? "yes" : "no",
-                           std::to_string(fresh), Table::fmt(ms, 2) });
+                           std::to_string(fresh) });
+            std::cerr << "fault_campaign: " << name << " on " << site
+                      << " took " << Table::fmt(ms, 2) << " ms wall\n";
         };
         timeRow("dataflow1", "M0",
                 [&] { (void)sim.dataflow1(a, b, 1.0f, nullptr); });

@@ -25,6 +25,9 @@ main(int argc, char **argv)
 {
     std::uint64_t budget = 16384;
     std::uint64_t seq_len = 512;
+    if (argc > 3)
+        fatal("unexpected argument \"", argv[3],
+              "\"; usage: design_explorer [pe-budget] [seq-len]");
     if (argc > 1 && (!parseU64(argv[1], budget) || budget == 0))
         fatal("PE budget must be a positive integer, got '", argv[1],
               "'");

@@ -29,6 +29,10 @@ main(int argc, char **argv)
     std::vector<FastaRecord> records;
     std::string output_path = "features.csv";
 
+    if (argc > 3)
+        fatal("unexpected argument \"", argv[3],
+              "\"; usage: prose_embed [input.fasta | --demo] "
+              "[output.csv]");
     if (argc >= 2 && std::string(argv[1]) != "--demo") {
         records = readFastaFile(argv[1]);
         if (argc >= 3)

@@ -26,6 +26,9 @@ int
 main(int argc, char **argv)
 {
     std::size_t count = 2000;
+    if (argc > 2)
+        fatal("unexpected argument \"", argv[2],
+              "\"; usage: proteome_screening [num-proteins]");
     if (argc > 1) {
         std::uint64_t parsed = 0;
         if (!parseU64(argv[1], parsed) || parsed == 0)

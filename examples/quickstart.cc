@@ -16,6 +16,7 @@
 #include <string>
 
 #include "accel/perf_sim.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "model/bert_model.hh"
 #include "model/tokenizer.hh"
@@ -30,6 +31,9 @@ main(int argc, char **argv)
     std::string protein =
         "MVHLTPEEKSAVTALWGKVNVDEVGGEALGRLLVVYPWTQRFFESFGDLSTPDAVMGNPK"
         "VKAHGKKVLGAFSDGLAHLDNLKGTFATLSELHCDKLHVDPENFRLLGNVLVCVLAHHFG";
+    if (argc > 2)
+        fatal("unexpected argument \"", argv[2],
+              "\"; usage: quickstart [protein-sequence]");
     if (argc > 1)
         protein = argv[1];
 

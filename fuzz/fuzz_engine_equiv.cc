@@ -4,11 +4,11 @@
  * contract (docs/MICROARCHITECTURE.md §9): the cycle-stepped reference
  * walk and the fast-forward engine (alone and under validate) must
  * agree bit-for-bit on accumulators, drains, and every
- * cycle/stall/MAC counter, across SIMD tiers, non-uniform fill
- * profiles, and fault campaigns.
+ * cycle/stall/MAC counter, across SIMD tiers, fractional supply rates
+ * and fault campaigns.
  *
- * The fuzz bytes are decoded into a (geometry, supply rates, fill
- * profile, SIMD tier, fault campaign, op sequence) tuple via FuzzInput
+ * The fuzz bytes are decoded into a (geometry, supply rates, SIMD
+ * tier, fault campaign, op sequence) tuple via FuzzInput
  * — every byte string is a valid tuple, so the fuzzer spends its
  * entire budget searching the equivalence property, not fighting a
  * parser. Any divergence aborts via PROSE_ASSERT and becomes a
@@ -36,7 +36,6 @@ struct Scenario
     std::uint32_t dim = 4;
     double aRate = 1e18;
     double bRate = 1e18;
-    std::vector<double> fillProfile; ///< empty = uniform
     std::optional<CampaignSpec> campaign;
     kernels::SimdTier tier = kernels::SimdTier::Scalar;
 
@@ -60,22 +59,6 @@ decodeScenario(fuzz::FuzzInput &input)
     const double rates[] = { 1e18, 2.5, 1.0, 0.75, 0.5, 0.25 };
     s.aRate = input.pick(rates);
     s.bRate = input.pick(rates);
-
-    // Optional bursty fill profile: the fast engine's gate replay must
-    // track the per-tick rates exactly as the stepped walk does.
-    if (input.u8() % 4 == 0) {
-        const std::size_t len = 1 + input.below(4);
-        for (std::size_t i = 0; i < len; ++i)
-            s.fillProfile.push_back(input.below(3)); // 0, 1, or 2/tick
-        // An all-zero period is rejected by the simulator (it can
-        // never make progress); keep the scenario valid while still
-        // covering burst patterns with idle ticks.
-        bool any = false;
-        for (double r : s.fillProfile)
-            any = any || r > 0.0;
-        if (!any)
-            s.fillProfile.front() = 1.0;
-    }
 
     // Optional deterministic fault campaign. Corruption lands once per
     // tile, after whichever engine ran, so every engine must match the
@@ -149,8 +132,6 @@ runScenario(const Scenario &s, FsimMode mode)
     geom.hasExp = true; // both LUT kinds live on one array
     SystolicArray array(geom, s.aRate, s.bRate);
     array.setMode(mode);
-    if (!s.fillProfile.empty())
-        array.aBuffer().setFillProfile(s.fillProfile);
 
     std::optional<FaultInjector> injector;
     if (s.campaign) {
@@ -231,8 +212,11 @@ assertBitIdentical(const Matrix &a, const Matrix &b, const char *what)
 {
     PROSE_ASSERT(a.rows() == b.rows() && a.cols() == b.cols(),
                  "engine divergence (shape): ", what);
-    PROSE_ASSERT(std::memcmp(a.data(), b.data(),
-                             a.rows() * a.cols() * sizeof(float)) == 0,
+    // An empty matrix has no storage, and memcmp must not see its null
+    // pointer even for zero bytes.
+    PROSE_ASSERT(a.size() == 0 ||
+                     std::memcmp(a.data(), b.data(),
+                                 a.size() * sizeof(float)) == 0,
                  "engine divergence (bits): ", what);
 }
 

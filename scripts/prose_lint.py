@@ -31,7 +31,7 @@ mechanically enforces them:
                   in exactly one place and PROSE_SIMD=scalar really
                   disables all of it.
   no-cout         no std::cout / printf-family in src/ — all libraries
-                  report through emitLog (inform/warn/fatal/panic),
+                  report through emitLog (warn/fatal/panic),
                   which is the only writer that holds the log mutex, so
                   concurrent simulators never interleave lines. Tools
                   that legitimately produce stdout take an std::ostream&.
@@ -242,7 +242,7 @@ def lint_file(relpath, lines):
                 findings.append(Finding(
                     "float-eq", relpath, idx,
                     "raw float ==/!= — use numerics/float_bits.hh "
-                    "(bitsEqual / isZeroValue) or mark "
+                    "(floatBits / bitsEqual) or mark "
                     "// prose-lint: allow(float-eq)"))
 
         if in_src and "unordered-iter" not in allow:
@@ -288,7 +288,7 @@ def lint_file(relpath, lines):
                 findings.append(Finding(
                     "no-cout", relpath, idx,
                     "std::cout/printf in library code — use "
-                    "inform()/warn() (serialized emitLog) or take an "
+                    "warn() (serialized emitLog) or take an "
                     "std::ostream&"))
 
         if (in_src and not relpath.startswith(INTRINSICS_DIR + "/")

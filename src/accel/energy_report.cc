@@ -21,13 +21,6 @@ EnergyReport::joulesPerInference(const SimReport &report) const
     return totalJoules() / static_cast<double>(report.inferences);
 }
 
-double
-EnergyReport::meanWatts(const SimReport &report) const
-{
-    PROSE_ASSERT(report.makespan > 0.0, "zero-length run");
-    return totalJoules() / report.makespan;
-}
-
 EnergyReport
 buildEnergyReport(const ProseConfig &config, const SimReport &report,
                   const EnergySpec &spec)

@@ -46,8 +46,6 @@ struct EnergyReport
     double totalJoules() const;
     /** Joules per inference of the run. */
     double joulesPerInference(const SimReport &report) const;
-    /** Mean power over the run (totalJoules / makespan). */
-    double meanWatts(const SimReport &report) const;
 };
 
 /**

@@ -90,12 +90,4 @@ renderGantt(std::ostream &out, const SimReport &report,
     out << "legend: 1/2/3 = Dataflow 1/2/3, h = host op, . = idle\n";
 }
 
-std::string
-ganttString(const SimReport &report, const GanttOptions &options)
-{
-    std::ostringstream os;
-    renderGantt(os, report, options);
-    return os.str();
-}
-
 } // namespace prose

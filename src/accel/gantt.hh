@@ -33,10 +33,6 @@ struct GanttOptions
 void renderGantt(std::ostream &out, const SimReport &report,
                  const GanttOptions &options = GanttOptions{});
 
-/** Render to a string (tests / embedding in other reports). */
-std::string ganttString(const SimReport &report,
-                        const GanttOptions &options = GanttOptions{});
-
 } // namespace prose
 
 #endif // PROSE_ACCEL_GANTT_HH

@@ -115,12 +115,6 @@ SimReport::utilization(ArrayType type) const
     return typeBusySeconds[idx] / (makespan * typeCounts[idx]);
 }
 
-double
-SimReport::achievedFlops() const
-{
-    return makespan > 0.0 ? totalFlops / makespan : 0.0;
-}
-
 PerfSim::PerfSim(ProseConfig config)
     : PerfSim(std::move(config), TimingModel{})
 {

@@ -129,9 +129,6 @@ struct SimReport
 
     /** Busy fraction of one array type over the makespan. */
     double utilization(ArrayType type) const;
-
-    /** Achieved FLOP/s. */
-    double achievedFlops() const;
 };
 
 /**

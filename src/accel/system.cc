@@ -62,7 +62,10 @@ ProseSystem::run(const BertShape &shape, FaultInjector *injector) const
             if (pending.empty())
                 break;
             // Shard the pending work over the alive instances; the
-            // shared host splits its throughput across them.
+            // shared host splits its slots across them. Each share runs
+            // its whole slots at the host's own per-slot rate: when the
+            // alive count does not divide the slots, the leftover ones
+            // sit idle rather than speeding up every share.
             const std::vector<std::uint32_t> alive = pool.alive();
             if (alive.empty())
                 fatal("fault campaign killed every ProSE instance; "
@@ -73,8 +76,10 @@ ProseSystem::run(const BertShape &shape, FaultInjector *injector) const
             const std::uint32_t ways =
                 static_cast<std::uint32_t>(alive.size());
             HostSpec shared = config_.hostSpec;
-            shared.elemThroughput /= ways;
             shared.slots = std::max<std::uint32_t>(1, shared.slots / ways);
+            shared.elemThroughput =
+                std::min(config_.hostSpec.elemThroughput / ways,
+                         config_.hostSpec.slotThroughput() * shared.slots);
             const HostModel host(shared);
             std::size_t next = 0;
             for (std::uint32_t j = 0; j < ways; ++j) {

@@ -7,13 +7,6 @@ namespace prose {
 namespace detail {
 
 bool &
-quietFlag()
-{
-    static bool quiet = false;
-    return quiet;
-}
-
-bool &
 fatalThrowsFlag()
 {
     // Thread-local: one thread probing a loader under ScopedFatalThrow
@@ -26,11 +19,8 @@ fatalThrowsFlag()
 void
 emitLog(LogLevel level, const std::string &msg)
 {
-    const char *tag = "info";
+    const char *tag = "warn";
     switch (level) {
-      case LogLevel::Info:
-        tag = "info";
-        break;
       case LogLevel::Warn:
         tag = "warn";
         break;

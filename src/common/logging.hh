@@ -4,8 +4,8 @@
  *
  * panic() is for internal invariant violations (simulator bugs); it aborts.
  * fatal() is for user errors (bad configuration, invalid arguments); it
- * exits with a non-zero status. inform()/warn() report conditions that do
- * not stop the simulation.
+ * exits with a non-zero status. warn() reports conditions that do not stop
+ * the simulation.
  */
 
 #ifndef PROSE_COMMON_LOGGING_HH
@@ -34,7 +34,7 @@ class FatalError : public std::runtime_error
 };
 
 /** Severity of a log message. */
-enum class LogLevel { Info, Warn, Fatal, Panic };
+enum class LogLevel { Warn, Fatal, Panic };
 
 namespace detail {
 
@@ -52,31 +52,11 @@ concat([[maybe_unused]] Args &&...args)
 /** Emit one formatted log line to stderr. */
 void emitLog(LogLevel level, const std::string &msg);
 
-/** Whether informational messages are suppressed (for quiet tools). */
-bool &quietFlag();
-
 /** Whether fatal() throws FatalError on this thread (see
  *  ScopedFatalThrow). */
 bool &fatalThrowsFlag();
 
 } // namespace detail
-
-/** Suppress (or re-enable) inform() output. */
-inline void
-setQuiet(bool quiet)
-{
-    detail::quietFlag() = quiet;
-}
-
-/** Report normal operating status to the user. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    if (!detail::quietFlag())
-        detail::emitLog(LogLevel::Info,
-                        detail::concat(std::forward<Args>(args)...));
-}
 
 /** Report a suspicious-but-survivable condition. */
 template <typename... Args>

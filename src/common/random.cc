@@ -79,14 +79,6 @@ Rng::below(std::uint64_t n)
     return draw % n;
 }
 
-std::int64_t
-Rng::range(std::int64_t lo, std::int64_t hi)
-{
-    PROSE_ASSERT(lo <= hi, "Rng::range needs lo <= hi");
-    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(below(span));
-}
-
 double
 Rng::gaussian()
 {
@@ -110,12 +102,6 @@ double
 Rng::gaussian(double mean, double stddev)
 {
     return mean + stddev * gaussian();
-}
-
-Rng
-Rng::fork()
-{
-    return Rng(next() ^ 0xa5a5a5a55a5a5a5aull);
 }
 
 } // namespace prose

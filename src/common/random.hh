@@ -39,9 +39,6 @@ class Rng
     /** Uniform integer in [0, n) for n > 0. Unbiased via rejection. */
     std::uint64_t below(std::uint64_t n);
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t range(std::int64_t lo, std::int64_t hi);
-
     /** Standard normal via Box-Muller, deterministic. */
     double gaussian();
 
@@ -58,9 +55,6 @@ class Rng
             std::swap(v[i - 1], v[j]);
         }
     }
-
-    /** Fork a statistically independent child stream. */
-    Rng fork();
 
   private:
     std::uint64_t s_[4];

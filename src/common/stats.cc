@@ -17,18 +17,6 @@ mean(const std::vector<double> &xs)
 }
 
 double
-stddev(const std::vector<double> &xs)
-{
-    if (xs.size() < 2)
-        return 0.0;
-    const double m = mean(xs);
-    double acc = 0.0;
-    for (double x : xs)
-        acc += (x - m) * (x - m);
-    return std::sqrt(acc / static_cast<double>(xs.size() - 1));
-}
-
-double
 minOf(const std::vector<double> &xs)
 {
     PROSE_ASSERT(!xs.empty(), "min of empty series");
@@ -55,18 +43,6 @@ percentile(std::vector<double> xs, double p)
     const std::size_t hi = std::min(lo + 1, xs.size() - 1);
     const double frac = pos - static_cast<double>(lo);
     return xs[lo] + frac * (xs[hi] - xs[lo]);
-}
-
-double
-geomean(const std::vector<double> &xs)
-{
-    PROSE_ASSERT(!xs.empty(), "geomean of empty series");
-    double acc = 0.0;
-    for (double x : xs) {
-        PROSE_ASSERT(x > 0.0, "geomean needs positive values");
-        acc += std::log(x);
-    }
-    return std::exp(acc / static_cast<double>(xs.size()));
 }
 
 double
@@ -120,35 +96,6 @@ spearman(const std::vector<double> &xs, const std::vector<double> &ys)
     PROSE_ASSERT(xs.size() == ys.size() && xs.size() >= 2,
                  "spearman needs two equal-length series, n >= 2");
     return pearson(averageRanks(xs), averageRanks(ys));
-}
-
-void
-RunningStats::add(double x)
-{
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-double
-RunningStats::variance() const
-{
-    if (n_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(n_ - 1);
-}
-
-double
-RunningStats::stddev() const
-{
-    return std::sqrt(variance());
 }
 
 } // namespace prose

@@ -10,16 +10,12 @@
 #ifndef PROSE_COMMON_STATS_HH
 #define PROSE_COMMON_STATS_HH
 
-#include <cstddef>
 #include <vector>
 
 namespace prose {
 
 /** Arithmetic mean. Empty input is a caller bug. */
 double mean(const std::vector<double> &xs);
-
-/** Sample standard deviation (n-1 denominator); 0 for n < 2. */
-double stddev(const std::vector<double> &xs);
 
 /** Smallest element. */
 double minOf(const std::vector<double> &xs);
@@ -32,9 +28,6 @@ double maxOf(const std::vector<double> &xs);
  * percentile(xs, 50) is the median.
  */
 double percentile(std::vector<double> xs, double p);
-
-/** Geometric mean; every element must be positive. */
-double geomean(const std::vector<double> &xs);
 
 /** Pearson product-moment correlation of two equal-length series. */
 double pearson(const std::vector<double> &xs, const std::vector<double> &ys);
@@ -50,30 +43,6 @@ double spearman(const std::vector<double> &xs, const std::vector<double> &ys);
  * they span.
  */
 std::vector<double> averageRanks(const std::vector<double> &xs);
-
-/** Streaming accumulator for mean / variance / extrema (Welford). */
-class RunningStats
-{
-  public:
-    /** Fold one sample in. */
-    void add(double x);
-
-    /** Number of samples folded in so far. */
-    std::size_t count() const { return n_; }
-
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double min() const { return min_; }
-    double max() const { return max_; }
-
-  private:
-    std::size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 } // namespace prose
 

@@ -47,13 +47,6 @@ toUpper(const std::string &s)
 }
 
 bool
-startsWith(const std::string &s, const std::string &prefix)
-{
-    return s.size() >= prefix.size() &&
-           s.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool
 parseU64(const std::string &text, std::uint64_t &out)
 {
     if (text.empty())
@@ -110,18 +103,6 @@ parseFiniteDouble(const std::string &text, double &out)
         return false;
     out = value;
     return true;
-}
-
-std::string
-join(const std::vector<std::string> &items, const std::string &sep)
-{
-    std::string out;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i)
-            out += sep;
-        out += items[i];
-    }
-    return out;
 }
 
 } // namespace prose

@@ -27,13 +27,6 @@ std::string trim(const std::string &s);
 /** Uppercase ASCII copy. */
 std::string toUpper(const std::string &s);
 
-/** True if `s` starts with `prefix`. */
-bool startsWith(const std::string &s, const std::string &prefix);
-
-/** Join items with a separator. */
-std::string join(const std::vector<std::string> &items,
-                 const std::string &sep);
-
 /** @name Checked numeric conversion
  *
  * Each parser returns true and writes `out` only when `text` is

@@ -54,35 +54,6 @@ Table::print(std::ostream &os) const
         emit_row(row);
 }
 
-void
-Table::printCsv(std::ostream &os) const
-{
-    auto emit_cell = [&](const std::string &cell) {
-        if (cell.find_first_of(",\"\n") != std::string::npos) {
-            os << '"';
-            for (char ch : cell) {
-                if (ch == '"')
-                    os << '"';
-                os << ch;
-            }
-            os << '"';
-        } else {
-            os << cell;
-        }
-    };
-    auto emit_row = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                os << ',';
-            emit_cell(row[c]);
-        }
-        os << '\n';
-    };
-    emit_row(headers_);
-    for (const auto &row : rows_)
-        emit_row(row);
-}
-
 std::string
 Table::fmt(double v, int decimals)
 {

@@ -32,9 +32,6 @@ class Table
     /** Render with box-drawing-free ASCII alignment. */
     void print(std::ostream &os) const;
 
-    /** Render as RFC-4180-ish CSV (quotes cells containing commas). */
-    void printCsv(std::ostream &os) const;
-
     /** Format a double with fixed decimals. */
     static std::string fmt(double v, int decimals = 2);
 

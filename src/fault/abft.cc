@@ -1,10 +1,8 @@
 #include "abft.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
-#include "numerics/bfloat16.hh"
 
 namespace prose {
 
@@ -24,19 +22,6 @@ abftPanelSums(const AbftPlane &b)
         }
     }
     return sums;
-}
-
-AbftTileResult
-AbftChecker::checkTile(const Matrix &a, const Matrix &b, Matrix &acc)
-{
-    Matrix qa(a.rows(), a.cols()), qb(b.rows(), b.cols());
-    std::transform(a.data(), a.data() + a.size(), qa.data(),
-                   quantizeBf16);
-    std::transform(b.data(), b.data() + b.size(), qb.data(),
-                   quantizeBf16);
-    const AbftPlane pa{ qa.data(), qa.cols(), qa.rows(), qa.cols() };
-    const AbftPlane pb{ qb.data(), qb.cols(), qb.rows(), qb.cols() };
-    return checkTile(pa, pb, abftPanelSums(pb), acc);
 }
 
 AbftTileResult

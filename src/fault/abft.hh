@@ -22,8 +22,7 @@
  * bf16-quantized fp32 planes (AbftPlane) — the functional simulator
  * hands in the widened planes its fused pipeline already holds — and
  * takes B's column-sum vectors precomputed (AbftPanelSums), so a caller
- * checking many row tiles against one B panel sums the panel once. The
- * Matrix overload of checkTile quantizes its operands and delegates.
+ * checking many row tiles against one B panel sums the panel once.
  */
 
 #ifndef PROSE_FAULT_ABFT_HH
@@ -138,11 +137,6 @@ class AbftChecker
      */
     AbftTileResult checkTile(const AbftPlane &a, const AbftPlane &b,
                              const AbftPanelSums &b_sums, Matrix &acc);
-
-    /** Same check over unquantized Matrix operands: quantizes them
-     *  through bfloat16 and runs the plane core above. */
-    AbftTileResult checkTile(const Matrix &a, const Matrix &b,
-                             Matrix &acc);
 
   private:
     AbftOptions options_;

@@ -49,7 +49,7 @@ BertModel::BertModel(const BertConfig &config, BertWeights weights)
     config_.validate();
     PROSE_ASSERT(weights_.layers.size() == config_.layers,
                  "weights/config layer-count mismatch");
-    rebuildWeightCache();
+    buildWeightCache();
     geluFlatBits_ = geluLut_.flattenToFloatBits();
     expFlatBits_ = expLut_.flattenToFloatBits();
 }
@@ -64,35 +64,17 @@ BertModel::setSpecialFunctionLuts(TwoLevelLut gelu, TwoLevelLut exp)
 }
 
 void
-BertModel::setWeights(BertWeights weights)
+BertModel::buildWeightCache()
 {
-    PROSE_ASSERT(weights.layers.size() == config_.layers,
-                 "weights/config layer-count mismatch");
-    weights_ = std::move(weights);
-    rebuildWeightCache();
-}
-
-void
-BertModel::rebuildWeightCache()
-{
-    bf16Weights_.resize(weights_.layers.size());
-    for (std::size_t l = 0; l < weights_.layers.size(); ++l) {
-        const LayerWeights &lw = weights_.layers[l];
-        QuantizedLayerWeights &cache = bf16Weights_[l];
-        cache.wq.update(lw.wq);
-        cache.wk.update(lw.wk);
-        cache.wv.update(lw.wv);
-        cache.wo.update(lw.wo);
-        cache.w1.update(lw.w1);
-        cache.w2.update(lw.w2);
-    }
-    poolerWBf16_.update(weights_.poolerW);
-}
-
-std::uint64_t
-BertModel::weightCacheVersion() const
-{
-    return poolerWBf16_.version();
+    bf16Weights_.reserve(weights_.layers.size());
+    for (const LayerWeights &lw : weights_.layers)
+        bf16Weights_.push_back({ QuantizedOperand(lw.wq),
+                                 QuantizedOperand(lw.wk),
+                                 QuantizedOperand(lw.wv),
+                                 QuantizedOperand(lw.wo),
+                                 QuantizedOperand(lw.w1),
+                                 QuantizedOperand(lw.w2) });
+    poolerWBf16_ = QuantizedOperand(weights_.poolerW);
 }
 
 Matrix

@@ -103,22 +103,8 @@ class BertModel
      */
     void setSpecialFunctionLuts(TwoLevelLut gelu, TwoLevelLut exp);
 
-    /**
-     * Replace all encoder weights (the checkpoint-reload path, mirroring
-     * setSpecialFunctionLuts). Rebuilds the cached bf16-quantized weight
-     * operands the Bf16/Bf16Lut matmuls consume, so stale quantized
-     * weights can never survive a reload.
-     */
-    void setWeights(BertWeights weights);
-
     const BertConfig &config() const { return config_; }
     const BertWeights &weights() const { return weights_; }
-
-    /**
-     * Version of the bf16 weight cache; bumps on every weight (re)load.
-     * Exposed so tests can assert the cache is invalidated.
-     */
-    std::uint64_t weightCacheVersion() const;
 
   private:
     /** Embedding lookup + position add + LayerNorm. */
@@ -142,8 +128,8 @@ class BertModel
 
     /**
      * MatMul against a constant weight operand: fp32 uses `w`, the bf16
-     * modes use the cached pre-quantized copy `wq` (quantized once per
-     * weight load instead of once per call).
+     * modes use the cached pre-quantized copy `wq` (quantized once at
+     * construction instead of once per call).
      */
     Matrix modalMatmul(const Matrix &a, const Matrix &w,
                        const QuantizedOperand &wq,
@@ -158,8 +144,8 @@ class BertModel
         QuantizedOperand wq, wk, wv, wo, w1, w2;
     };
 
-    /** Re-quantize every weight matrix into the bf16 cache. */
-    void rebuildWeightCache();
+    /** Quantize every weight matrix into the bf16 cache. */
+    void buildWeightCache();
 
     BertConfig config_;
     BertWeights weights_;

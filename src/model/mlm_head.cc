@@ -64,20 +64,4 @@ MlmHead::zeroShotScore(const std::string &protein, std::size_t position,
     return log_probs[to_id] - log_probs[from_id];
 }
 
-double
-MlmHead::pseudoLogLikelihood(const std::string &protein,
-                             NumericsMode mode) const
-{
-    PROSE_ASSERT(!protein.empty(), "empty protein");
-    const AminoTokenizer tokenizer;
-    const std::vector<std::uint32_t> tokens = tokenizer.encode(protein);
-    double total = 0.0;
-    for (std::size_t pos = 0; pos < protein.size(); ++pos) {
-        const std::vector<double> log_probs =
-            logProbabilities(tokens, pos + 1, mode);
-        total += log_probs[tokenizer.residueId(protein[pos])];
-    }
-    return total;
-}
-
 } // namespace prose

@@ -48,14 +48,6 @@ class MlmHead
                          std::size_t position, char to,
                          NumericsMode mode = NumericsMode::Fp32) const;
 
-    /**
-     * Pseudo-log-likelihood of a whole protein: sum over positions of
-     * log p(true residue | rest). O(L) forwards — use short sequences.
-     */
-    double pseudoLogLikelihood(const std::string &protein,
-                               NumericsMode mode =
-                                   NumericsMode::Fp32) const;
-
   private:
     const BertModel &model_;
 };

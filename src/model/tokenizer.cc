@@ -1,10 +1,8 @@
 #include "tokenizer.hh"
 
 #include <cctype>
-#include <sstream>
 
 #include "common/logging.hh"
-#include "common/strutil.hh"
 
 namespace prose {
 
@@ -18,15 +16,8 @@ constexpr std::uint32_t kNumSpecials = 5;
 
 } // namespace
 
-AminoTokenizer::AminoTokenizer()
+AminoTokenizer::AminoTokenizer() : alphabet_(kResidues)
 {
-    setAlphabet(kResidues);
-}
-
-void
-AminoTokenizer::setAlphabet(const std::string &alphabet)
-{
-    alphabet_ = alphabet;
     for (auto &entry : charToId_)
         entry = -1;
     for (std::size_t i = 0; i < alphabet_.size(); ++i) {
@@ -37,80 +28,11 @@ AminoTokenizer::setAlphabet(const std::string &alphabet)
     }
 }
 
-AminoTokenizer
-AminoTokenizer::fromVocabText(const std::string &text)
-{
-    static const char *kSpecialNames[kNumSpecials] = {
-        "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]",
-    };
-    std::istringstream in(text);
-    std::string line;
-    std::size_t line_no = 0;
-    std::size_t specials_seen = 0;
-    std::string alphabet;
-    bool seen[256] = {};
-    while (std::getline(in, line)) {
-        ++line_no;
-        line = trim(line);
-        if (line.empty() || line[0] == '#')
-            continue;
-        if (specials_seen < kNumSpecials) {
-            if (line != kSpecialNames[specials_seen])
-                fatal("vocab line ", line_no, ": expected special "
-                      "token ", kSpecialNames[specials_seen], ", got '",
-                      line, "'");
-            ++specials_seen;
-            continue;
-        }
-        if (line.size() != 1 ||
-            !std::isalpha(static_cast<unsigned char>(line[0])))
-            fatal("vocab line ", line_no, ": residue entries are "
-                  "single letters, got '", line, "'");
-        const char residue = static_cast<char>(
-            std::toupper(static_cast<unsigned char>(line[0])));
-        if (seen[static_cast<unsigned char>(residue)])
-            fatal("vocab line ", line_no, ": duplicate residue '",
-                  std::string(1, residue), "'");
-        seen[static_cast<unsigned char>(residue)] = true;
-        alphabet.push_back(residue);
-    }
-    if (specials_seen < kNumSpecials)
-        fatal("vocab text ends before the five special tokens");
-    if (alphabet.empty())
-        fatal("vocab text has no residue entries");
-    AminoTokenizer tokenizer;
-    tokenizer.setAlphabet(alphabet);
-    return tokenizer;
-}
-
-std::string
-AminoTokenizer::vocabText() const
-{
-    std::string out = "[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\n";
-    for (char residue : alphabet_) {
-        out.push_back(residue);
-        out.push_back('\n');
-    }
-    return out;
-}
-
-std::uint32_t
-AminoTokenizer::vocabSize() const
-{
-    return kNumSpecials + static_cast<std::uint32_t>(alphabet_.size());
-}
-
 std::uint32_t
 AminoTokenizer::residueId(char residue) const
 {
     const std::int32_t id = charToId_[static_cast<unsigned char>(residue)];
     return id < 0 ? kUnkToken : static_cast<std::uint32_t>(id);
-}
-
-bool
-AminoTokenizer::isResidue(char residue) const
-{
-    return charToId_[static_cast<unsigned char>(residue)] >= 0;
 }
 
 std::vector<std::uint32_t>
@@ -136,22 +58,6 @@ AminoTokenizer::encode(const std::string &sequence,
         tokens.resize(target_len, kPadToken);
     }
     return tokens;
-}
-
-std::string
-AminoTokenizer::decode(const std::vector<std::uint32_t> &tokens) const
-{
-    std::string out;
-    out.reserve(tokens.size());
-    for (std::uint32_t id : tokens) {
-        if (id < kNumSpecials) {
-            out.push_back('.');
-        } else {
-            const std::size_t idx = id - kNumSpecials;
-            out.push_back(idx < alphabet_.size() ? alphabet_[idx] : 'X');
-        }
-    }
-    return out;
 }
 
 } // namespace prose

@@ -32,22 +32,6 @@ class AminoTokenizer
     AminoTokenizer();
 
     /**
-     * Build a tokenizer from vocabulary text: one token per line, the
-     * five specials "[PAD] [UNK] [CLS] [SEP] [MASK]" in exactly that
-     * order, then one residue letter per line (id order). Blank lines
-     * and '#' comments are skipped; residues are upcased. Fatal on
-     * out-of-order specials, multi-character or non-letter residues,
-     * duplicates, or an empty alphabet.
-     */
-    static AminoTokenizer fromVocabText(const std::string &text);
-
-    /** Canonical vocab text; fromVocabText(vocabText()) round-trips. */
-    std::string vocabText() const;
-
-    /** Total vocabulary size (specials + alphabet). */
-    std::uint32_t vocabSize() const;
-
-    /**
      * Encode a protein sequence: [CLS] residues... [SEP], padded with
      * [PAD] (or truncated, keeping the trailing [SEP]) to `target_len`.
      * Unknown characters map to [UNK]. target_len == 0 means no padding.
@@ -55,23 +39,13 @@ class AminoTokenizer
     std::vector<std::uint32_t> encode(const std::string &sequence,
                                       std::size_t target_len = 0) const;
 
-    /** Decode ids back to characters; specials render as '.', unknown
-     *  as 'X'. */
-    std::string decode(const std::vector<std::uint32_t> &tokens) const;
-
     /** Token id of one residue character, or kUnkToken. */
     std::uint32_t residueId(char residue) const;
-
-    /** True if the character is a known residue code. */
-    bool isResidue(char residue) const;
 
     /** The residue alphabet in id order. */
     const std::string &alphabet() const { return alphabet_; }
 
   private:
-    /** Install a residue alphabet and rebuild the char→id table. */
-    void setAlphabet(const std::string &alphabet);
-
     std::string alphabet_;
     std::int32_t charToId_[256];
 };

@@ -25,23 +25,6 @@ gaussianVector(Rng &rng, std::size_t n, float stddev)
 
 } // namespace
 
-std::size_t
-BertWeights::parameterCount() const
-{
-    std::size_t total = tokenEmbedding.size() + positionEmbedding.size() +
-                        lnEmbGamma.size() + lnEmbBeta.size() +
-                        poolerW.size() + poolerB.size();
-    for (const auto &layer : layers) {
-        total += layer.wq.size() + layer.wk.size() + layer.wv.size() +
-                 layer.wo.size() + layer.w1.size() + layer.w2.size();
-        total += layer.bq.size() + layer.bk.size() + layer.bv.size() +
-                 layer.bo.size() + layer.b1.size() + layer.b2.size();
-        total += layer.lnAttnGamma.size() + layer.lnAttnBeta.size() +
-                 layer.lnOutGamma.size() + layer.lnOutBeta.size();
-    }
-    return total;
-}
-
 BertWeights
 BertWeights::initialize(const BertConfig &config, std::uint64_t seed)
 {

@@ -44,9 +44,6 @@ struct BertWeights
     Matrix poolerW;
     std::vector<float> poolerB;
 
-    /** Total parameter count. */
-    std::size_t parameterCount() const;
-
     /** Allocate and deterministically initialize all parameters. */
     static BertWeights initialize(const BertConfig &config,
                                   std::uint64_t seed);

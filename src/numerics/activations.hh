@@ -15,7 +15,7 @@ namespace prose {
  */
 float geluTanh(float x);
 
-/** Exact GELU, x * Phi(x), via erf. */
+/** Exact GELU, x * Phi(x), via erf: the oracle geluTanh is held to. */
 float geluErf(float x);
 
 /** Natural exponential (reference for the Exp LUT). */

@@ -6,9 +6,7 @@
  * ProSE's systolic arrays multiply in bfloat16 and accumulate in fp32
  * (Section 3.2 / Figure 10(b)); this type provides the exact conversion
  * semantics the hardware uses: round-to-nearest-even on fp32 -> bf16, and
- * bit-exact widening bf16 -> fp32. Arithmetic between Bfloat16 values is
- * performed in fp32 and re-rounded, which matches a MAC whose product is
- * formed exactly and then truncated to the destination format.
+ * bit-exact widening bf16 -> fp32.
  */
 
 #ifndef PROSE_NUMERICS_BFLOAT16_HH
@@ -16,11 +14,10 @@
 
 #include <cstdint>
 #include <cstring>
-#include <ostream>
 
 namespace prose {
 
-/** A 16-bit brain-float value. POD; safe to memcpy and stream. */
+/** A 16-bit brain-float value. POD; safe to memcpy. */
 class Bfloat16
 {
   public:
@@ -77,14 +74,6 @@ class Bfloat16
     /** fp32 -> bf16 bits with round-to-nearest-even, NaN-preserving. */
     static std::uint16_t roundFromFloat(float value);
 
-    Bfloat16 operator-() const;
-    Bfloat16 operator+(Bfloat16 other) const;
-    Bfloat16 operator-(Bfloat16 other) const;
-    Bfloat16 operator*(Bfloat16 other) const;
-
-    /** Bit-pattern equality except both zeros compare equal. */
-    bool operator==(Bfloat16 other) const;
-    bool operator!=(Bfloat16 other) const { return !(*this == other); }
     bool operator<(Bfloat16 other) const
     {
         return toFloat() < other.toFloat();
@@ -156,7 +145,7 @@ truncateBf16(float value)
 
 /** @name Fault-model bit surgery
  * Single-event-upset helpers for the fault injector: flip or force one
- * storage bit of an fp32 accumulator or a bf16 word. Bit 0 is the LSB;
+ * storage bit of an fp32 accumulator. Bit 0 is the LSB;
  * fp32 bits [31:16] are the architecturally visible (bf16) half of a
  * ProSE accumulator.
  * @{ */
@@ -167,12 +156,7 @@ float flipFloatBit(float value, std::uint32_t bit);
 /** Force one bit (0..31) of a binary32's storage to 0 or 1. */
 float setFloatBit(float value, std::uint32_t bit, bool high);
 
-/** Flip one bit (0..15) of a bfloat16. */
-Bfloat16 flipBf16Bit(Bfloat16 value, std::uint32_t bit);
-
 /** @} */
-
-std::ostream &operator<<(std::ostream &os, Bfloat16 v);
 
 } // namespace prose
 

@@ -59,17 +59,6 @@ bitsEqual(const float *a, const float *b, std::size_t n)
     return std::memcmp(a, b, n * sizeof(*a)) == 0;
 }
 
-/**
- * True for +0.0f and -0.0f, false for everything else (including NaN
- * and denormals). Bit-level equivalent of `value == 0.0f`, spelled so
- * the zero-skip gates read as the bit test they are.
- */
-inline bool
-isZeroValue(float value)
-{
-    return (floatBits(value) & 0x7fffffffu) == 0;
-}
-
 } // namespace prose
 
 #endif // PROSE_NUMERICS_FLOAT_BITS_HH

@@ -46,32 +46,4 @@ hostSoftmaxDivide(Matrix &exp_values, unsigned workers)
     });
 }
 
-void
-hostLayerNorm(Matrix &activations, const std::vector<float> &gamma,
-              const std::vector<float> &beta, float eps, unsigned workers)
-{
-    PROSE_ASSERT(gamma.size() == activations.cols() &&
-                     beta.size() == activations.cols(),
-                 "layer-norm gain/bias arity mismatch");
-    const std::size_t cols = activations.cols();
-    parallelRows(activations.rows(), workers, [&](std::size_t row) {
-        float *values = activations.row(row);
-        double sum = 0.0;
-        for (std::size_t j = 0; j < cols; ++j)
-            sum += values[j];
-        const double mu = sum / static_cast<double>(cols);
-        double var = 0.0;
-        for (std::size_t j = 0; j < cols; ++j) {
-            const double d = values[j] - mu;
-            var += d * d;
-        }
-        var /= static_cast<double>(cols);
-        const double inv = 1.0 / std::sqrt(var + eps);
-        for (std::size_t j = 0; j < cols; ++j) {
-            values[j] = quantizeBf16(static_cast<float>(
-                gamma[j] * (values[j] - mu) * inv + beta[j]));
-        }
-    });
-}
-
 } // namespace prose

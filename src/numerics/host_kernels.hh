@@ -3,7 +3,7 @@
  * Real host-side kernels — the CPU half of the co-designed system. The
  * HostModel *times* the host work; these kernels *perform* it, so the
  * functional path (FunctionalSimulator + BertModel) runs the same
- * softmax sum/divide and LayerNorm the deployed host would, optionally
+ * softmax sum/divide the deployed host would, optionally
  * parallelized across the shared ThreadPool the way the paper's Xeon
  * streams softmax batches.
  */
@@ -30,15 +30,7 @@ namespace prose {
 void hostSoftmaxDivide(Matrix &exp_values, unsigned workers = 1);
 
 /**
- * Host LayerNorm over bf16 activations: per-row mean/variance in fp64,
- * affine gain/bias, result re-quantized to bfloat16.
- */
-void hostLayerNorm(Matrix &activations, const std::vector<float> &gamma,
-                   const std::vector<float> &beta, float eps,
-                   unsigned workers = 1);
-
-/**
- * Row-parallel driver used by both kernels: runs fn(row_index) over
+ * Row-parallel driver behind hostSoftmaxDivide: runs fn(row_index) over
  * [0, rows) on the shared ThreadPool, with concurrency capped at
  * `workers` lanes. Exposed for other row-wise host work.
  */

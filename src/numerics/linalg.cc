@@ -57,17 +57,6 @@ choleskySolve(const Matrix &l, const std::vector<double> &b)
     return x;
 }
 
-double
-RidgeModel::predict(const std::vector<double> &features) const
-{
-    PROSE_ASSERT(features.size() == weights.size(),
-                 "ridge predict feature arity mismatch");
-    double acc = intercept;
-    for (std::size_t i = 0; i < features.size(); ++i)
-        acc += features[i] * weights[i];
-    return acc;
-}
-
 std::vector<double>
 RidgeModel::predictRows(const Matrix &x) const
 {

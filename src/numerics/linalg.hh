@@ -34,9 +34,6 @@ struct RidgeModel
     std::vector<double> weights;
     double intercept = 0.0;
 
-    /** Predict one sample (feature arity must match weights). */
-    double predict(const std::vector<double> &features) const;
-
     /** Predict each row of a feature matrix. */
     std::vector<double> predictRows(const Matrix &x) const;
 };

@@ -6,7 +6,6 @@
 #include "common/arena.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "float_bits.hh"
 #include "kernels/kernel_dispatch.hh"
 
 namespace prose {
@@ -57,15 +56,6 @@ Matrix::maxAbsDiff(const Matrix &a, const Matrix &b)
     for (std::size_t i = 0; i < a.data_.size(); ++i)
         worst = std::max(worst, std::fabs(a.data_[i] - b.data_[i]));
     return worst;
-}
-
-float
-Matrix::frobeniusNorm() const
-{
-    double acc = 0.0;
-    for (float x : data_)
-        acc += static_cast<double>(x) * x;
-    return static_cast<float>(std::sqrt(acc));
 }
 
 namespace {
@@ -179,15 +169,11 @@ matmulBits(const std::uint16_t *a_bits, std::size_t m, std::size_t depth,
 
 } // namespace
 
-void
-QuantizedOperand::update(const Matrix &source)
+QuantizedOperand::QuantizedOperand(const Matrix &source)
+    : rows_(source.rows()), cols_(source.cols()), bits_(source.size())
 {
-    const kernels::KernelSet &ks = kernels::activeKernels();
-    rows_ = source.rows();
-    cols_ = source.cols();
-    bits_.resize(source.size());
-    ks.quantizeBitsRow(bits_.data(), source.data(), source.size());
-    ++version_;
+    kernels::activeKernels().quantizeBitsRow(bits_.data(), source.data(),
+                                             source.size());
 }
 
 Matrix
@@ -251,13 +237,6 @@ mulAdd(float alpha, const Matrix &a, float beta, const Matrix &b)
 }
 
 Matrix
-matDiv(const Matrix &a, float alpha)
-{
-    PROSE_ASSERT(!isZeroValue(alpha), "matDiv by zero");
-    return scale(a, 1.0f / alpha);
-}
-
-Matrix
 add(const Matrix &a, const Matrix &b)
 {
     return mulAdd(1.0f, a, 1.0f, b);
@@ -285,16 +264,6 @@ transpose(const Matrix &a)
             tp[j * a.rows() + i] = arow[j];
     }
     return t;
-}
-
-Matrix
-map(const Matrix &a, float (*f)(float))
-{
-    Matrix c(a.rows(), a.cols());
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < a.cols(); ++j)
-            c(i, j) = f(a(i, j));
-    return c;
 }
 
 Matrix
@@ -344,48 +313,6 @@ layerNorm(const Matrix &a, const std::vector<float> &gamma,
         }
     }
     return c;
-}
-
-Matrix
-hconcat(const std::vector<Matrix> &parts)
-{
-    PROSE_ASSERT(!parts.empty(), "hconcat of nothing");
-    std::size_t total_cols = 0;
-    for (const auto &p : parts) {
-        PROSE_ASSERT(p.rows() == parts[0].rows(), "hconcat row mismatch");
-        total_cols += p.cols();
-    }
-    Matrix out(parts[0].rows(), total_cols);
-    std::size_t col_base = 0;
-    for (const auto &p : parts) {
-        for (std::size_t i = 0; i < p.rows(); ++i)
-            for (std::size_t j = 0; j < p.cols(); ++j)
-                out(i, col_base + j) = p(i, j);
-        col_base += p.cols();
-    }
-    return out;
-}
-
-Matrix
-sliceCols(const Matrix &a, std::size_t begin, std::size_t count)
-{
-    PROSE_ASSERT(begin + count <= a.cols(), "sliceCols out of range");
-    Matrix out(a.rows(), count);
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < count; ++j)
-            out(i, j) = a(i, begin + j);
-    return out;
-}
-
-Matrix
-sliceRows(const Matrix &a, std::size_t begin, std::size_t count)
-{
-    PROSE_ASSERT(begin + count <= a.rows(), "sliceRows out of range");
-    Matrix out(count, a.cols());
-    for (std::size_t i = 0; i < count; ++i)
-        for (std::size_t j = 0; j < a.cols(); ++j)
-            out(i, j) = a(begin + i, j);
-    return out;
 }
 
 } // namespace prose

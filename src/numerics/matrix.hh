@@ -57,9 +57,6 @@ class Matrix
     /** Largest |a - b| over all elements; matrices must be same shape. */
     static float maxAbsDiff(const Matrix &a, const Matrix &b);
 
-    /** Frobenius norm. */
-    float frobeniusNorm() const;
-
     bool sameShape(const Matrix &other) const
     {
         return rows_ == other.rows_ && cols_ == other.cols_;
@@ -75,9 +72,8 @@ class Matrix
  * A constant operand pre-quantized to bfloat16 — the weight-cache entry
  * of the bf16 matmul path. Quantizing a weight matrix costs one pass
  * over the data; model weights are constant across forward passes, so
- * callers quantize once per weight load (via the constructor or
- * update()) instead of once per matmul call. update() bumps version(),
- * which is how cache-invalidation tests observe a reload.
+ * callers quantize once, at construction, instead of once per matmul
+ * call.
  *
  * Storage is the compact bf16 bit plane alone (half the fp32
  * footprint, what the SIMD GEMM kernels stream) plus its shape.
@@ -85,14 +81,11 @@ class Matrix
 class QuantizedOperand
 {
   public:
-    /** Empty cache entry; must be update()d before use. */
+    /** Empty cache entry. */
     QuantizedOperand() = default;
 
     /** Quantize `source` once. */
-    explicit QuantizedOperand(const Matrix &source) { update(source); }
-
-    /** Re-quantize from a (possibly mutated) source matrix. */
-    void update(const Matrix &source);
+    explicit QuantizedOperand(const Matrix &source);
 
     bool empty() const { return bits_.empty(); }
 
@@ -102,14 +95,10 @@ class QuantizedOperand
     /** The operand as raw bf16 bit patterns, row-major. */
     const std::vector<std::uint16_t> &bits() const { return bits_; }
 
-    /** Incremented by every update(); 0 while empty. */
-    std::uint64_t version() const { return version_; }
-
   private:
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
     std::vector<std::uint16_t> bits_;
-    std::uint64_t version_ = 0;
 };
 
 /**
@@ -139,9 +128,6 @@ Matrix matmulBf16(const Matrix &a, const QuantizedOperand &b);
 /** C = alpha*A + beta*B elementwise (the paper's MulAdd primitive). */
 Matrix mulAdd(float alpha, const Matrix &a, float beta, const Matrix &b);
 
-/** C = A * (1/alpha) elementwise (the paper's MatDiv primitive). */
-Matrix matDiv(const Matrix &a, float alpha);
-
 /** C = A + B. */
 Matrix add(const Matrix &a, const Matrix &b);
 
@@ -150,9 +136,6 @@ Matrix scale(const Matrix &a, float s);
 
 /** Transpose. */
 Matrix transpose(const Matrix &a);
-
-/** Apply f to every element. */
-Matrix map(const Matrix &a, float (*f)(float));
 
 /** Row-wise softmax (each row sums to 1). */
 Matrix rowSoftmax(const Matrix &a);
@@ -163,15 +146,6 @@ Matrix rowSoftmax(const Matrix &a);
  */
 Matrix layerNorm(const Matrix &a, const std::vector<float> &gamma,
                  const std::vector<float> &beta, float eps = 1e-12f);
-
-/** Concatenate matrices left-to-right (same row count). */
-Matrix hconcat(const std::vector<Matrix> &parts);
-
-/** Slice columns [begin, begin+count). */
-Matrix sliceCols(const Matrix &a, std::size_t begin, std::size_t count);
-
-/** Slice rows [begin, begin+count). */
-Matrix sliceRows(const Matrix &a, std::size_t begin, std::size_t count);
 
 } // namespace prose
 

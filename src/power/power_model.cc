@@ -42,20 +42,4 @@ PowerModel::systemPowerWatts(const std::vector<ArrayGroupSpec> &groups,
            cpu_duty * host_.cpuActiveWatts + host_.dramWatts;
 }
 
-double
-PowerModel::energyJoules(const std::vector<ArrayGroupSpec> &groups,
-                         bool with_buffer, double cpu_duty,
-                         double seconds) const
-{
-    PROSE_ASSERT(seconds >= 0.0, "negative duration");
-    return systemPowerWatts(groups, with_buffer, cpu_duty) * seconds;
-}
-
-double
-PowerModel::efficiency(double inferences_per_second, double watts)
-{
-    PROSE_ASSERT(watts > 0.0, "efficiency with non-positive power");
-    return inferences_per_second / watts;
-}
-
 } // namespace prose

@@ -53,14 +53,6 @@ class PowerModel
     double systemPowerWatts(const std::vector<ArrayGroupSpec> &groups,
                             bool with_buffer, double cpu_duty) const;
 
-    /** Energy in joules for a run of the given duration. */
-    double energyJoules(const std::vector<ArrayGroupSpec> &groups,
-                        bool with_buffer, double cpu_duty,
-                        double seconds) const;
-
-    /** Inferences per second per watt. */
-    static double efficiency(double inferences_per_second, double watts);
-
     const HostPowerSpec &host() const { return host_; }
 
   private:

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <fstream>
 #include <istream>
-#include <ostream>
 
 #include "amino_acid.hh"
 #include "common/logging.hh"
@@ -54,9 +53,9 @@ readFasta(std::istream &in)
                 // Residue letters plus the conventional '*' (stop) and
                 // '-' (gap) only. Swallowing arbitrary bytes is not
                 // just sloppy: a '>' absorbed into a sequence lands at
-                // a line start once the 60-column writer re-wraps it,
-                // and the round-tripped file parses as a different
-                // record list.
+                // a line start once any 60-column writer re-wraps it,
+                // and the re-written file parses as a different record
+                // list.
                 if (!std::isalpha(static_cast<unsigned char>(ch)) &&
                     ch != '*' && ch != '-')
                     fatal("invalid character '", std::string(1, ch),
@@ -79,19 +78,6 @@ readFastaFile(const std::string &path)
     if (!in)
         fatal("cannot open FASTA file ", path);
     return readFasta(in);
-}
-
-void
-writeFasta(std::ostream &out, const std::vector<FastaRecord> &records)
-{
-    for (const auto &record : records) {
-        out << '>' << record.id;
-        if (!record.comment.empty())
-            out << ' ' << record.comment;
-        out << '\n';
-        for (std::size_t i = 0; i < record.sequence.size(); i += 60)
-            out << record.sequence.substr(i, 60) << '\n';
-    }
 }
 
 std::string

@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal FASTA reader/writer plus synthetic protein generation — the
+ * Minimal FASTA reader plus synthetic protein generation — the
  * input side of the protein-discovery workflow (Figure 2(b)) and the
  * synthetic protein strings the Section 2.3 profiling uses.
  */
@@ -29,9 +29,6 @@ std::vector<FastaRecord> readFasta(std::istream &in);
 
 /** Parse a FASTA file by path. */
 std::vector<FastaRecord> readFastaFile(const std::string &path);
-
-/** Write records in 60-column FASTA. */
-void writeFasta(std::ostream &out, const std::vector<FastaRecord> &records);
 
 /**
  * Generate a random protein of the given length over the 20 canonical

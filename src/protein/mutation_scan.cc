@@ -9,15 +9,6 @@
 
 namespace prose {
 
-double
-MutationScan::effectAt(std::size_t position, char to) const
-{
-    for (const MutationEffect &effect : effects)
-        if (effect.position == position && effect.to == to)
-            return effect.score;
-    fatal("no effect recorded for position ", position, " -> ", to);
-}
-
 const MutationEffect &
 MutationScan::best() const
 {

@@ -37,9 +37,6 @@ struct MutationScan
     double wildTypeScore = 0.0;
     std::vector<MutationEffect> effects; ///< 19 x L entries
 
-    /** Effect of substituting `to` at `position`; fatal if absent. */
-    double effectAt(std::size_t position, char to) const;
-
     /** The most beneficial substitution. */
     const MutationEffect &best() const;
 

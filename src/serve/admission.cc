@@ -2,20 +2,6 @@
 
 namespace prose {
 
-const char *
-toString(AdmissionDecision decision)
-{
-    switch (decision) {
-      case AdmissionDecision::Admit:
-        return "admit";
-      case AdmissionDecision::ShedSelf:
-        return "shed-self";
-      case AdmissionDecision::ShedOldest:
-        return "shed-oldest";
-    }
-    return "?";
-}
-
 AdmissionDecision
 admit(const AdmissionSpec &spec, const Request &request, double now,
       std::uint64_t queued, double best_case_service)

@@ -50,8 +50,6 @@ enum class AdmissionDecision
     ShedOldest,///< queue full: drop the oldest queued, admit this one
 };
 
-const char *toString(AdmissionDecision decision);
-
 /**
  * Decide admission for `request` at time `now`.
  *

@@ -1,40 +1,15 @@
 #include "arrival.hh"
 
 #include <cmath>
-#include <fstream>
-#include <limits>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "common/strutil.hh"
 
 namespace prose {
-
-const char *
-toString(ArrivalKind kind)
-{
-    switch (kind) {
-      case ArrivalKind::Poisson:
-        return "poisson";
-      case ArrivalKind::Bursty:
-        return "bursty";
-      case ArrivalKind::Diurnal:
-        return "diurnal";
-      case ArrivalKind::Trace:
-        return "trace";
-    }
-    return "?";
-}
 
 void
 ArrivalSpec::validate() const
 {
-    if (kind == ArrivalKind::Trace) {
-        if (trace.empty())
-            fatal("arrival spec: trace kind with an empty trace");
-        return; // trace records were validated by the loader
-    }
     if (!std::isfinite(ratePerSecond) || ratePerSecond <= 0.0)
         fatal("arrival spec: rate must be a positive finite "
               "requests/second, got ", ratePerSecond);
@@ -53,13 +28,6 @@ ArrivalSpec::validate() const
                   "got ", burstFraction);
         if (burstMultiplier < 1.0)
             fatal("arrival spec: burst multiplier must be >= 1");
-    }
-    if (kind == ArrivalKind::Diurnal) {
-        if (diurnalPeriodSeconds <= 0.0)
-            fatal("arrival spec: diurnal period must be positive");
-        if (diurnalAmplitude < 0.0 || diurnalAmplitude >= 1.0)
-            fatal("arrival spec: diurnal amplitude must be in [0, 1), "
-                  "got ", diurnalAmplitude);
     }
 }
 
@@ -86,16 +54,8 @@ rateAt(const ArrivalSpec &spec, double t)
                    ? base * spec.burstMultiplier
                    : base;
       }
-      case ArrivalKind::Diurnal: {
-        constexpr double kTwoPi = 6.283185307179586476925286766559;
-        const double phase = kTwoPi * t / spec.diurnalPeriodSeconds;
-        return spec.ratePerSecond *
-               (1.0 + spec.diurnalAmplitude * std::sin(phase));
-      }
-      case ArrivalKind::Trace:
-        break;
     }
-    panic("rateAt on a trace spec");
+    panic("rateAt: unknown arrival kind");
 }
 
 /** Peak rate, the thinning envelope. */
@@ -111,12 +71,8 @@ peakRate(const ArrivalSpec &spec)
                                   (1.0 - spec.burstFraction);
         return spec.ratePerSecond * spec.burstMultiplier / mean_scale;
       }
-      case ArrivalKind::Diurnal:
-        return spec.ratePerSecond * (1.0 + spec.diurnalAmplitude);
-      case ArrivalKind::Trace:
-        break;
     }
-    panic("peakRate on a trace spec");
+    panic("peakRate: unknown arrival kind");
 }
 
 } // namespace
@@ -130,23 +86,6 @@ generateArrivals(const ArrivalSpec &spec, double default_slo_seconds)
               default_slo_seconds);
 
     std::vector<Request> requests;
-    if (spec.kind == ArrivalKind::Trace) {
-        requests.reserve(spec.trace.size());
-        for (const TraceArrival &rec : spec.trace) {
-            Request request;
-            request.id = static_cast<RequestId>(requests.size());
-            request.arrivalSeconds = rec.atSeconds;
-            request.residues = rec.residues;
-            request.priority = rec.priority;
-            request.deadlineSeconds =
-                rec.atSeconds + (rec.sloSeconds > 0.0
-                                     ? rec.sloSeconds
-                                     : default_slo_seconds);
-            requests.push_back(request);
-        }
-        return requests;
-    }
-
     // Thinning (Lewis & Shedler): candidate gaps at the peak rate,
     // accepted with probability rate(t)/peak. Every candidate consumes
     // exactly two draws (gap + acceptance) so the stream is identical
@@ -171,121 +110,6 @@ generateArrivals(const ArrivalSpec &spec, double default_slo_seconds)
         requests.push_back(request);
     }
     return requests;
-}
-
-namespace {
-
-double
-parseTraceNumber(const std::string &value, const char *key,
-                 const std::string &origin, std::size_t line_no)
-{
-    double parsed = 0.0;
-    if (!parseFiniteDouble(value, parsed))
-        fatal(origin, ":", line_no, ": bad number for ", key, ": '",
-              value, "'");
-    return parsed;
-}
-
-std::uint64_t
-parseTraceUint(const std::string &value, const char *key,
-               const std::string &origin, std::size_t line_no)
-{
-    std::uint64_t parsed = 0;
-    if (!parseU64(value, parsed))
-        fatal(origin, ":", line_no, ": bad non-negative integer for ",
-              key, ": '", value, "'");
-    return parsed;
-}
-
-} // namespace
-
-std::vector<TraceArrival>
-parseArrivalTrace(std::istream &in, const std::string &origin)
-{
-    std::vector<TraceArrival> trace;
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream tokens(line);
-        std::string token;
-        TraceArrival rec;
-        bool have_at = false, have_len = false;
-        while (tokens >> token) {
-            const auto eq = token.find('=');
-            if (eq == std::string::npos)
-                fatal(origin, ":", line_no,
-                      ": token without '=': '", token, "'");
-            const std::string key = token.substr(0, eq);
-            const std::string value = token.substr(eq + 1);
-            if (key == "at") {
-                rec.atSeconds =
-                    parseTraceNumber(value, "at", origin, line_no);
-                if (rec.atSeconds < 0.0)
-                    fatal(origin, ":", line_no,
-                          ": negative arrival time ", value);
-                have_at = true;
-            } else if (key == "len") {
-                rec.residues =
-                    parseTraceUint(value, "len", origin, line_no);
-                if (rec.residues == 0)
-                    fatal(origin, ":", line_no,
-                          ": zero-length request (len=0) — empty "
-                          "proteins are not a workload");
-                have_len = true;
-            } else if (key == "prio") {
-                const std::uint64_t prio =
-                    parseTraceUint(value, "prio", origin, line_no);
-                if (prio > std::numeric_limits<std::uint32_t>::max())
-                    fatal(origin, ":", line_no, ": prio=", value,
-                          " does not fit 32 bits (it would silently "
-                          "truncate to ", static_cast<std::uint32_t>(prio),
-                          ")");
-                rec.priority = static_cast<std::uint32_t>(prio);
-            } else if (key == "slo") {
-                rec.sloSeconds =
-                    parseTraceNumber(value, "slo", origin, line_no);
-                if (rec.sloSeconds <= 0.0)
-                    fatal(origin, ":", line_no,
-                          ": slo must be positive, got ", value);
-            } else {
-                fatal(origin, ":", line_no, ": unknown key '", key,
-                      "' (expected at/len/prio/slo)");
-            }
-        }
-        if (!have_at && !have_len)
-            continue; // blank or comment-only line
-        if (!have_at || !have_len)
-            fatal(origin, ":", line_no,
-                  ": a trace record needs both at= and len=");
-        if (!trace.empty()) {
-            const double prev = trace.back().atSeconds;
-            if (rec.atSeconds < prev)
-                fatal(origin, ":", line_no,
-                      ": arrival times must be non-decreasing (",
-                      rec.atSeconds, " after ", prev, ")");
-            if (rec.atSeconds == prev)
-                fatal(origin, ":", line_no,
-                      ": duplicate arrival timestamp ", rec.atSeconds,
-                      " — replay order would be ambiguous");
-        }
-        trace.push_back(rec);
-    }
-    if (trace.empty())
-        fatal(origin, ": empty arrival trace");
-    return trace;
-}
-
-std::vector<TraceArrival>
-loadArrivalTrace(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open arrival trace ", path);
-    return parseArrivalTrace(in, path);
 }
 
 } // namespace prose

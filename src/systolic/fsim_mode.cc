@@ -39,16 +39,6 @@ lookupFsimMode(const std::string &name)
 } // namespace
 
 FsimMode
-parseFsimMode(const char *name)
-{
-    const std::string s = name ? name : "";
-    if (const std::optional<FsimMode> mode = lookupFsimMode(s))
-        return *mode;
-    fatal("unknown functional-sim mode \"", s,
-          "\"; expected fast, stepped, or validate");
-}
-
-FsimMode
 defaultFsimMode()
 {
     static const FsimMode mode = [] {

@@ -5,7 +5,7 @@
  * the fast-forward engine computes the same register file and the same
  * cycle/stall/MAC counters for every operation — closed form under
  * ideal stream-buffer supply, an O(1)-per-cycle gate replay under
- * fractional rates or fill profiles — which is what makes full-model
+ * fractional rates — which is what makes full-model
  * functional runs, LUT-accuracy sweeps, and validated DSE routinely
  * affordable. Fault injection and ABFT run on either engine.
  *
@@ -30,12 +30,6 @@ enum class FsimMode
 };
 
 const char *toString(FsimMode mode);
-
-/**
- * Parse a mode name ("fast" / "stepped" / "validate", case-sensitive).
- * fatal()s on anything else.
- */
-FsimMode parseFsimMode(const char *name);
 
 /**
  * Process-wide default: PROSE_FSIM_MODE if set (invalid values warn and

@@ -255,11 +255,4 @@ FunctionalSimulator::macCount() const
     return mArray_.macCount() + gArray_.macCount() + eArray_.macCount();
 }
 
-double
-FunctionalSimulator::elapsedSeconds() const
-{
-    return mArray_.elapsedSeconds() + gArray_.elapsedSeconds() +
-           eArray_.elapsedSeconds();
-}
-
 } // namespace prose

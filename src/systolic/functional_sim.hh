@@ -68,8 +68,6 @@ class FunctionalSimulator
     std::uint64_t matmulCycles() const;
     std::uint64_t simdCycles() const;
     std::uint64_t macCount() const;
-    /** Wall-clock seconds at the arrays' two clocks. */
-    double elapsedSeconds() const;
     /** @} */
 
     SystolicArray &mArray() { return mArray_; }

@@ -13,32 +13,10 @@ StreamBuffer::StreamBuffer(std::uint32_t depth, double supply_rate)
     PROSE_ASSERT(supply_rate > 0.0, "stream buffer needs a supply rate");
 }
 
-double
-StreamBuffer::nextFillRate() const
-{
-    if (fillProfile_.empty())
-        return supplyRate_;
-    return fillProfile_[fillTicks_ % fillProfile_.size()];
-}
-
-bool
-StreamBuffer::tick()
-{
-    occupancy_ = std::min(depth_, occupancy_ + nextFillRate());
-    ++fillTicks_;
-    if (occupancy_ >= 1.0) {
-        occupancy_ -= 1.0;
-        ++consumed_;
-        return true;
-    }
-    ++stalls_;
-    return false;
-}
-
 void
-StreamBuffer::tickNoConsume()
+StreamBuffer::fillTick()
 {
-    occupancy_ = std::min(depth_, occupancy_ + nextFillRate());
+    occupancy_ = std::min(depth_, occupancy_ + supplyRate_);
     ++fillTicks_;
 }
 
@@ -48,39 +26,6 @@ StreamBuffer::consume()
     PROSE_ASSERT(occupancy_ >= 1.0, "consume from an empty stream buffer");
     occupancy_ -= 1.0;
     ++consumed_;
-}
-
-void
-StreamBuffer::reset()
-{
-    occupancy_ = 0.0;
-    stalls_ = 0;
-    consumed_ = 0;
-    fillTicks_ = 0;
-}
-
-void
-StreamBuffer::fill()
-{
-    occupancy_ = depth_;
-}
-
-void
-StreamBuffer::setFillProfile(std::vector<double> rates)
-{
-    double period_total = 0.0;
-    for (double rate : rates) {
-        PROSE_ASSERT(rate >= 0.0,
-                     "negative fill-profile rate: ", rate);
-        period_total += rate;
-    }
-    // An all-zero period never delivers an element, so tick() can never
-    // succeed and either engine livelocks (found by
-    // fuzz_engine_equiv; see tests/fuzz/corpus/engine_equiv).
-    PROSE_ASSERT(rates.empty() || period_total > 0.0,
-                 "fill profile supplies nothing over its period; the "
-                 "array would stall forever");
-    fillProfile_ = std::move(rates);
 }
 
 void

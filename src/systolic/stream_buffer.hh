@@ -11,7 +11,6 @@
 #define PROSE_SYSTOLIC_STREAM_BUFFER_HH
 
 #include <cstdint>
-#include <vector>
 
 namespace prose {
 
@@ -30,22 +29,12 @@ class StreamBuffer
     StreamBuffer(std::uint32_t depth, double supply_rate);
 
     /**
-     * Advance one cycle of filling; then try to consume one entry.
-     * @return true if an entry was available (array advances), false if
-     *         the array must stall this cycle.
-     */
-    bool tick();
-
-    /** Advance one cycle of filling without consuming (array idle). */
-    void tickNoConsume();
-
-    /**
      * Split-phase API for lockstep multi-buffer gating: fill first, then
      * check availability on every buffer, then consume from all of them
      * only if all can supply (the array either advances whole or stalls
      * whole).
      */
-    void fillTick() { tickNoConsume(); }
+    void fillTick();
 
     /** True if at least one whole entry is buffered. */
     bool available() const { return occupancy_ >= 1.0; }
@@ -65,44 +54,23 @@ class StreamBuffer
     /** Entries consumed so far. */
     std::uint64_t consumed() const { return consumed_; }
 
-    /** Fill ticks applied so far (uniform or scheduled). */
+    /** Fill ticks applied so far. */
     std::uint64_t fillTicks() const { return fillTicks_; }
-
-    /** Reset occupancy and counters (new transfer). */
-    void reset();
-
-    /** Pre-fill to capacity (back-to-back transfers with a warm link). */
-    void fill();
 
     /** Capacity in entries. */
     double depth() const { return depth_; }
 
-    /** Configured uniform supply rate (entries per cycle). */
+    /** Configured supply rate (entries per cycle). */
     double supplyRate() const { return supplyRate_; }
 
-    /** @name Fill profiles and fast-forward support @{ */
-
-    /**
-     * Install a non-uniform fill profile: fill tick t adds
-     * rates[t % rates.size()] entries instead of the uniform supply
-     * rate. An empty vector restores the uniform profile. Both engines
-     * replay a profile tick by tick; only the closed-form advance
-     * (idealSupply()) is ruled out.
-     */
-    void setFillProfile(std::vector<double> rates);
-
-    /** True when the buffer fills at one constant rate every cycle. */
-    bool uniformFill() const { return fillProfile_.empty(); }
+    /** @name Fast-forward support @{ */
 
     /**
      * True when every fill tick provably clamps the buffer to capacity
-     * (uniform supply rate >= depth): availability can never fail and
-     * the post-operation state has a closed form.
+     * (supply rate >= depth): availability can never fail and the
+     * post-operation state has a closed form.
      */
-    bool idealSupply() const
-    {
-        return uniformFill() && supplyRate_ >= depth_;
-    }
+    bool idealSupply() const { return supplyRate_ >= depth_; }
 
     /**
      * Closed-form advance for an ideal-supply buffer: `cycles` fill
@@ -127,12 +95,8 @@ class StreamBuffer
     /** @} */
 
   private:
-    /** Entries added by the next fill tick. */
-    double nextFillRate() const;
-
     double depth_;
     double supplyRate_;
-    std::vector<double> fillProfile_; ///< empty = uniform supplyRate_
     double occupancy_ = 0.0;
     std::uint64_t stalls_ = 0;
     std::uint64_t consumed_ = 0;

@@ -417,11 +417,10 @@ SystolicArray::fastForwardMatmulGating(std::size_t rows,
         return advances;
     }
 
-    // Sub-capacity or non-uniform fill: replay only the O(1)-per-cycle
-    // gate recurrence (fillTick reads the fill profile, if any). The
-    // repeated clamped additions are not associative in floating point,
-    // so an occupancy = o0 + t * rate closed form would not be
-    // bit-equal; replaying the identical sequence of occupancy
+    // Sub-capacity fill: replay only the O(1)-per-cycle gate
+    // recurrence. The repeated clamped additions are not associative in
+    // floating point, so an occupancy = o0 + t * rate closed form would
+    // not be bit-equal; replaying the identical sequence of occupancy
     // operations is. The O(dim^2) PE sweep — where virtually all the
     // stepped engine's time goes — is still skipped.
     std::uint64_t cycles = 0;

@@ -39,7 +39,7 @@
  *    fp32 dot product of the bf16-quantized operands. Cycle and buffer
  *    counters advance by closed form when the stream buffers provably
  *    cannot starve, or by an O(1)-per-cycle gate replay when they can
- *    (fractional rates and non-uniform fill profiles alike).
+ *    (fractional rates).
  *
  * FsimMode selects the engine (API or PROSE_FSIM_MODE); Validate runs
  * both and panics on any state divergence. Nothing overrides the
@@ -235,7 +235,7 @@ class SystolicArray
     /** The requested engine. */
     FsimMode mode() const { return mode_; }
 
-    /** Stream-buffer access (fill profiles, occupancy inspection). */
+    /** Stream-buffer access (occupancy inspection). */
     StreamBuffer &aBuffer() { return aBuffer_; }
     StreamBuffer &bBuffer() { return bBuffer_; }
     const StreamBuffer &aBuffer() const { return aBuffer_; }
@@ -324,8 +324,7 @@ class SystolicArray
      * closed form when both buffers have ideal supply, otherwise an
      * O(1)-per-cycle replay of the gate recurrence (bit-equal to the
      * stepped loop because it performs the identical sequence of
-     * fillTick/available/consume operations, so fractional rates and
-     * non-uniform fill profiles replay alike).
+     * fillTick/available/consume operations).
      */
     std::uint64_t fastForwardMatmulGating(std::size_t rows,
                                           std::size_t cols,

@@ -20,14 +20,6 @@ TimingModel::TimingModel(bool partial_input_buffer)
 }
 
 std::uint64_t
-TimingModel::tileMatmulCycles(std::uint64_t rows, std::uint64_t cols,
-                              std::uint64_t k)
-{
-    PROSE_ASSERT(rows > 0 && cols > 0 && k > 0, "empty tile");
-    return k + rows + cols - 2;
-}
-
-std::uint64_t
 TimingModel::matmulCycles(std::uint64_t m, std::uint64_t k, std::uint64_t n,
                           std::uint64_t s)
 {

@@ -58,11 +58,6 @@ class TimingModel
     /** @param partial_input_buffer model the Figure 11(d) reuse buffer */
     explicit TimingModel(bool partial_input_buffer = true);
 
-    /** Wavefront cycles for one r x c output tile over depth k. */
-    static std::uint64_t tileMatmulCycles(std::uint64_t rows,
-                                          std::uint64_t cols,
-                                          std::uint64_t k);
-
     /** Total matmul-mode cycles for an m x k x n product on size s. */
     static std::uint64_t matmulCycles(std::uint64_t m, std::uint64_t k,
                                       std::uint64_t n, std::uint64_t s);

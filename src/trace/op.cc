@@ -164,26 +164,4 @@ toString(Sublayer sublayer)
     return "?";
 }
 
-const char *
-toString(OpCategory category)
-{
-    switch (category) {
-      case OpCategory::MatMul:
-        return "Matrix Multiply";
-      case OpCategory::BatchedMatMul:
-        return "Batched Mat Mul";
-      case OpCategory::Softmax:
-        return "Softmax";
-      case OpCategory::Gelu:
-        return "GELU";
-      case OpCategory::MatAdd:
-        return "Matrix Add";
-      case OpCategory::MatDiv:
-        return "Matrix Div";
-      case OpCategory::Other:
-        return "Other";
-    }
-    return "?";
-}
-
 } // namespace prose

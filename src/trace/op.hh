@@ -99,7 +99,6 @@ struct Op
 /** Enum-to-string helpers for reports. */
 const char *toString(OpKind kind);
 const char *toString(Sublayer sublayer);
-const char *toString(OpCategory category);
 
 } // namespace prose
 

@@ -28,32 +28,4 @@ OpTrace::totalFlops() const
     return total;
 }
 
-std::map<OpCategory, double>
-OpTrace::flopsByCategory() const
-{
-    std::map<OpCategory, double> by_cat;
-    for (const auto &op : ops_)
-        by_cat[op.category()] += op.flops();
-    return by_cat;
-}
-
-std::map<OpKind, std::size_t>
-OpTrace::countByKind() const
-{
-    std::map<OpKind, std::size_t> by_kind;
-    for (const auto &op : ops_)
-        ++by_kind[op.kind];
-    return by_kind;
-}
-
-std::vector<Op>
-OpTrace::layerOps(int layer) const
-{
-    std::vector<Op> out;
-    for (const auto &op : ops_)
-        if (op.layer == layer)
-            out.push_back(op);
-    return out;
-}
-
 } // namespace prose

@@ -6,7 +6,6 @@
 #ifndef PROSE_TRACE_OP_TRACE_HH
 #define PROSE_TRACE_OP_TRACE_HH
 
-#include <map>
 #include <vector>
 
 #include "op.hh"
@@ -35,15 +34,6 @@ class OpTrace
 
     /** Total floating-point work in the trace. */
     double totalFlops() const;
-
-    /** FLOPs per reporting category (Figure 3 numerators). */
-    std::map<OpCategory, double> flopsByCategory() const;
-
-    /** Op count per kind. */
-    std::map<OpKind, std::size_t> countByKind() const;
-
-    /** Ops belonging to one encoder layer (layer index match). */
-    std::vector<Op> layerOps(int layer) const;
 
   private:
     std::vector<Op> ops_;

@@ -322,6 +322,35 @@ TEST(FaultRecovery, KillDuringTheReshardIsHonoured)
     EXPECT_EQ(twice.perInstance.size(), 4u + 3u + 2u);
 }
 
+TEST(FaultRecovery, UnevenHostShareKeepsTheHostsPerSlotRate)
+{
+    // Three survivors share the 16-slot host: 5 slots each, one idle.
+    // Each share runs at the whole host's per-slot rate, so a recovery
+    // shard takes exactly as long as on a 5-slot host of that rate, not
+    // less (as it would if the idle slot's throughput were spread over
+    // the shares).
+    const SystemConfig config;
+    const ProseSystem system{ config };
+    const SystemReport healthy = system.run(kFleetShape);
+    CampaignSpec spec;
+    spec.instanceKills = { InstanceKill{ 1, 0.5 * healthy.makespan } };
+    FaultInjector injector(spec);
+    const SystemReport report = system.run(kFleetShape, &injector);
+    ASSERT_EQ(report.perInstance.size(), 4u + 3u);
+
+    HostSpec share = config.hostSpec;
+    share.slots = 5;
+    share.elemThroughput = 5 * config.hostSpec.slotThroughput();
+    BertShape slice = kFleetShape;
+    slice.batch = 3; // 8 dropped inferences over 3 survivors: 3, 3, 2
+    const PerfSim sim(config.instance,
+                      TimingModel(config.instance.partialInputBuffer),
+                      HostModel(share));
+    const SimReport want = sim.run(slice);
+    EXPECT_EQ(report.perInstance[4].makespan, want.makespan);
+    EXPECT_EQ(report.perInstance[4].hostBusySeconds, want.hostBusySeconds);
+}
+
 TEST(FaultRecovery, ArrivalIndexedKillFiresAtTheStartOfAClosedBatch)
 {
     const ProseSystem system{ SystemConfig{} };

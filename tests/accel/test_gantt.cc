@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "accel/gantt.hh"
 
 namespace prose {
@@ -18,10 +20,18 @@ recordedRun(std::uint32_t threads = 2)
     return sim.run(BertShape{ 2, 768, 12, 3072, threads, 64 });
 }
 
+std::string
+ganttText(const SimReport &report, const GanttOptions &options = {})
+{
+    std::ostringstream os;
+    renderGantt(os, report, options);
+    return os.str();
+}
+
 TEST(Gantt, RendersOneRowPerThread)
 {
     const SimReport report = recordedRun(3);
-    const std::string text = ganttString(report);
+    const std::string text = ganttText(report);
     EXPECT_NE(text.find("thread 0"), std::string::npos);
     EXPECT_NE(text.find("thread 1"), std::string::npos);
     EXPECT_NE(text.find("thread 2"), std::string::npos);
@@ -30,7 +40,7 @@ TEST(Gantt, RendersOneRowPerThread)
 
 TEST(Gantt, ContainsAllActivitySymbols)
 {
-    const std::string text = ganttString(recordedRun(2));
+    const std::string text = ganttText(recordedRun(2));
     for (char symbol : { '1', '2', '3', 'h' })
         EXPECT_NE(text.find(symbol), std::string::npos) << symbol;
 }
@@ -39,7 +49,7 @@ TEST(Gantt, RowsHaveRequestedWidth)
 {
     GanttOptions options;
     options.columns = 40;
-    const std::string text = ganttString(recordedRun(1), options);
+    const std::string text = ganttText(recordedRun(1), options);
     // Each row is |<columns>|; check the bar width.
     const auto bar_start = text.find('|');
     ASSERT_NE(bar_start, std::string::npos);
@@ -52,7 +62,7 @@ TEST(Gantt, PerPoolRowsNamed)
 {
     GanttOptions options;
     options.perPool = true;
-    const std::string text = ganttString(recordedRun(2), options);
+    const std::string text = ganttText(recordedRun(2), options);
     EXPECT_NE(text.find("pool M"), std::string::npos);
     EXPECT_NE(text.find("pool G"), std::string::npos);
     EXPECT_NE(text.find("pool E"), std::string::npos);
@@ -63,7 +73,7 @@ TEST(Gantt, MaxRowsClipsOutput)
 {
     GanttOptions options;
     options.maxRows = 2;
-    const std::string text = ganttString(recordedRun(4), options);
+    const std::string text = ganttText(recordedRun(4), options);
     EXPECT_NE(text.find("more rows"), std::string::npos);
 }
 
@@ -72,7 +82,7 @@ TEST(GanttDeathTest, NeedsARecordedSchedule)
     PerfSim sim(ProseConfig::bestPerf());
     const SimReport report =
         sim.run(BertShape{ 2, 768, 12, 3072, 2, 64 });
-    EXPECT_DEATH(ganttString(report), "recorded schedule");
+    EXPECT_DEATH(ganttText(report), "recorded schedule");
 }
 
 } // namespace

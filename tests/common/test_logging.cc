@@ -21,33 +21,6 @@ TEST(Logging, ConcatEmpty)
     EXPECT_EQ(detail::concat(), "");
 }
 
-TEST(Logging, InformAndWarnDoNotTerminate)
-{
-    inform("informational message from tests");
-    warn("warning message from tests");
-    SUCCEED();
-}
-
-TEST(Logging, QuietSuppressesInform)
-{
-    testing::internal::CaptureStderr();
-    setQuiet(true);
-    inform("should be suppressed");
-    setQuiet(false);
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_EQ(err.find("suppressed"), std::string::npos);
-}
-
-TEST(Logging, WarnStillPrintsWhenQuiet)
-{
-    testing::internal::CaptureStderr();
-    setQuiet(true);
-    warn("warn-under-quiet");
-    setQuiet(false);
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("warn-under-quiet"), std::string::npos);
-}
-
 TEST(Logging, ConcurrentWarnsDoNotInterleave)
 {
     constexpr int kThreads = 8;

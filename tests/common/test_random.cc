@@ -74,21 +74,6 @@ TEST(Rng, BelowCoversAllResidues)
     EXPECT_EQ(seen.size(), 7u);
 }
 
-TEST(Rng, RangeInclusiveBounds)
-{
-    Rng rng(9);
-    bool saw_lo = false, saw_hi = false;
-    for (int i = 0; i < 10000; ++i) {
-        const auto v = rng.range(-2, 2);
-        EXPECT_GE(v, -2);
-        EXPECT_LE(v, 2);
-        saw_lo |= (v == -2);
-        saw_hi |= (v == 2);
-    }
-    EXPECT_TRUE(saw_lo);
-    EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, GaussianMomentsApproximatelyStandard)
 {
     Rng rng(13);
@@ -132,16 +117,6 @@ TEST(Rng, ShuffleActuallyPermutes)
     auto original = v;
     rng.shuffle(v);
     EXPECT_NE(v, original);
-}
-
-TEST(Rng, ForkDivergesFromParent)
-{
-    Rng parent(31);
-    Rng child = parent.fork();
-    int same = 0;
-    for (int i = 0; i < 100; ++i)
-        same += (parent.next() == child.next());
-    EXPECT_LT(same, 2);
 }
 
 } // namespace

@@ -20,17 +20,6 @@ TEST(Stats, MeanSimple)
     EXPECT_DOUBLE_EQ(mean({ 1.0, 2.0, 3.0, 4.0 }), 2.5);
 }
 
-TEST(Stats, StddevKnownValue)
-{
-    // Sample stddev of {2, 4, 4, 4, 5, 5, 7, 9} is ~2.138.
-    EXPECT_NEAR(stddev({ 2, 4, 4, 4, 5, 5, 7, 9 }), 2.13809, 1e-4);
-}
-
-TEST(Stats, StddevOfSingletonIsZero)
-{
-    EXPECT_DOUBLE_EQ(stddev({ 42.0 }), 0.0);
-}
-
 TEST(Stats, MinMax)
 {
     const std::vector<double> xs{ 3.0, -1.0, 7.5, 2.0 };
@@ -53,11 +42,6 @@ TEST(Stats, PercentileExtremes)
     const std::vector<double> xs{ 2.0, 9.0, 4.0 };
     EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 2.0);
     EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 9.0);
-}
-
-TEST(Stats, GeomeanKnownValue)
-{
-    EXPECT_NEAR(geomean({ 1.0, 4.0, 16.0 }), 4.0, 1e-12);
 }
 
 TEST(Stats, PearsonPerfectPositive)
@@ -133,41 +117,6 @@ TEST(Stats, SpearmanInvariantToMonotoneTransform)
     for (double y : ys)
         ys_cubed.push_back(y * y * y);
     EXPECT_NEAR(spearman(xs, ys), spearman(xs, ys_cubed), 1e-12);
-}
-
-TEST(RunningStats, MatchesBatchStatistics)
-{
-    Rng rng(7);
-    std::vector<double> xs;
-    RunningStats rs;
-    for (int i = 0; i < 1000; ++i) {
-        const double v = rng.uniform(-5.0, 5.0);
-        xs.push_back(v);
-        rs.add(v);
-    }
-    EXPECT_EQ(rs.count(), xs.size());
-    EXPECT_NEAR(rs.mean(), mean(xs), 1e-9);
-    EXPECT_NEAR(rs.stddev(), stddev(xs), 1e-9);
-    EXPECT_DOUBLE_EQ(rs.min(), minOf(xs));
-    EXPECT_DOUBLE_EQ(rs.max(), maxOf(xs));
-}
-
-TEST(RunningStats, EmptyIsSafe)
-{
-    RunningStats rs;
-    EXPECT_EQ(rs.count(), 0u);
-    EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
-}
-
-TEST(RunningStats, SingleSample)
-{
-    RunningStats rs;
-    rs.add(3.5);
-    EXPECT_DOUBLE_EQ(rs.mean(), 3.5);
-    EXPECT_DOUBLE_EQ(rs.min(), 3.5);
-    EXPECT_DOUBLE_EQ(rs.max(), 3.5);
-    EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
 }
 
 } // namespace

@@ -55,20 +55,6 @@ TEST(Strutil, ToUpper)
     EXPECT_EQ(toUpper("AcDef123"), "ACDEF123");
 }
 
-TEST(Strutil, StartsWith)
-{
-    EXPECT_TRUE(startsWith("prose-config", "prose"));
-    EXPECT_FALSE(startsWith("prose", "prose-config"));
-    EXPECT_TRUE(startsWith("x", ""));
-}
-
-TEST(Strutil, Join)
-{
-    EXPECT_EQ(join({ "a", "b", "c" }, ", "), "a, b, c");
-    EXPECT_EQ(join({}, ", "), "");
-    EXPECT_EQ(join({ "only" }, ", "), "only");
-}
-
 // --- checked numeric parsing (the prose-lint checked-parse helpers) ---
 
 TEST(CheckedParse, U64AcceptsPlainDigits)

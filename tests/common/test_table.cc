@@ -38,25 +38,6 @@ TEST(Table, ColumnsAligned)
     EXPECT_EQ(header.find("long-header"), row.find("1"));
 }
 
-TEST(Table, CsvEscapesCommasAndQuotes)
-{
-    Table table({ "k", "v" });
-    table.addRow({ "a,b", "say \"hi\"" });
-    std::ostringstream os;
-    table.printCsv(os);
-    EXPECT_NE(os.str().find("\"a,b\""), std::string::npos);
-    EXPECT_NE(os.str().find("\"say \"\"hi\"\"\""), std::string::npos);
-}
-
-TEST(Table, CsvPlainCellsUnquoted)
-{
-    Table table({ "k" });
-    table.addRow({ "plain" });
-    std::ostringstream os;
-    table.printCsv(os);
-    EXPECT_EQ(os.str(), "k\nplain\n");
-}
-
 TEST(Table, FmtFixedDecimals)
 {
     EXPECT_EQ(Table::fmt(3.14159, 2), "3.14");

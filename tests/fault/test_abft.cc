@@ -41,6 +41,15 @@ struct Workload
     Matrix a, b, acc;
 };
 
+/** `m` with every element rounded through bfloat16. */
+Matrix
+quantized(Matrix m)
+{
+    std::transform(m.data(), m.data() + m.size(), m.data(), quantizeBf16);
+    return m;
+}
+
+/** A tile whose operands hold the bf16 values the array streams. */
 Workload
 makeWorkload(Rng &rng, std::size_t m, std::size_t k, std::size_t n)
 {
@@ -49,8 +58,25 @@ makeWorkload(Rng &rng, std::size_t m, std::size_t k, std::size_t n)
     w.b = Matrix(k, n);
     w.a.fillGaussian(rng, 0.0f, 1.0f);
     w.b.fillGaussian(rng, 0.0f, 1.0f);
+    w.a = quantized(std::move(w.a));
+    w.b = quantized(std::move(w.b));
     w.acc = arrayAccumulate(w.a, w.b);
     return w;
+}
+
+AbftPlane
+planeOf(const Matrix &m)
+{
+    return AbftPlane{ m.data(), m.cols(), m.rows(), m.cols() };
+}
+
+/** Check (and repair) `acc` against operands that are already bf16. */
+AbftTileResult
+checkTile(AbftChecker &checker, const Matrix &a, const Matrix &b,
+          Matrix &acc)
+{
+    const AbftPlane pb = planeOf(b);
+    return checker.checkTile(planeOf(a), pb, abftPanelSums(pb), acc);
 }
 
 AbftChecker
@@ -67,7 +93,7 @@ TEST(Abft, CleanTileIsNotFlagged)
     Rng rng(1);
     Workload w = makeWorkload(rng, 64, 512, 64);
     AbftChecker checker = enabledChecker();
-    const AbftTileResult result = checker.checkTile(w.a, w.b, w.acc);
+    const AbftTileResult result = checkTile(checker, w.a, w.b, w.acc);
     EXPECT_FALSE(result.flagged);
     EXPECT_TRUE(result.suspectRows.empty());
     EXPECT_TRUE(result.suspectCols.empty());
@@ -83,7 +109,7 @@ TEST(Abft, SingleFlipIsLocatedAndCorrected)
     w.acc(17, 31) = flipFloatBit(original, 24);
 
     AbftChecker checker = enabledChecker();
-    const AbftTileResult result = checker.checkTile(w.a, w.b, w.acc);
+    const AbftTileResult result = checkTile(checker, w.a, w.b, w.acc);
     EXPECT_TRUE(result.flagged);
     ASSERT_EQ(result.located.size(), 1u);
     EXPECT_EQ(result.located[0].first, 17u);
@@ -103,7 +129,7 @@ TEST(Abft, LocateWithoutCorrectLeavesTheCellAlone)
     w.acc(4, 7) = flipped;
 
     AbftChecker checker = enabledChecker(/*correct=*/false);
-    const AbftTileResult result = checker.checkTile(w.a, w.b, w.acc);
+    const AbftTileResult result = checkTile(checker, w.a, w.b, w.acc);
     ASSERT_EQ(result.located.size(), 1u);
     EXPECT_TRUE(result.corrected.empty());
     EXPECT_EQ(w.acc(4, 7), flipped);
@@ -117,7 +143,7 @@ TEST(Abft, InfCellIsLocatedAndRepaired)
     w.acc(9, 9) = std::numeric_limits<float>::infinity();
 
     AbftChecker checker = enabledChecker();
-    const AbftTileResult result = checker.checkTile(w.a, w.b, w.acc);
+    const AbftTileResult result = checkTile(checker, w.a, w.b, w.acc);
     ASSERT_EQ(result.located.size(), 1u);
     EXPECT_EQ(result.located[0], (std::pair<std::size_t, std::size_t>{
                                      9u, 9u }));
@@ -135,7 +161,7 @@ TEST(Abft, TwoFlipsInDistinctRowsAndColsBothLocated)
     w.acc(30, 6) = flipFloatBit(orig_b, 29);
 
     AbftChecker checker = enabledChecker();
-    const AbftTileResult result = checker.checkTile(w.a, w.b, w.acc);
+    const AbftTileResult result = checkTile(checker, w.a, w.b, w.acc);
     ASSERT_EQ(result.located.size(), 2u);
     EXPECT_EQ(result.corrected.size(), 2u);
     EXPECT_NEAR(w.acc(3, 40), orig_a, 0.05f);
@@ -151,7 +177,7 @@ TEST(Abft, SameRowFlipsStayAmbiguousAndUncorrected)
     w.acc(12, 20) = flipFloatBit(w.acc(12, 20), 27);
 
     AbftChecker checker = enabledChecker();
-    const AbftTileResult result = checker.checkTile(w.a, w.b, w.acc);
+    const AbftTileResult result = checkTile(checker, w.a, w.b, w.acc);
     EXPECT_TRUE(result.flagged);
     EXPECT_TRUE(result.corrected.empty());
     EXPECT_GT(checker.stats().ambiguousElements, 0u);
@@ -174,7 +200,7 @@ TEST(Abft, CoverageOfVisibleFlipsIsAtLeast99Percent)
         w.acc(r, c) = flipFloatBit(w.acc(r, c), bit);
 
         AbftChecker checker = enabledChecker();
-        const AbftTileResult result = checker.checkTile(w.a, w.b, w.acc);
+        const AbftTileResult result = checkTile(checker, w.a, w.b, w.acc);
         if (result.located.size() == 1 && result.located[0].first == r &&
             result.located[0].second == c)
             ++located;
@@ -190,7 +216,7 @@ TEST(Abft, StatsAccumulateAcrossTilesAndReset)
     for (int t = 0; t < 3; ++t) {
         Workload w = makeWorkload(rng, 16, 64, 16);
         w.acc(1, 2) = flipFloatBit(w.acc(1, 2), 30);
-        checker.checkTile(w.a, w.b, w.acc);
+        checkTile(checker, w.a, w.b, w.acc);
     }
     EXPECT_EQ(checker.stats().tilesChecked, 3u);
     EXPECT_EQ(checker.stats().tilesFlagged, 3u);
@@ -206,8 +232,9 @@ TEST(Abft, PlaneCoreOnFusedPlanesMatchesTheMatrixWrapper)
     // A quantized and widened whole (row tile tm at wa + tm*k, stride
     // k), B compacted one column panel at a time, with the panel's
     // column sums taken once for every row tile. That path must give
-    // the Matrix wrapper's verdicts, repairs and stats bit for bit —
-    // partial edge tiles and NaN/Inf cells included.
+    // the verdicts, repairs and stats of the Matrix wrapper above
+    // (checkTile on each tile's operands quantized one by one), bit for
+    // bit — partial edge tiles and NaN/Inf cells included.
     const std::size_t m = 45, k = 70, n = 37, s = 16;
     Rng rng(13);
     Matrix a(m, k), b(k, n);
@@ -274,7 +301,8 @@ TEST(Abft, PlaneCoreOnFusedPlanesMatchesTheMatrixWrapper)
                 AbftPlane{ wa.data() + tm * k, k, rows, k }, b_plane,
                 b_sums, plane_acc);
             const AbftTileResult want =
-                matrix_checker.checkTile(a_tile, b_tile, acc);
+                checkTile(matrix_checker, quantized(a_tile),
+                          quantized(b_tile), acc);
             flagged += want.flagged;
             EXPECT_EQ(got.flagged, want.flagged) << tm << "," << tn;
             EXPECT_EQ(got.suspectRows, want.suspectRows);

@@ -15,11 +15,28 @@
 namespace prose {
 namespace {
 
-/** Column slice helper for head splitting. */
+/** Columns [head * dk, (head + 1) * dk) of x: one head's slice. */
 Matrix
 headSlice(const Matrix &x, std::size_t head, std::size_t dk)
 {
-    return sliceCols(x, head * dk, dk);
+    Matrix out(x.rows(), dk);
+    for (std::size_t i = 0; i < x.rows(); ++i)
+        for (std::size_t j = 0; j < dk; ++j)
+            out(i, j) = x(i, head * dk + j);
+    return out;
+}
+
+/** The per-head outputs side by side, head 0 leftmost. */
+Matrix
+concatHeads(const std::vector<Matrix> &heads)
+{
+    const std::size_t dk = heads.front().cols();
+    Matrix out(heads.front().rows(), heads.size() * dk);
+    for (std::size_t h = 0; h < heads.size(); ++h)
+        for (std::size_t i = 0; i < out.rows(); ++i)
+            for (std::size_t j = 0; j < dk; ++j)
+                out(i, h * dk + j) = heads[h](i, j);
+    return out;
 }
 
 /** Broadcast a bias vector into a 1 x n row matrix. */
@@ -78,7 +95,7 @@ TEST(LayerOnArrays, EncoderLayerMatchesModelWithinTolerance)
     const float inv_scale = 1.0f / std::sqrt(static_cast<float>(dk));
     const std::vector<Matrix> heads =
         sim.dataflow3(qs, ks, vs, inv_scale);
-    const Matrix context = hconcat(heads);
+    const Matrix context = concatHeads(heads);
 
     // Dataflow 1: attention output projection + bias, then a residual
     // MulAdd (modeled here as a second ADD pass via dataflow1 on an

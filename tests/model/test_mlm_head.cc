@@ -79,15 +79,6 @@ TEST_F(MlmHeadTest, SelfSubstitutionScoresZero)
     EXPECT_DOUBLE_EQ(head_.zeroShotScore(wild, 2, wild[2]), 0.0);
 }
 
-TEST_F(MlmHeadTest, PseudoLogLikelihoodIsNegativeAndAdditive)
-{
-    const double pll = head_.pseudoLogLikelihood("MEYQA");
-    EXPECT_LT(pll, 0.0);
-    // |PLL| per residue is bounded by log(vocab) on average only for a
-    // uniform model; sanity-bound it loosely.
-    EXPECT_GT(pll, -5.0 * std::log(31.0) * 4.0);
-}
-
 TEST_F(MlmHeadTest, WorksInAcceleratorNumerics)
 {
     const AminoTokenizer tok;

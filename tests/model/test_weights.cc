@@ -51,32 +51,6 @@ TEST(Weights, LayerNormInitializedToIdentity)
         EXPECT_EQ(b, 0.0f);
 }
 
-TEST(Weights, ParameterCountMatchesAnalytic)
-{
-    const BertConfig c = BertConfig::tiny();
-    const BertWeights w = BertWeights::initialize(c, 4);
-    const std::size_t h = c.hidden, f = c.intermediate;
-    const std::size_t per_layer = 4 * h * h + 4 * h // qkvo + biases
-                                  + 2 * h           // ln attn
-                                  + h * f + f       // w1 + b1
-                                  + f * h + h       // w2 + b2
-                                  + 2 * h;          // ln out
-    const std::size_t expected = c.vocabSize * h + c.maxSeqLen * h +
-                                 2 * h + c.layers * per_layer +
-                                 h * h + h; // pooler
-    EXPECT_EQ(w.parameterCount(), expected);
-}
-
-TEST(Weights, BertBaseParameterCountNearEightyMillion)
-{
-    // BERT-base-ish magnitude sanity (vocab here is tiny so the total
-    // sits near 86M from the encoder stack alone).
-    const BertConfig c = BertConfig::proteinBertBase();
-    const BertWeights w = BertWeights::initialize(c, 5);
-    EXPECT_GT(w.parameterCount(), 80'000'000u);
-    EXPECT_LT(w.parameterCount(), 95'000'000u);
-}
-
 TEST(Weights, InitStddevRoughlyRespected)
 {
     const BertConfig config = BertConfig::tiny();

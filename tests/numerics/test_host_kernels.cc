@@ -57,40 +57,6 @@ TEST(HostKernels, SoftmaxParallelMatchesSerial)
     EXPECT_EQ(Matrix::maxAbsDiff(serial, parallel), 0.0f);
 }
 
-TEST(HostKernels, LayerNormMatchesReference)
-{
-    Rng rng(4);
-    Matrix activations(10, 48);
-    activations.fillGaussian(rng, 0.5f, 2.0f);
-    std::vector<float> gamma(48), beta(48);
-    for (std::size_t j = 0; j < 48; ++j) {
-        gamma[j] = static_cast<float>(rng.uniform(0.5, 1.5));
-        beta[j] = static_cast<float>(rng.gaussian());
-    }
-
-    const Matrix reference =
-        layerNorm(activations, gamma, beta, 1e-12f);
-    Matrix in_place = activations;
-    hostLayerNorm(in_place, gamma, beta, 1e-12f, 4);
-    // The host kernel re-quantizes to bf16; compare at that resolution.
-    for (std::size_t i = 0; i < in_place.rows(); ++i)
-        for (std::size_t j = 0; j < in_place.cols(); ++j)
-            EXPECT_NEAR(in_place(i, j), reference(i, j),
-                        std::fabs(reference(i, j)) / 128.0f + 1e-3f);
-}
-
-TEST(HostKernels, LayerNormParallelMatchesSerial)
-{
-    Rng rng(5);
-    Matrix a(40, 32);
-    a.fillGaussian(rng, 0.0f, 1.0f);
-    std::vector<float> gamma(32, 1.0f), beta(32, 0.0f);
-    Matrix serial = a, parallel = a;
-    hostLayerNorm(serial, gamma, beta, 1e-12f, 1);
-    hostLayerNorm(parallel, gamma, beta, 1e-12f, 6);
-    EXPECT_EQ(Matrix::maxAbsDiff(serial, parallel), 0.0f);
-}
-
 TEST(HostKernels, ParallelRowsVisitsEveryRowOnce)
 {
     std::vector<std::atomic<int>> visits(257);
@@ -114,13 +80,6 @@ TEST(HostKernelsDeathTest, ZeroSoftmaxRowPanics)
 {
     Matrix zeros(2, 4, 0.0f);
     EXPECT_DEATH(hostSoftmaxDivide(zeros), "summed to zero");
-}
-
-TEST(HostKernelsDeathTest, LayerNormArityPanics)
-{
-    Matrix a(2, 4, 1.0f);
-    std::vector<float> wrong(3, 1.0f);
-    EXPECT_DEATH(hostLayerNorm(a, wrong, wrong, 1e-12f), "arity");
 }
 
 } // namespace

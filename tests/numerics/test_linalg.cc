@@ -112,12 +112,14 @@ TEST(Ridge, PredictRowsMatchesPredict)
         y[i] = x(i, 1) - x(i, 3);
     const RidgeModel model = ridgeFit(x, y, 0.5);
 
+    // Each row's prediction is the model's x . weights + intercept.
     const auto batch = model.predictRows(x);
+    ASSERT_EQ(batch.size(), 10u);
     for (std::size_t i = 0; i < 10; ++i) {
-        std::vector<double> row;
+        double expected = model.intercept;
         for (std::size_t j = 0; j < 4; ++j)
-            row.push_back(x(i, j));
-        EXPECT_NEAR(batch[i], model.predict(row), 1e-9);
+            expected += model.weights[j] * x(i, j);
+        EXPECT_NEAR(batch[i], expected, 1e-9);
     }
 }
 

@@ -129,19 +129,6 @@ TEST(MulAdd, ScalesAndAdds)
     EXPECT_FLOAT_EQ(c(0, 0), 7.0f);
 }
 
-TEST(MatDiv, ReciprocalMultiplication)
-{
-    Matrix a(2, 2, 8.0f);
-    const Matrix c = matDiv(a, 4.0f);
-    EXPECT_FLOAT_EQ(c(1, 1), 2.0f);
-}
-
-TEST(MatDivDeathTest, DivideByZeroPanics)
-{
-    Matrix a(1, 1, 1.0f);
-    EXPECT_DEATH(matDiv(a, 0.0f), "zero");
-}
-
 TEST(Transpose, Involution)
 {
     Rng rng(5);
@@ -219,41 +206,6 @@ TEST(LayerNorm, GainAndBiasApplied)
     for (std::size_t j = 0; j < 4; ++j)
         sum += out(0, j);
     EXPECT_NEAR(sum / 4.0, 10.0, 1e-4);
-}
-
-TEST(SliceAndConcat, RoundTrip)
-{
-    Rng rng(10);
-    const Matrix a = randomMatrix(rng, 4, 12);
-    const Matrix left = sliceCols(a, 0, 5);
-    const Matrix right = sliceCols(a, 5, 7);
-    EXPECT_EQ(Matrix::maxAbsDiff(hconcat({ left, right }), a), 0.0f);
-}
-
-TEST(SliceRows, ExtractsBlock)
-{
-    Rng rng(11);
-    const Matrix a = randomMatrix(rng, 8, 3);
-    const Matrix mid = sliceRows(a, 2, 4);
-    EXPECT_EQ(mid.rows(), 4u);
-    for (std::size_t i = 0; i < 4; ++i)
-        for (std::size_t j = 0; j < 3; ++j)
-            EXPECT_EQ(mid(i, j), a(i + 2, j));
-}
-
-TEST(Map, AppliesFunction)
-{
-    Matrix a(2, 2, 4.0f);
-    const Matrix out = map(a, [](float x) { return x * x; });
-    EXPECT_FLOAT_EQ(out(0, 0), 16.0f);
-}
-
-TEST(FrobeniusNorm, KnownValue)
-{
-    Matrix a(1, 2);
-    a(0, 0) = 3.0f;
-    a(0, 1) = 4.0f;
-    EXPECT_FLOAT_EQ(a.frobeniusNorm(), 5.0f);
 }
 
 TEST(QuantizeBf16InPlace, EveryElementRepresentable)
@@ -396,36 +348,17 @@ TEST(QuantizedOperand, MatchesPerCallQuantizationBitwise)
     const Matrix a = randomMatrix(rng, 19, 31);
     const Matrix w = randomMatrix(rng, 31, 11);
     const QuantizedOperand cached(w);
-    EXPECT_EQ(cached.version(), 1u);
-    EXPECT_EQ(Matrix::maxAbsDiff(matmulBf16(a, cached), matmulBf16(a, w)),
-              0.0f);
-}
-
-TEST(QuantizedOperand, UpdateTracksMutatedWeights)
-{
-    Rng rng(27);
-    const Matrix a = randomMatrix(rng, 6, 8);
-    Matrix w = randomMatrix(rng, 8, 4);
-    QuantizedOperand cached(w);
-    const std::uint64_t v1 = cached.version();
-
-    w(3, 2) += 64.0f; // well outside bf16 rounding noise
-    cached.update(w);
-    EXPECT_GT(cached.version(), v1);
     EXPECT_EQ(Matrix::maxAbsDiff(matmulBf16(a, cached), matmulBf16(a, w)),
               0.0f);
 }
 
 TEST(QuantizedOperand, DefaultIsEmpty)
 {
-    QuantizedOperand op;
+    const QuantizedOperand op;
     EXPECT_TRUE(op.empty());
-    EXPECT_EQ(op.version(), 0u);
     Rng rng(28);
-    const Matrix w = randomMatrix(rng, 3, 3);
-    op.update(w);
-    EXPECT_FALSE(op.empty());
-    EXPECT_EQ(op.version(), 1u);
+    const QuantizedOperand filled(randomMatrix(rng, 3, 3));
+    EXPECT_FALSE(filled.empty());
 }
 
 } // namespace

@@ -63,21 +63,6 @@ TEST(PowerModel, IdleHostStillBurnsDram)
                 1e-9);
 }
 
-TEST(PowerModel, EnergyIsPowerTimesTime)
-{
-    const PowerModel model;
-    const double watts =
-        model.systemPowerWatts(bestPerfGroups(), false, 0.2);
-    EXPECT_DOUBLE_EQ(
-        model.energyJoules(bestPerfGroups(), false, 0.2, 3.0),
-        watts * 3.0);
-}
-
-TEST(PowerModel, EfficiencyMetric)
-{
-    EXPECT_DOUBLE_EQ(PowerModel::efficiency(500.0, 50.0), 10.0);
-}
-
 TEST(PowerModel, WholeProseIsTinyFractionOfA100)
 {
     // The paper's headline: all of ProSE is a few percent of an A100's

@@ -56,6 +56,17 @@ fixture()
     return instance;
 }
 
+/** The recorded score of substituting `to` at `position`. */
+double
+effectOf(const MutationScan &scan, std::size_t position, char to)
+{
+    for (const MutationEffect &effect : scan.effects)
+        if (effect.position == position && effect.to == to)
+            return effect.score;
+    ADD_FAILURE() << "no effect recorded for " << position << " -> " << to;
+    return 0.0;
+}
+
 TEST(MutationScan, EnumeratesAllSubstitutions)
 {
     Fixture &f = fixture();
@@ -82,7 +93,7 @@ TEST(MutationScan, EffectsAreHeadDeltas)
             .predict(f.model.extractFeatures(
                 { tokenizer.encode(mutant, wild.size() + 2) }))
             .front();
-    EXPECT_NEAR(scan.effectAt(2, 'W'),
+    EXPECT_NEAR(effectOf(scan, 2, 'W'),
                 mutant_score - scan.wildTypeScore, 1e-9);
 }
 
@@ -107,7 +118,7 @@ TEST(MutationScan, RecoversHydropathyDirection)
     const std::string wild = "RRRRRRIIIIII";
     const MutationScan scan = scanMutations(f.model, f.head, wild, 64);
     // R -> I at an R site vs I -> R at an I site.
-    EXPECT_GT(scan.effectAt(0, 'I'), scan.effectAt(6, 'R'));
+    EXPECT_GT(effectOf(scan, 0, 'I'), effectOf(scan, 6, 'R'));
 }
 
 TEST(MutationScan, PredictedEffectsCorrelateWithTruth)

@@ -1,9 +1,7 @@
-/** @file Tests for arrival generation and the hardened trace loader. */
+/** @file Tests for arrival generation. */
 
 #include <cmath>
-#include <fstream>
 #include <limits>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -83,38 +81,6 @@ TEST(Arrivals, BurstyKeepsLongRunMeanRate)
     EXPECT_NEAR(mean_rate, 1000.0, 60.0);
 }
 
-TEST(Arrivals, DiurnalModulatesDensity)
-{
-    ArrivalSpec spec = poisson(20000);
-    spec.kind = ArrivalKind::Diurnal;
-    spec.diurnalPeriodSeconds = 10.0;
-    spec.diurnalAmplitude = 0.8;
-    const auto requests = generateArrivals(spec, 0.05);
-    // First half-period (rising sine) must be denser than the second.
-    std::uint64_t first = 0, second = 0;
-    for (const Request &request : requests) {
-        const double phase = std::fmod(request.arrivalSeconds, 10.0);
-        (phase < 5.0 ? first : second) += 1;
-    }
-    EXPECT_GT(static_cast<double>(first),
-              1.5 * static_cast<double>(second));
-}
-
-TEST(Arrivals, TraceKindHonorsRecords)
-{
-    ArrivalSpec spec;
-    spec.kind = ArrivalKind::Trace;
-    spec.trace = {
-        TraceArrival{ 0.0, 100, 0, 0.0 },
-        TraceArrival{ 0.5, 200, 2, 0.25 },
-    };
-    const auto requests = generateArrivals(spec, 0.05);
-    ASSERT_EQ(requests.size(), 2u);
-    EXPECT_DOUBLE_EQ(requests[0].deadlineSeconds, 0.05);
-    EXPECT_EQ(requests[1].priority, 2u);
-    EXPECT_DOUBLE_EQ(requests[1].deadlineSeconds, 0.75);
-}
-
 TEST(ArrivalsDeathTest, SpecValidation)
 {
     ArrivalSpec negative = poisson();
@@ -142,10 +108,6 @@ TEST(ArrivalsDeathTest, SpecValidation)
     burst.burstFraction = 1.5;
     EXPECT_EXIT(burst.validate(), testing::ExitedWithCode(1),
                 "burst fraction");
-    ArrivalSpec empty_trace;
-    empty_trace.kind = ArrivalKind::Trace;
-    EXPECT_EXIT(empty_trace.validate(), testing::ExitedWithCode(1),
-                "empty trace");
     ArrivalSpec dead_burst = poisson();
     dead_burst.kind = ArrivalKind::Bursty;
     dead_burst.burstPeriodSeconds = 0.0;
@@ -156,16 +118,6 @@ TEST(ArrivalsDeathTest, SpecValidation)
     weak_burst.burstMultiplier = 0.5;
     EXPECT_EXIT(weak_burst.validate(), testing::ExitedWithCode(1),
                 "burst multiplier must be >= 1");
-    ArrivalSpec dead_diurnal = poisson();
-    dead_diurnal.kind = ArrivalKind::Diurnal;
-    dead_diurnal.diurnalPeriodSeconds = -1.0;
-    EXPECT_EXIT(dead_diurnal.validate(), testing::ExitedWithCode(1),
-                "diurnal period must be positive");
-    ArrivalSpec wild_diurnal = poisson();
-    wild_diurnal.kind = ArrivalKind::Diurnal;
-    wild_diurnal.diurnalAmplitude = 1.0;
-    EXPECT_EXIT(wild_diurnal.validate(), testing::ExitedWithCode(1),
-                "diurnal amplitude");
 }
 
 TEST(ArrivalsDeathTest, DefaultSloMustBePositive)
@@ -177,113 +129,6 @@ TEST(ArrivalsDeathTest, DefaultSloMustBePositive)
                                  std::numeric_limits<double>::infinity()),
                 testing::ExitedWithCode(1),
                 "default SLO must be positive");
-}
-
-TEST(Arrivals, KindNamesAreStable)
-{
-    EXPECT_STREQ(toString(ArrivalKind::Poisson), "poisson");
-    EXPECT_STREQ(toString(ArrivalKind::Bursty), "bursty");
-    EXPECT_STREQ(toString(ArrivalKind::Diurnal), "diurnal");
-    EXPECT_STREQ(toString(ArrivalKind::Trace), "trace");
-}
-
-std::vector<TraceArrival>
-parseText(const std::string &text)
-{
-    std::istringstream in(text);
-    return parseArrivalTrace(in, "<test>");
-}
-
-TEST(ArrivalTrace, ParsesRecordsAndComments)
-{
-    const auto trace = parseText("# replayed drill\n"
-                                 "at=0.0 len=126\n"
-                                 "\n"
-                                 "at=0.25 len=300 prio=2 slo=0.1\n");
-    ASSERT_EQ(trace.size(), 2u);
-    EXPECT_DOUBLE_EQ(trace[0].atSeconds, 0.0);
-    EXPECT_EQ(trace[0].residues, 126u);
-    EXPECT_EQ(trace[1].priority, 2u);
-    EXPECT_DOUBLE_EQ(trace[1].sloSeconds, 0.1);
-}
-
-TEST(ArrivalTraceDeathTest, MalformedInputIsLineNumbered)
-{
-    EXPECT_EXIT(parseText("at=0 len=126\nat=-1 len=5\n"),
-                testing::ExitedWithCode(1),
-                "<test>:2: negative arrival time");
-    EXPECT_EXIT(parseText("at=0 len=0\n"), testing::ExitedWithCode(1),
-                "<test>:1: zero-length request");
-    EXPECT_EXIT(parseText("at=0 len=126\nat=0 len=126\n"),
-                testing::ExitedWithCode(1),
-                "duplicate arrival timestamp");
-    EXPECT_EXIT(parseText("at=1 len=126\nat=0.5 len=126\n"),
-                testing::ExitedWithCode(1), "non-decreasing");
-    EXPECT_EXIT(parseText("at=0 len=126 color=red\n"),
-                testing::ExitedWithCode(1), "unknown key");
-    EXPECT_EXIT(parseText("at=0\n"), testing::ExitedWithCode(1),
-                "both at= and len=");
-    EXPECT_EXIT(parseText("at=zero len=126\n"),
-                testing::ExitedWithCode(1), "bad number");
-    EXPECT_EXIT(parseText("at=0 len=-4\n"), testing::ExitedWithCode(1),
-                "bad non-negative integer");
-    EXPECT_EXIT(parseText("at=0 len=99999999999999999999999\n"),
-                testing::ExitedWithCode(1),
-                "bad non-negative integer for len");
-    EXPECT_EXIT(parseText("at=0 len=126 slo=0\n"),
-                testing::ExitedWithCode(1), "slo must be positive");
-    EXPECT_EXIT(parseText("garbage\n"), testing::ExitedWithCode(1),
-                "token without '='");
-    EXPECT_EXIT(parseText("# only a comment\n"),
-                testing::ExitedWithCode(1), "empty arrival trace");
-}
-
-// Fuzzing regressions (see tests/fuzz/corpus/arrival): priorities are
-// uint32_t, and the old code parsed 64 bits then truncated, so
-// prio=4294967297 silently became priority 1.
-TEST(ArrivalTraceDeathTest, PriorityPast32BitsIsRejectedNotTruncated)
-{
-    EXPECT_EXIT(parseText("at=0 len=126 prio=4294967297\n"),
-                testing::ExitedWithCode(1), "does not fit 32 bits");
-    EXPECT_EXIT(parseText("at=0 len=126 prio=-1\n"),
-                testing::ExitedWithCode(1), "bad non-negative integer");
-}
-
-TEST(ArrivalTrace, PriorityAtUint32MaxStillParses)
-{
-    const auto trace = parseText("at=0 len=126 prio=4294967295\n");
-    ASSERT_EQ(trace.size(), 1u);
-    EXPECT_EQ(trace[0].priority, 4294967295u);
-}
-
-TEST(ArrivalTraceDeathTest, NanTimestampsAreRejected)
-{
-    EXPECT_EXIT(parseText("at=nan len=126\n"),
-                testing::ExitedWithCode(1), "bad number");
-    EXPECT_EXIT(parseText("at=0 len=126 slo=inf\n"),
-                testing::ExitedWithCode(1), "bad number");
-}
-
-TEST(ArrivalTraceDeathTest, MissingFileIsFatal)
-{
-    EXPECT_EXIT(loadArrivalTrace("/nonexistent/trace.txt"),
-                testing::ExitedWithCode(1), "cannot open");
-}
-
-TEST(ArrivalTrace, LoadsFromFile)
-{
-    const std::string path =
-        testing::TempDir() + "/prose_arrival_test.txt";
-    {
-        std::ofstream out(path);
-        out << "# two-record trace\n"
-               "at=0.0 len=126\n"
-               "at=0.5 len=251 prio=2 slo=0.2\n";
-    }
-    const auto trace = loadArrivalTrace(path);
-    ASSERT_EQ(trace.size(), 2u);
-    EXPECT_EQ(trace[1].residues, 251u);
-    EXPECT_EQ(trace[1].priority, 2u);
 }
 
 } // namespace

@@ -55,7 +55,6 @@ TEST(Admission, DecisionTable)
     spec.deadlineAware = false;
     EXPECT_EQ(admit(spec, request, 0.8, 2, 0.5),
               AdmissionDecision::Admit);
-    EXPECT_STREQ(toString(AdmissionDecision::ShedOldest), "shed-oldest");
 }
 
 TEST(RetryPolicy, BackoffGrowsAndJitterIsDeterministic)
@@ -205,25 +204,6 @@ TEST(ServeSim, DeadlineAwareAdmissionShedsHopelessRequests)
     EXPECT_EQ(report.shedAdmission, 100u);
     EXPECT_EQ(report.lost(), 0u);
     EXPECT_EQ(report.batches, 0u);
-}
-
-TEST(ServeSim, TraceArrivalsDriveTheFrontEnd)
-{
-    ServeSpec spec = smallSpec();
-    const ServiceModel model(spec.instance, spec.model,
-                             spec.dispatchOverheadSeconds);
-    const double service = model.seconds(128, 1);
-    spec.arrivals.kind = ArrivalKind::Trace;
-    spec.arrivals.trace = {
-        TraceArrival{ 0.0, 126, 0, 0.0 },
-        TraceArrival{ 10.0 * service, 126, 1, 0.0 },
-        TraceArrival{ 20.0 * service, 126, 0, 0.0 },
-    };
-    const ServeReport report = ServeSim(spec).run();
-    EXPECT_EQ(report.offered, 3u);
-    EXPECT_EQ(report.done, 3u);
-    // Widely spaced arrivals cannot batch together.
-    EXPECT_EQ(report.batches, 3u);
 }
 
 TEST(ServeSim, DescribeCarriesTheHeadlineNumbers)

@@ -176,7 +176,6 @@ TEST(FunctionalSim, StatisticsAccumulateAcrossArrays)
     EXPECT_GT(sim.matmulCycles(), after_df1);
     EXPECT_GT(sim.simdCycles(), 0u);
     EXPECT_GT(sim.macCount(), 0u);
-    EXPECT_GT(sim.elapsedSeconds(), 0.0);
 }
 
 TEST(FunctionalSim, MatchesTimingModelCycleCounts)

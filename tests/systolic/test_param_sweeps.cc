@@ -56,7 +56,7 @@ TEST_P(ArrayDimSweep, CycleFormulaHolds)
     const std::size_t k = 2 * dim + 5;
     const std::uint64_t cycles =
         array.matmulTile(randomMatrix(dim, k), randomMatrix(k, dim));
-    EXPECT_EQ(cycles, TimingModel::tileMatmulCycles(dim, dim, k));
+    EXPECT_EQ(cycles, TimingModel::matmulCycles(dim, k, dim, dim));
 }
 
 TEST_P(ArrayDimSweep, SimdPassTakesLiveColumnCycles)

@@ -7,11 +7,25 @@
 namespace prose {
 namespace {
 
+/** One gated array cycle on a single buffer: fill, then consume one
+ *  entry if one is whole, else record a stall. */
+bool
+step(StreamBuffer &buffer)
+{
+    buffer.fillTick();
+    if (!buffer.available()) {
+        buffer.noteStall();
+        return false;
+    }
+    buffer.consume();
+    return true;
+}
+
 TEST(StreamBuffer, SufficientRateNeverStalls)
 {
     StreamBuffer buffer(8, 1.0);
     for (int i = 0; i < 1000; ++i)
-        EXPECT_TRUE(buffer.tick());
+        EXPECT_TRUE(step(buffer));
     EXPECT_EQ(buffer.stallCycles(), 0u);
     EXPECT_EQ(buffer.consumed(), 1000u);
 }
@@ -19,7 +33,7 @@ TEST(StreamBuffer, SufficientRateNeverStalls)
 TEST(StreamBuffer, OversupplyCapsAtDepth)
 {
     StreamBuffer buffer(8, 100.0);
-    buffer.tickNoConsume();
+    buffer.fillTick();
     EXPECT_LE(buffer.occupancy(), 8.0);
 }
 
@@ -28,7 +42,7 @@ TEST(StreamBuffer, HalfRateStallsHalfTheTime)
     StreamBuffer buffer(8, 0.5);
     std::uint64_t consumed = 0;
     for (int i = 0; i < 1000; ++i)
-        consumed += buffer.tick() ? 1 : 0;
+        consumed += step(buffer) ? 1 : 0;
     EXPECT_NEAR(static_cast<double>(consumed), 500.0, 10.0);
     EXPECT_NEAR(static_cast<double>(buffer.stallCycles()), 500.0, 10.0);
 }
@@ -39,7 +53,7 @@ TEST(StreamBuffer, FractionalRateAccumulates)
     StreamBuffer buffer(8, 0.25);
     std::uint64_t consumed = 0;
     for (int i = 0; i < 400; ++i)
-        consumed += buffer.tick() ? 1 : 0;
+        consumed += step(buffer) ? 1 : 0;
     EXPECT_EQ(consumed, 100u);
 }
 
@@ -48,22 +62,11 @@ TEST(StreamBuffer, PrefillAbsorbsBurst)
     // Little's Law: a full 8-deep buffer rides out 8 cycles of a
     // starved link before the array stalls.
     StreamBuffer buffer(8, 0.01);
-    buffer.fill();
+    buffer.restore(StreamBuffer::State{ 8.0, 0, 0, 0 }); // warm link
     int before_stall = 0;
-    while (buffer.tick())
+    while (step(buffer))
         ++before_stall;
     EXPECT_EQ(before_stall, 8);
-}
-
-TEST(StreamBuffer, ResetClearsEverything)
-{
-    StreamBuffer buffer(8, 0.5);
-    for (int i = 0; i < 100; ++i)
-        buffer.tick();
-    buffer.reset();
-    EXPECT_EQ(buffer.occupancy(), 0.0);
-    EXPECT_EQ(buffer.stallCycles(), 0u);
-    EXPECT_EQ(buffer.consumed(), 0u);
 }
 
 TEST(StreamBuffer, SplitPhaseApi)
@@ -78,32 +81,14 @@ TEST(StreamBuffer, SplitPhaseApi)
     EXPECT_EQ(buffer.stallCycles(), 1u);
 }
 
-TEST(StreamBuffer, FillProfileCyclesThroughRates)
-{
-    StreamBuffer buffer(8, 1.0);
-    EXPECT_TRUE(buffer.uniformFill());
-    buffer.setFillProfile({ 0.0, 2.0 });
-    EXPECT_FALSE(buffer.uniformFill());
-    EXPECT_FALSE(buffer.idealSupply());
-
-    buffer.fillTick(); // rate 0.0
-    EXPECT_FALSE(buffer.available());
-    buffer.fillTick(); // rate 2.0
-    EXPECT_EQ(buffer.occupancy(), 2.0);
-    EXPECT_EQ(buffer.fillTicks(), 2u);
-
-    buffer.setFillProfile({});
-    EXPECT_TRUE(buffer.uniformFill());
-}
-
 TEST(StreamBuffer, StateSnapshotRoundTrips)
 {
     StreamBuffer buffer(8, 0.7);
     for (int i = 0; i < 9; ++i)
-        buffer.tick();
+        step(buffer);
     const StreamBuffer::State saved = buffer.state();
     for (int i = 0; i < 5; ++i)
-        buffer.tick();
+        step(buffer);
     buffer.restore(saved);
     EXPECT_EQ(buffer.occupancy(), saved.occupancy);
     EXPECT_EQ(buffer.stallCycles(), saved.stalls);
@@ -151,29 +136,6 @@ TEST(StreamBufferDeathTest, ConsumeEmptyPanics)
 TEST(StreamBufferDeathTest, ZeroDepthRejected)
 {
     EXPECT_DEATH(StreamBuffer(0, 1.0), "depth");
-}
-
-// Fuzzing regression (fuzz_engine_equiv, corpus seed
-// seed_zero_fill_profile): a fill profile whose whole period is zero
-// never delivers an element, so tick() never succeeds and the stepped
-// engine livelocks. The buffer must reject it up front.
-TEST(StreamBufferDeathTest, AllZeroFillProfileRejected)
-{
-    StreamBuffer buffer(4, 1.0);
-    EXPECT_DEATH(buffer.setFillProfile({ 0.0 }),
-                 "supplies nothing over its period");
-    EXPECT_DEATH(buffer.setFillProfile({ 0.0, 0.0, 0.0 }),
-                 "supplies nothing over its period");
-}
-
-TEST(StreamBuffer, BurstProfileWithIdleTicksStillAccepted)
-{
-    StreamBuffer buffer(4, 1.0);
-    buffer.setFillProfile({ 0.0, 2.0 }); // idle tick, then a burst
-    EXPECT_FALSE(buffer.tick());         // nothing arrived yet
-    EXPECT_TRUE(buffer.tick());          // burst delivers
-    buffer.setFillProfile({});           // back to uniform supply
-    EXPECT_TRUE(buffer.uniformFill());
 }
 
 } // namespace

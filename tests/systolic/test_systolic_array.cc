@@ -81,10 +81,18 @@ TEST(SystolicMatmul, OutputStationaryAccumulationAcrossKTiles)
     const Matrix a = randomMatrix(rng, 6, 20);
     const Matrix b = randomMatrix(rng, 20, 6);
 
-    const Matrix a1 = sliceCols(a, 0, 10);
-    const Matrix a2 = sliceCols(a, 10, 10);
-    const Matrix b1 = sliceRows(b, 0, 10);
-    const Matrix b2 = sliceRows(b, 10, 10);
+    auto block = [](const Matrix &m, std::size_t r0, std::size_t c0,
+                    std::size_t rows, std::size_t cols) {
+        Matrix out(rows, cols);
+        for (std::size_t i = 0; i < rows; ++i)
+            for (std::size_t j = 0; j < cols; ++j)
+                out(i, j) = m(r0 + i, c0 + j);
+        return out;
+    };
+    const Matrix a1 = block(a, 0, 0, 6, 10);
+    const Matrix a2 = block(a, 0, 10, 6, 10);
+    const Matrix b1 = block(b, 0, 0, 10, 6);
+    const Matrix b2 = block(b, 10, 0, 10, 6);
     array.matmulTile(a1, b1);
     array.matmulTile(a2, b2);
 

@@ -20,8 +20,9 @@ randomMatrix(Rng &rng, std::size_t rows, std::size_t cols)
 
 TEST(TimingModel, TileFormulaMatchesCycleSteppedModel)
 {
-    // Property: the closed-form tile cycle count equals what the
-    // register-accurate model actually takes, across random shapes.
+    // Property: the closed-form cycle count of a one-tile product
+    // equals what the register-accurate model actually takes, across
+    // random shapes.
     Rng rng(1);
     for (int trial = 0; trial < 30; ++trial) {
         const std::size_t n = 2 + rng.below(12);
@@ -32,14 +33,13 @@ TEST(TimingModel, TileFormulaMatchesCycleSteppedModel)
             ArrayGeometry::mType(static_cast<std::uint32_t>(n)));
         const std::uint64_t measured = array.matmulTile(
             randomMatrix(rng, rows, k), randomMatrix(rng, k, cols));
-        EXPECT_EQ(measured,
-                  TimingModel::tileMatmulCycles(rows, cols, k));
+        EXPECT_EQ(measured, TimingModel::matmulCycles(rows, k, cols, n));
     }
 }
 
 TEST(TimingModel, FullMatmulEqualsTileEnumeration)
 {
-    // Closed form vs explicit tile-by-tile summation.
+    // Closed form vs explicit summation of one-tile products.
     for (std::uint64_t m : { 1u, 7u, 64u, 100u }) {
         for (std::uint64_t n : { 1u, 5u, 64u, 96u }) {
             for (std::uint64_t k : { 1u, 16u, 77u }) {
@@ -49,8 +49,8 @@ TEST(TimingModel, FullMatmulEqualsTileEnumeration)
                     const std::uint64_t rows = std::min(s, m - tm);
                     for (std::uint64_t tn = 0; tn < n; tn += s) {
                         const std::uint64_t cols = std::min(s, n - tn);
-                        expected += TimingModel::tileMatmulCycles(
-                            rows, cols, k);
+                        expected +=
+                            TimingModel::matmulCycles(rows, k, cols, s);
                     }
                 }
                 EXPECT_EQ(TimingModel::matmulCycles(m, k, n, s),

@@ -92,13 +92,6 @@ TEST(Op, ToStringCoversAllEnums)
 {
     EXPECT_STREQ(toString(OpKind::SoftmaxHost), "SoftmaxHost");
     EXPECT_STREQ(toString(Sublayer::Intermediate), "Intermediate");
-    EXPECT_STREQ(toString(OpCategory::BatchedMatMul), "Batched Mat Mul");
-    EXPECT_STREQ(toString(OpCategory::MatMul), "Matrix Multiply");
-    EXPECT_STREQ(toString(OpCategory::Softmax), "Softmax");
-    EXPECT_STREQ(toString(OpCategory::Gelu), "GELU");
-    EXPECT_STREQ(toString(OpCategory::MatAdd), "Matrix Add");
-    EXPECT_STREQ(toString(OpCategory::MatDiv), "Matrix Div");
-    EXPECT_STREQ(toString(OpCategory::Other), "Other");
 }
 
 TEST(Op, ElementwiseBytesIn)

@@ -26,38 +26,6 @@ TEST(OpTrace, TotalFlopsSums)
     EXPECT_DOUBLE_EQ(trace.totalFlops(), 2 * 2.0 * 2 * 3 * 4);
 }
 
-TEST(OpTrace, FlopsByCategorySplits)
-{
-    OpTrace trace;
-    trace.record(OpKind::MatMul, Sublayer::Attention, 0, 1, 2, 2, 2);
-    trace.record(OpKind::Bmm, Sublayer::Attention, 0, 4, 2, 2, 2);
-    const auto by_cat = trace.flopsByCategory();
-    EXPECT_DOUBLE_EQ(by_cat.at(OpCategory::MatMul), 16.0);
-    EXPECT_DOUBLE_EQ(by_cat.at(OpCategory::BatchedMatMul), 64.0);
-}
-
-TEST(OpTrace, CountByKind)
-{
-    OpTrace trace;
-    trace.record(OpKind::Exp, Sublayer::Attention, 0, 1, 2, 0, 2);
-    trace.record(OpKind::Exp, Sublayer::Attention, 1, 1, 2, 0, 2);
-    trace.record(OpKind::Gelu, Sublayer::Intermediate, 0, 1, 2, 0, 2);
-    const auto counts = trace.countByKind();
-    EXPECT_EQ(counts.at(OpKind::Exp), 2u);
-    EXPECT_EQ(counts.at(OpKind::Gelu), 1u);
-}
-
-TEST(OpTrace, LayerOpsFilter)
-{
-    OpTrace trace;
-    trace.record(OpKind::MatMul, Sublayer::Attention, 0, 1, 2, 2, 2);
-    trace.record(OpKind::MatMul, Sublayer::Attention, 1, 1, 2, 2, 2);
-    trace.record(OpKind::Embed, Sublayer::Embedding, -1, 1, 2, 0, 2);
-    EXPECT_EQ(trace.layerOps(0).size(), 1u);
-    EXPECT_EQ(trace.layerOps(1).size(), 1u);
-    EXPECT_EQ(trace.layerOps(-1).size(), 1u);
-}
-
 TEST(OpTrace, BroadcastFlagRecorded)
 {
     OpTrace trace;

@@ -1,15 +1,12 @@
 /** @file Property tests over randomly generated (grammar-valid) op
- *  traces: the dataflow builder, trace serialization, and task costing
- *  must hold for arbitrary workloads, not just BERT's. */
+ *  traces: the dataflow builder and task costing must hold for
+ *  arbitrary workloads, not just BERT's. */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "accel/perf_sim.hh"
 #include "common/random.hh"
 #include "systolic/timing_model.hh"
-#include "trace/trace_io.hh"
 
 namespace prose {
 namespace {
@@ -83,24 +80,6 @@ TEST(RandomTraces, BuilderAlwaysParsesGrammarValidTraces)
         for (const auto &task : tasks)
             ops += task.ops.size();
         EXPECT_EQ(ops, trace.size());
-    }
-}
-
-TEST(RandomTraces, SerializationRoundTripsArbitraryTraces)
-{
-    Rng rng(2);
-    for (int trial = 0; trial < 20; ++trial) {
-        const OpTrace trace = randomTrace(rng, 1 + rng.below(15));
-        std::ostringstream out;
-        writeTrace(out, trace);
-        std::istringstream in(out.str());
-        const OpTrace parsed = readTrace(in);
-        ASSERT_EQ(parsed.size(), trace.size());
-        for (std::size_t i = 0; i < trace.size(); ++i) {
-            EXPECT_EQ(parsed.at(i).kind, trace.at(i).kind);
-            EXPECT_EQ(parsed.at(i).m, trace.at(i).m);
-            EXPECT_EQ(parsed.at(i).broadcast, trace.at(i).broadcast);
-        }
     }
 }
 
