@@ -97,8 +97,8 @@ inArraySweep(const TwoLevelLut &lut, ArrayGeometry geometry, SimdOp op)
                         truncateBf16(lut.lookupFloat(xs(r, 0)));
                     if (out(r, 0) != want &&
                         !(std::isnan(out(r, 0)) && std::isnan(want)))
-                        fatal("in-array %s(%g) = %g, table says %g",
-                              toString(op), xs(r, 0), out(r, 0), want);
+                        fatal("in-array ", toString(op), "(", xs(r, 0),
+                              ") = ", out(r, 0), ", table says ", want);
                     ++checked;
                 }
             }

@@ -51,6 +51,12 @@ mechanically enforces them:
                   silently drop declarations), and no header other than
                   common/logging.hh may include <iostream> (iostream's
                   static init leaks into every TU and hides races).
+  log-format      no printf conversions (%s, %d, %g, ...) in string
+                  literals passed to fatal/panic/warn/PROSE_ASSERT in
+                  src/, bench/ or examples/. Those calls concatenate
+                  their arguments (common/logging.hh), so a format
+                  string prints its conversions verbatim and the
+                  values after it run together.
 
 A line may opt out with a trailing marker comment naming the rule, e.g.
     if (alpha != 0.0f)  // prose-lint: allow(float-eq) — guard, not math
@@ -71,7 +77,8 @@ import sys
 FLOAT_EQ_DIRS = ("src/numerics", "src/systolic")
 SRC_DIR = "src"
 CHECKED_PARSE_DIRS = (SRC_DIR, "bench", "examples")
-# Every directory walked; rules other than checked-parse stay on src/.
+# Every directory walked; rules other than checked-parse and log-format
+# stay on src/.
 LINT_DIRS = CHECKED_PARSE_DIRS
 
 # Files allowed to compare floats directly: the designated bit-equality
@@ -137,6 +144,14 @@ INTRINSICS_RE = re.compile(
     r"|\b_mm(?:256|512)?_\w+\s*\(|\b__m(?:128|256|512)[id]?\b|\b__mmask\d+\b"
 )
 
+# The concatenating log calls of common/logging.hh, and a printf
+# conversion inside one of their string literals ("%%" is a literal %).
+LOG_CALLS = {"fatal", "panic", "warn", "PROSE_ASSERT"}
+IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+PRINTF_CONV_RE = re.compile(
+    r"%[-+#0]*(?:\d+|\*)?(?:\.(?:\d+|\*))?(?:hh|h|ll|l|z|j|t|L)?"
+    r"[diouxXeEfgGaAcsp]")
+
 GUARD_IFNDEF_RE = re.compile(r"^\s*#ifndef\s+(\w+)")
 GUARD_DEFINE_RE = re.compile(r"^\s*#define\s+(\w+)\s*$")
 
@@ -195,6 +210,63 @@ def strip_comments_and_strings(line, in_block_comment):
             out.append(" ")
             i += 1
     return "".join(out), state == "block"
+
+
+def printf_log_calls(lines):
+    """Line numbers of the log calls (LOG_CALLS) whose string-literal
+    arguments hold a printf conversion. One pass over the file, so a
+    call's arguments may span lines; comments and char literals are
+    skipped."""
+    text = "\n".join(lines)
+    n = len(text)
+    i, line_no, depth = 0, 1, 0
+    pending = None  # line of a log-call name whose "(" comes next
+    open_calls = []  # [line, paren depth, has a printf conversion]
+    hits = []
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line_no += 1
+            i += 1
+        elif text.startswith("//", i):
+            end = text.find("\n", i)
+            i = n if end < 0 else end
+        elif text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            end = n if end < 0 else end + 2
+            line_no += text.count("\n", i, end)
+            i = end
+        elif c in "\"'":
+            j = i + 1
+            while j < n and text[j] != c and text[j] != "\n":
+                j += 2 if text[j] == "\\" else 1
+            literal = text[i + 1:j]
+            if (c == '"' and open_calls and
+                    PRINTF_CONV_RE.search(literal.replace("%%", ""))):
+                open_calls[-1][2] = True
+            i = j + 1
+        elif c.isalpha() or c == "_":
+            word = IDENT_RE.match(text, i).group(0)
+            i += len(word)
+            k = i
+            while k < n and text[k] in " \t":
+                k += 1
+            if word in LOG_CALLS and k < n and text[k] == "(":
+                pending = line_no
+        else:
+            if c == "(":
+                depth += 1
+                if pending is not None:
+                    open_calls.append([pending, depth, False])
+                    pending = None
+            elif c == ")":
+                if open_calls and open_calls[-1][1] == depth:
+                    call_line, _, formatted = open_calls.pop()
+                    if formatted:
+                        hits.append(call_line)
+                depth -= 1
+            i += 1
+    return hits
 
 
 def allowed_rules(line):
@@ -300,6 +372,16 @@ def lint_file(relpath, lines):
                     "— vector loops belong behind the dispatched "
                     "KernelSet (see docs/PERF.md) so PROSE_SIMD=scalar "
                     "and the cross-tier bit-equality tests cover them"))
+
+    if checked_parse_applies:
+        for idx in printf_log_calls(lines):
+            if "log-format" not in allowed_rules(lines[idx - 1]):
+                findings.append(Finding(
+                    "log-format", relpath, idx,
+                    "printf conversion in a fatal/panic/warn/"
+                    "PROSE_ASSERT message — these calls concatenate "
+                    "their arguments; pass the values as arguments "
+                    "between string pieces"))
 
     if is_header and in_src:
         guard = expected_guard(relpath)
@@ -462,6 +544,27 @@ SELF_TESTS = [
      "int x = std::stoi(t);  // prose-lint: allow(checked-parse)", []),
     ("src-only rules stay off bench", "bench/foo.cc",
      "std::cout << getenv(\"HOME\");", []),
+    ("printf conversion in fatal flagged", "bench/foo.cc",
+     'fatal("cross-check failed in %s mode", name);', ["log-format"]),
+    ("printf conversion in panic flagged", "src/accel/foo.cc",
+     'panic("bad tile %zu", idx);', ["log-format"]),
+    ("printf conversion in warn flagged", "examples/foo.cc",
+     'warn("rate %.3g too high", r);', ["log-format"]),
+    ("printf conversion in PROSE_ASSERT flagged", "src/serve/foo.cc",
+     'PROSE_ASSERT(ok, "request %d lost", id);', ["log-format"]),
+    ("format literal on a continuation line flagged", "bench/foo.cc",
+     "fatal(\n    \"in-array %s(%g) = %g\",\n    op, x, y);",
+     ["log-format"]),
+    ("concat-style fatal fine", "bench/foo.cc",
+     'fatal("cross-check failed in ", name, " mode");', []),
+    ("literal percent sign fine", "src/accel/foo.cc",
+     'warn("link at 90% of peak; 100%% busy");', []),
+    ("printf conversion outside log calls fine", "src/accel/foo.cc",
+     'snprintf(buf, sizeof buf, "%d", x);', []),
+    ("printf conversion in a comment fine", "src/accel/foo.cc",
+     'fatal("bad value ", v); // was fatal("bad %d", v)', []),
+    ("log-format marker honored", "src/accel/foo.cc",
+     'warn("%s", s);  // prose-lint: allow(log-format)', []),
 ]
 
 
@@ -497,7 +600,7 @@ def main():
     if args.list_rules:
         for rule in ("float-eq", "unordered-iter", "naked-getenv",
                      "no-cout", "include-guard", "intrinsics",
-                     "checked-parse"):
+                     "checked-parse", "log-format"):
             print(rule)
         return 0
     if args.self_test:

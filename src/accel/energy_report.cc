@@ -5,6 +5,20 @@
 
 namespace prose {
 
+namespace {
+
+/**
+ * Fraction of an array's Table 2 power it burns while idle (clock
+ * gating leaves leakage + clock tree). Synthesized SRAM-free arrays
+ * idle low.
+ */
+constexpr double kIdlePowerFraction = 0.3;
+
+/** Link SerDes energy per byte moved (NVLink-class). */
+constexpr double kLinkJoulesPerByte = 25e-12;
+
+} // namespace
+
 double
 EnergyReport::totalJoules() const
 {
@@ -22,8 +36,7 @@ EnergyReport::joulesPerInference(const SimReport &report) const
 }
 
 EnergyReport
-buildEnergyReport(const ProseConfig &config, const SimReport &report,
-                  const EnergySpec &spec)
+buildEnergyReport(const ProseConfig &config, const SimReport &report)
 {
     PROSE_ASSERT(report.makespan > 0.0, "energy report needs a run");
     EnergyReport energy;
@@ -48,15 +61,16 @@ buildEnergyReport(const ProseConfig &config, const SimReport &report,
         const double idle = std::max(0.0, total_span - busy);
         energy.arrayBusyJoules[idx] += busy * watts;
         energy.arrayIdleJoules[idx] +=
-            idle * watts * spec.idlePowerFraction;
+            idle * watts * kIdlePowerFraction;
     }
 
-    energy.cpuJoules = report.cpuDuty * spec.host.cpuActiveWatts *
-                       report.makespan;
-    energy.dramJoules = spec.host.dramWatts * report.makespan;
+    const HostPowerSpec host;
+    energy.cpuJoules =
+        report.cpuDuty * host.cpuActiveWatts * report.makespan;
+    energy.dramJoules = host.dramWatts * report.makespan;
     energy.linkJoules =
         static_cast<double>(report.bytesIn + report.bytesOut) *
-        spec.linkJoulesPerByte;
+        kLinkJoulesPerByte;
     return energy;
 }
 

@@ -17,22 +17,6 @@
 
 namespace prose {
 
-/** Energy accounting knobs. */
-struct EnergySpec
-{
-    /**
-     * Fraction of an array's Table 2 power it burns while idle (clock
-     * gating leaves leakage + clock tree). Synthesized SRAM-free
-     * arrays idle low.
-     */
-    double idlePowerFraction = 0.3;
-
-    /** Link SerDes energy per byte moved (NVLink-class). */
-    double linkJoulesPerByte = 25e-12;
-
-    HostPowerSpec host = HostPowerSpec{};
-};
-
 /** The ledger. */
 struct EnergyReport
 {
@@ -50,11 +34,12 @@ struct EnergyReport
 
 /**
  * Build the ledger for a finished run. Array busy seconds come from the
- * report's per-type tallies; idle = (makespan - busy/count) per array.
+ * report's per-type tallies; idle = (makespan - busy/count) per array,
+ * burning 30% of the array's Table 2 power; the link costs 25 pJ per
+ * byte moved; the host draws HostPowerSpec's defaults.
  */
 EnergyReport buildEnergyReport(const ProseConfig &config,
-                               const SimReport &report,
-                               const EnergySpec &spec = EnergySpec{});
+                               const SimReport &report);
 
 } // namespace prose
 

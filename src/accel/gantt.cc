@@ -12,6 +12,9 @@ namespace prose {
 
 namespace {
 
+/** Rows printed before the rest are summarized in one line. */
+constexpr std::size_t kMaxRows = 40;
+
 /** Activity symbol for a dataflow kind. */
 char
 symbolFor(DataflowKind kind)
@@ -74,8 +77,8 @@ renderGantt(std::ostream &out, const SimReport &report,
     out << "makespan\n";
     std::size_t printed = 0;
     for (const auto &[row, line] : rows) {
-        if (printed++ >= options.maxRows) {
-            out << "  ... (" << rows.size() - options.maxRows
+        if (printed++ >= kMaxRows) {
+            out << "  ... (" << rows.size() - kMaxRows
                 << " more rows)\n";
             break;
         }

@@ -22,13 +22,13 @@ struct GanttOptions
 {
     std::size_t columns = 72;   ///< time buckets across the page
     bool perPool = false;       ///< rows = pools (M/G/E) instead of threads
-    std::size_t maxRows = 40;   ///< clip very wide thread counts
 };
 
 /**
  * Render the schedule of a report recorded with
  * SimOptions::recordSchedule. Each cell is the dominant activity of
- * its row during that time bucket.
+ * its row during that time bucket. Very wide thread counts are clipped
+ * to the first 40 rows.
  */
 void renderGantt(std::ostream &out, const SimReport &report,
                  const GanttOptions &options = GanttOptions{});

@@ -10,6 +10,13 @@ namespace prose {
 
 namespace {
 
+/** Share of streamed bf16 words that quantize to +-0 (ZeroRun) — the
+ *  sparsity the matmul zero-skip fast path exploits, showing up again
+ *  on the wire. A workload constant; a conservative quarter. */
+constexpr double kZeroFraction = 0.25;
+/** Share of words whose high byte (sign + exponent + mantissa MSB)
+ *  matches their predecessor's (Delta). */
+constexpr double kDeltaHitFraction = 0.5;
 /** Mean zero-run length (bf16 words) the ZeroRun encoder assumes. */
 constexpr double kZeroRunWords = 16.0;
 /** Per-word framing overhead: one tag bit per 16-bit word. */
@@ -76,13 +83,13 @@ LinkSpec::compressionRatio() const
       case LinkCompression::ZeroRun:
         // Nonzero words verbatim; zero words collapse into one 2-byte
         // run token per mean run; one tag bit per word of framing.
-        ratio = (1.0 - zeroFraction) + zeroFraction / kZeroRunWords +
+        ratio = (1.0 - kZeroFraction) + kZeroFraction / kZeroRunWords +
                 kTagBitOverhead;
         break;
       case LinkCompression::Delta:
         // Hit words send only their low byte; misses go verbatim; one
         // header byte per 64-word block.
-        ratio = (1.0 - deltaHitFraction) + deltaHitFraction / 2.0 +
+        ratio = (1.0 - kDeltaHitFraction) + kDeltaHitFraction / 2.0 +
                 kDeltaHeaderOverhead;
         break;
     }
@@ -107,10 +114,6 @@ LinkSpec::validate() const
 {
     PROSE_ASSERT(lanes > 0, "link needs at least one lane");
     PROSE_ASSERT(totalBytesPerSecond > 0.0, "non-positive link bandwidth");
-    PROSE_ASSERT(zeroFraction >= 0.0 && zeroFraction <= 1.0,
-                 "zeroFraction must be in [0, 1]");
-    PROSE_ASSERT(deltaHitFraction >= 0.0 && deltaHitFraction <= 1.0,
-                 "deltaHitFraction must be in [0, 1]");
 }
 
 LinkSpec

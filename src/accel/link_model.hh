@@ -63,8 +63,8 @@ struct StreamSpec
  * On-link payload encoding. Both schemes are modeled (closed-form wire
  * bytes), never functional: the simulated values are untouched, only
  * the modeled transfer time shrinks. See docs/LINK_MODEL.md for the
- * byte model and LinkSpec::zeroFraction / deltaHitFraction for the
- * workload statistics that parameterize it.
+ * byte model and the workload statistics (zero-word and high-byte-hit
+ * shares, constants of link_model.cc) that parameterize it.
  */
 enum class LinkCompression : std::uint8_t
 {
@@ -82,24 +82,8 @@ struct LinkSpec
     double totalBytesPerSecond = gbps(270.0);
     std::uint32_t lanes = 6;
 
-    /**
-     * Time for the link layer to declare a hung transfer dead and hand
-     * it back for retry (watchdog granularity). Charged once per
-     * injected timeout fault by the performance simulator.
-     */
-    double timeoutDetectSeconds = 50e-6;
-
-    /** @name On-link compression model @{ */
+    /** On-link compression model. */
     LinkCompression compression = LinkCompression::None;
-    /** Share of streamed bf16 words that quantize to +-0 (ZeroRun) —
-     *  the sparsity the matmul zero-skip fast path exploits, showing
-     *  up again on the wire. A workload statistic, swept by the DSE;
-     *  the default is a conservative quarter. */
-    double zeroFraction = 0.25;
-    /** Share of words whose high byte (sign + exponent + mantissa MSB)
-     *  matches their predecessor's (Delta). */
-    double deltaHitFraction = 0.5;
-    /** @} */
 
     /** Bandwidth of one lane. */
     double laneBytesPerSecond() const
@@ -124,7 +108,7 @@ struct LinkSpec
     /** wire/logical ratio of the closed-form model (1.0 for None). */
     double compressionRatio() const;
 
-    /** Panics on out-of-range compression statistics. */
+    /** Panics on a link without lanes or bandwidth. */
     void validate() const;
 
     /** NVLink 2.0 at 80% achievable: 240 GB/s over 6 lanes. */

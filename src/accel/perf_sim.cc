@@ -13,6 +13,20 @@ namespace prose {
 
 namespace {
 
+/**
+ * I/O-buffer mutex hold time per accelerator task dispatch: DMA
+ * descriptor setup plus lock handoff. This is the thread-contention
+ * cost that grows with thread count (Section 3.1).
+ */
+constexpr double kIoLockSeconds = 5e-6;
+
+/**
+ * Time for the link layer to declare a hung transfer dead and hand it
+ * back for retry (watchdog granularity). Charged once per injected
+ * timeout fault.
+ */
+constexpr double kTimeoutDetectSeconds = 50e-6;
+
 /** Campaign site code of an array type ('M', 'G', 'E'). */
 char
 typeCode(ArrayType type)
@@ -491,8 +505,7 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
                         break;
                     if (outcome.timeout) {
                         ++report.linkTimeouts;
-                        fault_extra +=
-                            config_.link.timeoutDetectSeconds;
+                        fault_extra += kTimeoutDetectSeconds;
                     } else {
                         ++report.linkTransferErrors;
                     }
@@ -540,7 +553,7 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
             // while it sets up the transfer; the pool is released as
             // soon as its occupancy ends (the host-softmax tail of a
             // Dataflow 3 only blocks the issuing thread).
-            res.ioFree[idx] = best_start + options_.ioLockSeconds;
+            res.ioFree[idx] = best_start + kIoLockSeconds;
             res.poolFree[idx] = best_start + total_occupancy;
             pool_end = res.poolFree[idx];
 

@@ -160,13 +160,6 @@ struct RetryPolicy
 /** Simulator knobs. */
 struct SimOptions
 {
-    /**
-     * I/O-buffer mutex hold time per accelerator task dispatch: DMA
-     * descriptor setup plus lock handoff. This is the thread-contention
-     * cost that grows with thread count (Section 3.1).
-     */
-    double ioLockSeconds = 5e-6;
-
     /** Record per-task schedule items (costs memory on big runs). */
     bool recordSchedule = false;
 

@@ -8,6 +8,17 @@
 
 namespace prose {
 
+namespace {
+
+/**
+ * The one host CPU every instance shares: softmax/Other work from all
+ * of them lands on it, so each alive instance gets its share of the
+ * host's slots (see ProseSystem::run).
+ */
+const HostSpec kHost{};
+
+} // namespace
+
 double
 SystemReport::inferencesPerSecond() const
 {
@@ -75,11 +86,11 @@ ProseSystem::run(const BertShape &shape, FaultInjector *injector) const
                 first_reshard = now;
             const std::uint32_t ways =
                 static_cast<std::uint32_t>(alive.size());
-            HostSpec shared = config_.hostSpec;
+            HostSpec shared = kHost;
             shared.slots = std::max<std::uint32_t>(1, shared.slots / ways);
             shared.elemThroughput =
-                std::min(config_.hostSpec.elemThroughput / ways,
-                         config_.hostSpec.slotThroughput() * shared.slots);
+                std::min(kHost.elemThroughput / ways,
+                         kHost.slotThroughput() * shared.slots);
             const HostModel host(shared);
             std::size_t next = 0;
             for (std::uint32_t j = 0; j < ways; ++j) {
@@ -130,8 +141,7 @@ ProseSystem::run(const BertShape &shape, FaultInjector *injector) const
         report.throughputRetention = healthy_makespan / report.makespan;
         // Combined host duty over the whole host's capacity.
         report.hostDuty = std::min(
-            1.0, host_busy / (report.makespan *
-                              config_.hostSpec.slots));
+            1.0, host_busy / (report.makespan * kHost.slots));
     }
 
     const PowerModel power;

@@ -28,13 +28,6 @@ struct SystemConfig
 {
     ProseConfig instance = ProseConfig::bestPerf();
     std::uint32_t instanceCount = 4; ///< Grace-class hosts carry four
-
-    /**
-     * Host CPU capacity multiplier: softmax/Other work from all
-     * instances lands on one host, so per-instance host throughput is
-     * the single-host spec divided by the active instance count.
-     */
-    HostSpec hostSpec = HostSpec{};
 };
 
 /** Aggregated result of a system-level run. */

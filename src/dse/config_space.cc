@@ -37,47 +37,27 @@ enumerateMixes(const ConfigSpaceSpec &spec)
                     if (e < 1 || e > count_bound(e_dim))
                         continue;
 
-                    ProseConfig base;
+                    ProseConfig config;
                     std::ostringstream name;
                     name << "M64x" << m << "-G" << g_dim << "x" << g
                          << "-E" << e_dim << "x" << e;
-                    base.name = name.str();
-                    base.groups = {
+                    config.name = name.str();
+                    config.groups = {
                         { ArrayGeometry::mType(64), m },
                         { ArrayGeometry::gType(g_dim), g },
                         { ArrayGeometry::eType(e_dim),
                           static_cast<std::uint32_t>(e) },
                     };
-                    base.link = spec.link;
-                    base.partialInputBuffer = spec.partialInputBuffer;
-                    base.threads = spec.threads;
+                    config.link = spec.link;
+                    config.partialInputBuffer = spec.partialInputBuffer;
+                    config.threads = spec.threads;
                     // Placeholder partition; the engine sweeps these.
-                    base.lanes = LanePartition{
+                    config.lanes = LanePartition{
                         1, 1, spec.link.lanes - 2 };
-                    PROSE_ASSERT(base.totalPes() == spec.peBudget,
+                    PROSE_ASSERT(config.totalPes() == spec.peBudget,
                                  "budget arithmetic broke for ",
-                                 base.name);
-                    // Cross the mix with the streaming/compression
-                    // axes. Names stay untouched for the default
-                    // singleton sweeps so legacy explorations read
-                    // the same.
-                    const bool tag_axes =
-                        spec.streamingSweep.size() > 1 ||
-                        spec.compressionSweep.size() > 1;
-                    for (const StreamSpec &streaming :
-                         spec.streamingSweep) {
-                        for (const LinkCompression compression :
-                             spec.compressionSweep) {
-                            ProseConfig config = base;
-                            config.streaming = streaming;
-                            config.link.compression = compression;
-                            if (tag_axes)
-                                config.name +=
-                                    "-" + streaming.describe() + "-" +
-                                    toString(compression);
-                            mixes.push_back(std::move(config));
-                        }
-                    }
+                                 config.name);
+                    mixes.push_back(std::move(config));
                 }
             }
         }

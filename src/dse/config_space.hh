@@ -25,20 +25,6 @@ struct ConfigSpaceSpec
     LinkSpec link = LinkSpec::nvlink2At90();
     bool partialInputBuffer = true;
     std::uint32_t threads = 32;
-
-    /**
-     * Streaming configurations to cross with every array mix (the
-     * bandwidth-wall co-design axes). Both default to singletons —
-     * the instance default streaming spec and the link's own
-     * compression — so legacy sweeps keep their size. The count
-     * constructor value-initializes the one StreamSpec in place: an
-     * initializer list would copy it from a temporary, which GCC 12
-     * flags -Wmaybe-uninitialized at -O3.
-     */
-    std::vector<StreamSpec> streamingSweep = std::vector<StreamSpec>(1);
-    std::vector<LinkCompression> compressionSweep{
-        LinkCompression::None
-    };
 };
 
 /**

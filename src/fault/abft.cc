@@ -6,6 +6,22 @@
 
 namespace prose {
 
+namespace {
+
+/**
+ * Detection threshold as a fraction of the row/col absolute mass.
+ * bf16 x bf16 products are exact in fp32, so the only legitimate
+ * residual is fp32 accumulation rounding — a random walk of order
+ * sqrt(k) * eps_f32 relative to the absolute mass, which stays well
+ * under 1e-8 of the mass for practical depths while the smallest
+ * architecturally visible flip (fp32 bit 16) is 2^-7 of its cell.
+ * 2e-7 keeps ~20x margin against false positives and catches flips on
+ * all but vanishingly small cells.
+ */
+constexpr double kRelTolerance = 2e-7;
+
+} // namespace
+
 AbftChecker::AbftChecker(AbftOptions options) : options_(options) {}
 
 AbftPanelSums
@@ -81,7 +97,7 @@ AbftChecker::checkTile(const AbftPlane &a, const AbftPlane &b,
         row_expected[r] = expected;
         row_residual[r] = expected - actual;
         row_mass[r] = mass;
-        const double thresh = options_.relTolerance * mass;
+        const double thresh = kRelTolerance * mass;
         if (!(std::fabs(row_residual[r]) <= thresh))
             result.suspectRows.push_back(r);
     }
@@ -102,7 +118,7 @@ AbftChecker::checkTile(const AbftPlane &a, const AbftPlane &b,
     }
     for (std::size_t c = 0; c < cols; ++c) {
         col_residual[c] = col_expected[c] - col_actual[c];
-        const double thresh = options_.relTolerance * col_mass[c];
+        const double thresh = kRelTolerance * col_mass[c];
         if (!(std::fabs(col_residual[c]) <= thresh))
             result.suspectCols.push_back(c);
     }
@@ -123,7 +139,7 @@ AbftChecker::checkTile(const AbftPlane &a, const AbftPlane &b,
             const double skew =
                 std::fabs(row_residual[r] - col_residual[c]);
             const double tol =
-                options_.relTolerance * (row_mass[r] + col_mass[c]);
+                kRelTolerance * (row_mass[r] + col_mass[c]);
             if (skew <= tol)
                 candidates.push_back(c);
         }
@@ -136,16 +152,14 @@ AbftChecker::checkTile(const AbftPlane &a, const AbftPlane &b,
             const std::size_t c = candidates.front();
             result.located.emplace_back(r, c);
             ++exact;
-            if (options_.correct) {
-                // Rebuild the cell from its row checksum and the
-                // healthy cells (robust even when the cell is Inf/NaN).
-                double others = 0.0;
-                for (std::size_t j = 0; j < cols; ++j)
-                    if (j != c)
-                        others += accAt(r, j);
-                accAt(r, c) = static_cast<float>(row_expected[r] - others);
-                result.corrected.emplace_back(r, c);
-            }
+            // Rebuild the cell from its row checksum and the healthy
+            // cells (robust even when the cell is Inf/NaN).
+            double others = 0.0;
+            for (std::size_t j = 0; j < cols; ++j)
+                if (j != c)
+                    others += accAt(r, j);
+            accAt(r, c) = static_cast<float>(row_expected[r] - others);
+            result.corrected.emplace_back(r, c);
         } else if (!candidates.empty()) {
             for (const std::size_t c : candidates) {
                 result.located.emplace_back(r, c);

@@ -40,19 +40,6 @@ namespace prose {
 struct AbftOptions
 {
     bool enabled = false;
-    /** Repair located cells from the checksum residual. */
-    bool correct = true;
-    /**
-     * Detection threshold as a fraction of the row/col absolute mass.
-     * bf16 x bf16 products are exact in fp32, so the only legitimate
-     * residual is fp32 accumulation rounding — a random walk of order
-     * sqrt(k) * eps_f32 relative to the absolute mass, which stays well
-     * under 1e-8 of the mass for practical depths while the smallest
-     * architecturally visible flip (fp32 bit 16) is 2^-7 of its cell.
-     * 2e-7 keeps ~20x margin against false positives and catches flips
-     * on all but vanishingly small cells.
-     */
-    double relTolerance = 2e-7;
 };
 
 /**
@@ -129,7 +116,7 @@ class AbftChecker
     void resetStats() { stats_ = AbftStats{}; }
 
     /**
-     * Check (and optionally repair) one tile. `acc` is the live
+     * Check and repair one tile. `acc` is the live
      * accumulator region (rows x cols fp32) produced by streaming the
      * full k depth of `a` (rows x k) against `b` (k x cols); repaired
      * values are written back into `acc`. Both planes hold quantized

@@ -3,9 +3,9 @@
  * Runtime-dispatched SIMD kernel layer for the numerics/fsim hot loops.
  *
  * A KernelSet is a table of function pointers covering the inner loops
- * that dominate the profile: the fp32 MAC-row update behind the tiled
- * matmul, the bf16 GEMM microkernel behind the fast-forward systolic
- * engine and the cached-weight model path, the bf16<->fp32 conversion
+ * that dominate the profile: the fp32 and bf16 GEMM microkernels behind
+ * the tiled matmul, the fast-forward systolic engine and the
+ * cached-weight model path, the bf16<->fp32 conversion
  * sweeps, and the per-row SIMD-unit/softmax epilogues. Three tiers are
  * provided — scalar (the reference), AVX2, and AVX-512 (which picks up
  * the AVX512-BF16 convert instruction when the CPU has it) — selected
@@ -63,14 +63,6 @@ struct KernelSet
 {
     /** Tier name for logs ("scalar", "avx2", ...). */
     const char *name;
-
-    /** c[j] += av * b[j] — fp32 MAC-row, product and sum each rounded
-     *  (no FMA). */
-    void (*macRowF32)(float *c, const float *b, float av, std::size_t n);
-
-    /** acc[j] += av * widen(b[j]) — MAC-row against a bf16-bits row. */
-    void (*macRowBf16)(float *acc, const std::uint16_t *b, float av,
-                       std::size_t n);
 
     /**
      * acc[i][j] += sum_k widen(a[i][k]) * widen(b[k][j]), accumulated

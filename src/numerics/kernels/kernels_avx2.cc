@@ -119,35 +119,6 @@ truncate8(__m256 v)
         _mm256_and_si256(_mm256_castps_si256(v), hiMask()));
 }
 
-void
-macRowF32Avx2(float *c, const float *b, float av, std::size_t n)
-{
-    const __m256 avv = _mm256_set1_ps(av);
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m256 prod = _mm256_mul_ps(avv, _mm256_loadu_ps(b + j));
-        _mm256_storeu_ps(c + j,
-                         _mm256_add_ps(_mm256_loadu_ps(c + j), prod));
-    }
-    for (; j < n; ++j)
-        c[j] += av * b[j];
-}
-
-void
-macRowBf16Avx2(float *acc, const std::uint16_t *b, float av,
-               std::size_t n)
-{
-    const __m256 avv = _mm256_set1_ps(av);
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m256 prod = _mm256_mul_ps(avv, widen8(b + j));
-        _mm256_storeu_ps(
-            acc + j, _mm256_add_ps(_mm256_loadu_ps(acc + j), prod));
-    }
-    for (; j < n; ++j)
-        acc[j] += av * widenBits(b[j]);
-}
-
 /** One row of the bf16 tile GEMM (the remainder path under the 2-row
  *  blocking): 32-wide blocks keep four accumulator vectors in
  *  registers across the whole k loop, so each accumulator's
@@ -593,8 +564,6 @@ avx2KernelSet()
 {
     static const KernelSet set = {
         "avx2",
-        macRowF32Avx2,
-        macRowBf16Avx2,
         gemmTileBf16Avx2,
         gemmTileF32Avx2,
         quantizeBitsRowAvx2,

@@ -118,47 +118,6 @@ truncate16(__m512 v)
         _mm512_and_si512(_mm512_castps_si512(v), hiMask()));
 }
 
-void
-macRowF32Avx512(float *c, const float *b, float av, std::size_t n)
-{
-    const __m512 avv = _mm512_set1_ps(av);
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-        const __m512 prod = _mm512_mul_ps(avv, _mm512_loadu_ps(b + j));
-        _mm512_storeu_ps(c + j,
-                         _mm512_add_ps(_mm512_loadu_ps(c + j), prod));
-    }
-    if (j < n) {
-        const __mmask16 m = headMask(n - j);
-        const __m512 prod =
-            _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(m, b + j));
-        const __m512 sum =
-            _mm512_add_ps(_mm512_maskz_loadu_ps(m, c + j), prod);
-        _mm512_mask_storeu_ps(c + j, m, sum);
-    }
-}
-
-void
-macRowBf16Avx512(float *acc, const std::uint16_t *b, float av,
-                 std::size_t n)
-{
-    const __m512 avv = _mm512_set1_ps(av);
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-        const __m512 prod =
-            _mm512_mul_ps(avv, widen16(b + j, 0xffff));
-        _mm512_storeu_ps(
-            acc + j, _mm512_add_ps(_mm512_loadu_ps(acc + j), prod));
-    }
-    if (j < n) {
-        const __mmask16 m = headMask(n - j);
-        const __m512 prod = _mm512_mul_ps(avv, widen16(b + j, m));
-        const __m512 sum =
-            _mm512_add_ps(_mm512_maskz_loadu_ps(m, acc + j), prod);
-        _mm512_mask_storeu_ps(acc + j, m, sum);
-    }
-}
-
 /** Rows per register block of the GEMM core (the widest R below). */
 constexpr std::size_t kRowBlock = 6;
 
@@ -634,8 +593,6 @@ avx512KernelSet()
 {
     static const KernelSet set = {
         "avx512",
-        macRowF32Avx512,
-        macRowBf16Avx512,
         gemmTileBf16Avx512,
         gemmTileF32Avx512,
         quantizeBitsRowAvx512,

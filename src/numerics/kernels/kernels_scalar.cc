@@ -153,8 +153,6 @@ scalarKernelSet()
 {
     static const KernelSet set = {
         "scalar",
-        macRowF32Scalar,
-        macRowBf16Scalar,
         gemmTileBf16Scalar,
         gemmTileF32Scalar,
         quantizeBitsRowScalar,

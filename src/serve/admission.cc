@@ -6,8 +6,7 @@ AdmissionDecision
 admit(const AdmissionSpec &spec, const Request &request, double now,
       std::uint64_t queued, double best_case_service)
 {
-    if (spec.deadlineAware &&
-        now + best_case_service > request.deadlineSeconds)
+    if (now + best_case_service > request.deadlineSeconds)
         return AdmissionDecision::ShedSelf;
     if (spec.maxQueueDepth > 0 && queued >= spec.maxQueueDepth)
         return AdmissionDecision::ShedOldest;

@@ -34,12 +34,6 @@ struct AdmissionSpec
 {
     /** Bounded queue depth across all buckets; 0 = unbounded. */
     std::uint64_t maxQueueDepth = 1024;
-    /** Reject requests whose deadline is unreachable at admission. */
-    bool deadlineAware = true;
-
-    /** fatal() on nonsensical values (currently none possible; kept
-     *  for spec-shape symmetry and forward compatibility). */
-    void validate() const {}
 };
 
 /** What to do with one arriving request. */

@@ -1,12 +1,12 @@
 /**
  * @file
- * Intrusive FIFO / priority queues over the serving simulator's request
- * arena. Requests live in one std::vector<Request> for the whole run
- * (stable RequestIds == indices); queues are just head/tail indices
- * threaded through each request's prev/next fields, in the style of the
- * HTTP/2 stream lists — no per-enqueue allocation, O(1) removal from
- * the middle (deadline expiry, oldest-first shedding), and fully
- * deterministic iteration order (arrival order within a priority band).
+ * Intrusive FIFO queue over the serving simulator's request arena.
+ * Requests live in one std::vector<Request> for the whole run (stable
+ * RequestIds == indices); a queue is just head/tail indices threaded
+ * through each request's prev/next fields, in the style of the HTTP/2
+ * stream lists — no per-enqueue allocation, O(1) removal from the
+ * middle (deadline expiry, oldest-first shedding), and fully
+ * deterministic iteration order (arrival order).
  *
  * A request may sit in at most one queue at a time; enqueueing a linked
  * request or unlinking an unlinked one panics.
@@ -15,7 +15,6 @@
 #ifndef PROSE_SERVE_QUEUE_HH
 #define PROSE_SERVE_QUEUE_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -107,89 +106,6 @@ class RequestFifo
     std::int32_t head_ = kNoRequest;
     std::int32_t tail_ = kNoRequest;
     std::uint32_t size_ = 0;
-};
-
-/**
- * A small fixed set of priority bands, FIFO within each. Pop serves the
- * highest band first; shedding takes the oldest request of the lowest
- * band first (bulk work pays for overload before latency-sensitive
- * work does).
- */
-class PriorityRequestQueue
-{
-  public:
-    /** Priority bands 0..kBands-1; higher values clamp to the top. */
-    static constexpr std::uint32_t kBands = 4;
-
-    static std::uint32_t
-    band(std::uint32_t priority)
-    {
-        return priority < kBands ? priority : kBands - 1;
-    }
-
-    bool
-    empty() const
-    {
-        for (const RequestFifo &fifo : bands_)
-            if (!fifo.empty())
-                return false;
-        return true;
-    }
-
-    std::uint32_t
-    size() const
-    {
-        std::uint32_t total = 0;
-        for (const RequestFifo &fifo : bands_)
-            total += fifo.size();
-        return total;
-    }
-
-    void
-    push(RequestArena &arena, RequestId id)
-    {
-        bands_[band(arena[id].priority)].pushBack(arena, id);
-    }
-
-    /** Oldest request of the highest non-empty band; kNoRequest when
-     *  empty. */
-    std::int32_t
-    front() const
-    {
-        for (std::uint32_t b = kBands; b-- > 0;)
-            if (!bands_[b].empty())
-                return bands_[b].front();
-        return kNoRequest;
-    }
-
-    RequestId
-    pop(RequestArena &arena)
-    {
-        for (std::uint32_t b = kBands; b-- > 0;)
-            if (!bands_[b].empty())
-                return bands_[b].popFront(arena);
-        panic("pop on an empty priority queue");
-    }
-
-    /** Oldest request of the lowest non-empty band (the shed victim);
-     *  kNoRequest when empty. */
-    std::int32_t
-    shedVictim() const
-    {
-        for (std::uint32_t b = 0; b < kBands; ++b)
-            if (!bands_[b].empty())
-                return bands_[b].front();
-        return kNoRequest;
-    }
-
-    void
-    remove(RequestArena &arena, RequestId id)
-    {
-        bands_[band(arena[id].priority)].remove(arena, id);
-    }
-
-  private:
-    std::array<RequestFifo, kBands> bands_{};
 };
 
 } // namespace prose

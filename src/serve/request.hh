@@ -57,7 +57,6 @@ struct Request
     RequestId id = 0;
     double arrivalSeconds = 0.0;  ///< open-loop arrival time
     std::uint64_t residues = 0;   ///< protein length (pre-CLS/SEP)
-    std::uint32_t priority = 0;   ///< higher serves first (0 = bulk)
     double deadlineSeconds = 0.0; ///< absolute SLO deadline
 
     RequestState state = RequestState::Queued;

@@ -42,7 +42,7 @@ ServeBatcher::enqueue(RequestArena &arena, RequestId id)
                  " request");
     const std::uint64_t bucket =
         bucketForTokens(request.residues + 2, spec_.buckets);
-    buckets_[bucket].push(arena, id);
+    buckets_[bucket].pushBack(arena, id);
     ++queued_;
 }
 
@@ -68,24 +68,17 @@ ServeBatcher::effectiveMaxBatch() const
 std::int32_t
 ServeBatcher::shedVictim(const RequestArena &arena) const
 {
+    // Ascending bucket order with a strict comparison: a tie on
+    // arrival time keeps the smaller bucket's front.
     std::int32_t victim = kNoRequest;
-    std::uint32_t victim_band = PriorityRequestQueue::kBands;
     for (const auto &[len, queue] : buckets_) {
-        const std::int32_t candidate = queue.shedVictim();
+        const std::int32_t candidate = queue.front();
         if (candidate == kNoRequest)
             continue;
-        const Request &request =
-            arena[static_cast<std::size_t>(candidate)];
-        const std::uint32_t band =
-            PriorityRequestQueue::band(request.priority);
-        if (victim == kNoRequest || band < victim_band ||
-            (band == victim_band &&
-             request.arrivalSeconds <
-                 arena[static_cast<std::size_t>(victim)]
-                     .arrivalSeconds)) {
+        if (victim == kNoRequest ||
+            arena[static_cast<std::size_t>(candidate)].arrivalSeconds <
+                arena[static_cast<std::size_t>(victim)].arrivalSeconds)
             victim = candidate;
-            victim_band = band;
-        }
     }
     return victim;
 }
@@ -93,7 +86,7 @@ ServeBatcher::shedVictim(const RequestArena &arena) const
 double
 ServeBatcher::latestSafeClose(const RequestArena &arena,
                               std::uint64_t bucket_len,
-                              const PriorityRequestQueue &queue) const
+                              const RequestFifo &queue) const
 {
     const std::int32_t front = queue.front();
     if (front == kNoRequest)
@@ -124,7 +117,7 @@ ServeBatcher::close(RequestArena &arena, double now, ClosedBatch &out,
     // (the map iteration order breaks the final tie deterministically).
     const std::uint64_t eff_max = effectiveMaxBatch();
     std::uint64_t chosen_len = 0;
-    const PriorityRequestQueue *chosen = nullptr;
+    const RequestFifo *chosen = nullptr;
     int chosen_class = 0; // 2 = full, 1 = urgent, 0 = none/forced
     double chosen_deadline = kInf;
     for (const auto &[len, queue] : buckets_) {
@@ -153,12 +146,12 @@ ServeBatcher::close(RequestArena &arena, double now, ClosedBatch &out,
     if (!chosen)
         return false;
 
-    PriorityRequestQueue &queue = buckets_[chosen_len];
+    RequestFifo &queue = buckets_[chosen_len];
     out.paddedLength = chosen_len;
     out.members.clear();
     out.expired.clear();
     while (!queue.empty() && out.members.size() < eff_max) {
-        const RequestId id = queue.pop(arena);
+        const RequestId id = queue.popFront(arena);
         --queued_;
         transition(arena[id], RequestState::Batched, now);
         out.members.push_back(id);

@@ -81,10 +81,10 @@ class ServeBatcher
     std::uint64_t effectiveMaxBatch() const;
 
     /**
-     * Oldest lowest-priority request across all buckets — the victim
-     * of an oldest-first overload shed — or kNoRequest when empty.
-     * The victim is *not* removed; callers shed via remove() so the
-     * state transition stays theirs.
+     * Oldest arrival across all buckets (a tie goes to the smaller
+     * bucket) — the victim of an oldest-first overload shed — or
+     * kNoRequest when empty. The victim is *not* removed; callers shed
+     * via remove() so the state transition stays theirs.
      */
     std::int32_t shedVictim(const RequestArena &arena) const;
 
@@ -99,7 +99,7 @@ class ServeBatcher
      * Close the most urgent dispatchable batch at time `now`: a bucket
      * that is full, or whose latest safe close time has arrived. Ties
      * break to the earliest front-request deadline, then the smaller
-     * bucket. Members are popped in priority-then-arrival order,
+     * bucket. Members are popped in arrival order,
      * transitioned to BATCHED, and deadline-checked (single pass with
      * the post-drop service estimate); drops land in `expired` as
      * TIMED_OUT. Returns false when no bucket should close yet.
@@ -121,13 +121,13 @@ class ServeBatcher
      *  member's deadline, given current occupancy. */
     double latestSafeClose(const RequestArena &arena,
                            std::uint64_t bucket_len,
-                           const PriorityRequestQueue &queue) const;
+                           const RequestFifo &queue) const;
 
     ServeBatcherSpec spec_;
     const ServiceModel &model_;
     /** bucket padded length -> queued requests (ordered map keeps every
      *  sweep deterministic). */
-    std::map<std::uint64_t, PriorityRequestQueue> buckets_;
+    std::map<std::uint64_t, RequestFifo> buckets_;
     std::uint64_t queued_ = 0;
 };
 

@@ -36,7 +36,6 @@ ServeSpec::validate() const
 {
     arrivals.validate();
     batcher.validate();
-    admission.validate();
     retry.validate();
     if (!(sloSeconds > 0.0) || !std::isfinite(sloSeconds))
         fatal("serve: SLO must be a positive number of seconds");

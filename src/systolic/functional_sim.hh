@@ -85,8 +85,8 @@ class FunctionalSimulator
 
     /**
      * Enable/disable Huang-Abraham ABFT checking of every matmul tile.
-     * When options.correct is set, located accumulators are repaired
-     * in place before the fused SIMD passes consume them.
+     * Located accumulators are repaired in place before the fused SIMD
+     * passes consume them.
      */
     void setAbft(AbftOptions options);
 

@@ -338,9 +338,9 @@ TEST(FaultRecovery, UnevenHostShareKeepsTheHostsPerSlotRate)
     const SystemReport report = system.run(kFleetShape, &injector);
     ASSERT_EQ(report.perInstance.size(), 4u + 3u);
 
-    HostSpec share = config.hostSpec;
+    HostSpec share;
     share.slots = 5;
-    share.elemThroughput = 5 * config.hostSpec.slotThroughput();
+    share.elemThroughput = 5 * HostSpec{}.slotThroughput();
     BertShape slice = kFleetShape;
     slice.batch = 3; // 8 dropped inferences over 3 survivors: 3, 3, 2
     const PerfSim sim(config.instance,

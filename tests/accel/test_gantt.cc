@@ -71,10 +71,13 @@ TEST(Gantt, PerPoolRowsNamed)
 
 TEST(Gantt, MaxRowsClipsOutput)
 {
-    GanttOptions options;
-    options.maxRows = 2;
-    const std::string text = ganttText(recordedRun(4), options);
-    EXPECT_NE(text.find("more rows"), std::string::npos);
+    // 40 rows print; the other 8 of 48 threads collapse into one line.
+    const std::string text = ganttText(recordedRun(48));
+    EXPECT_NE(text.find("thread 39|"), std::string::npos);
+    EXPECT_EQ(text.find("thread 40|"), std::string::npos);
+    EXPECT_NE(text.find("  ... (8 more rows)"), std::string::npos);
+    EXPECT_EQ(ganttText(recordedRun(40)).find("more rows"),
+              std::string::npos);
 }
 
 TEST(GanttDeathTest, NeedsARecordedSchedule)

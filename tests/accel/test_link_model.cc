@@ -62,10 +62,6 @@ TEST(LinkSpecDeathTest, ValidateRejectsBadSpecs)
     LinkSpec no_lanes = LinkSpec::nvlink2At80();
     no_lanes.lanes = 0;
     EXPECT_DEATH(no_lanes.validate(), "at least one lane");
-
-    LinkSpec bad_fraction = LinkSpec::nvlink2At80();
-    bad_fraction.zeroFraction = 1.5;
-    EXPECT_DEATH(bad_fraction.validate(), "zeroFraction");
 }
 
 TEST(StreamSpec, DescribeNamesTheModeAndDepth)
@@ -119,27 +115,18 @@ TEST(LinkCompression, WireBytesShrinkAndNeverExpand)
 
 TEST(LinkCompression, RatiosFollowTheWorkloadStatistics)
 {
-    // More zeros -> smaller ZeroRun ratio; more high-byte hits ->
-    // smaller Delta ratio. All-miss workloads degrade to passthrough
-    // (the clamp), never expansion.
+    // The workload constants: a quarter of the words are zero (ZeroRun,
+    // 16-word mean runs, one tag bit per word) and half share their
+    // predecessor's high byte (Delta, one header byte per 64 words).
     LinkSpec zero = LinkSpec::nvlink2At80();
     zero.compression = LinkCompression::ZeroRun;
-    zero.zeroFraction = 0.0;
-    EXPECT_DOUBLE_EQ(zero.compressionRatio(), 1.0);
-    const double at25 =
-        (zero.zeroFraction = 0.25, zero.compressionRatio());
-    const double at75 =
-        (zero.zeroFraction = 0.75, zero.compressionRatio());
-    EXPECT_LT(at75, at25);
-    EXPECT_LT(at25, 1.0);
+    EXPECT_NEAR(zero.compressionRatio(),
+                0.75 + 0.25 / 16.0 + 1.0 / 16.0, 1e-12);
 
     LinkSpec delta = LinkSpec::nvlink2At80();
     delta.compression = LinkCompression::Delta;
-    delta.deltaHitFraction = 0.0;
-    EXPECT_DOUBLE_EQ(delta.compressionRatio(), 1.0);
-    delta.deltaHitFraction = 1.0;
-    // All hits: half the payload plus the block headers.
-    EXPECT_NEAR(delta.compressionRatio(), 0.5 + 1.0 / 128.0, 1e-12);
+    EXPECT_NEAR(delta.compressionRatio(), 0.5 + 0.5 / 2.0 + 1.0 / 128.0,
+                1e-12);
 }
 
 TEST(LanePartition, BandwidthSplitsByLaneCount)

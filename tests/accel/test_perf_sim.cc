@@ -245,26 +245,29 @@ TEST(PerfSim, ConfigDrivesTheTrafficModel)
     EXPECT_GT(b.makespan, a.makespan);
 }
 
-TEST(PerfSim, IoLockContentionSlowsManyThreads)
+TEST(PerfSim, IoLockSpacesDispatchesOnAPool)
 {
-    // The Section 3.1 trade-off: more threads contend on the per-type
-    // I/O buffer mutex; a pathologically slow lock must hurt.
-    const BertShape shape = smallShape(32, 128);
+    // The Section 3.1 trade-off: every dispatch holds its type's I/O
+    // buffer mutex for 5 us, so two dispatches on one pool never start
+    // closer than that however many threads contend for it.
     ProseConfig config = ProseConfig::bestPerf();
     config.threads = 32;
-    SimOptions fast;
-    fast.ioLockSeconds = 0.0;
-    SimOptions slow;
-    slow.ioLockSeconds = 500e-6;
-    const double t_fast =
-        PerfSim(config, TimingModel{}, HostModel{}, fast)
-            .run(shape)
-            .makespan;
-    const double t_slow =
-        PerfSim(config, TimingModel{}, HostModel{}, slow)
-            .run(shape)
-            .makespan;
-    EXPECT_GT(t_slow, t_fast * 1.2);
+    SimOptions options;
+    options.recordSchedule = true;
+    const SimReport report =
+        PerfSim(config, TimingModel{}, HostModel{}, options)
+            .run(smallShape(32, 64));
+    std::array<std::vector<double>, 3> starts;
+    for (const ScheduledItem &item : report.schedule)
+        if (item.arrayIndex >= 0)
+            starts[static_cast<std::size_t>(item.arrayIndex)].push_back(
+                item.start);
+    for (std::vector<double> &pool : starts) {
+        ASSERT_GT(pool.size(), 1u);
+        std::sort(pool.begin(), pool.end());
+        for (std::size_t i = 1; i < pool.size(); ++i)
+            EXPECT_GE(pool[i] - pool[i - 1], 5e-6 * (1.0 - 1e-9)) << i;
+    }
 }
 
 TEST(PerfSim, DecoderWorkloadRuns)

@@ -85,38 +85,10 @@ TEST(ConfigSpace, BudgetSweepChangesSize)
     EXPECT_FALSE(enumerateMixes(large).empty());
 }
 
-TEST(ConfigSpace, StreamingAndCompressionAxesMultiplyTheSpace)
-{
-    const std::size_t base = enumerateMixes(ConfigSpaceSpec{}).size();
-
-    ConfigSpaceSpec spec;
-    StreamSpec serialized;
-    serialized.mode = StreamMode::Serialized;
-    spec.streamingSweep = { StreamSpec{}, serialized };
-    spec.compressionSweep = { LinkCompression::None,
-                              LinkCompression::ZeroRun,
-                              LinkCompression::Delta };
-    const auto mixes = enumerateMixes(spec);
-    EXPECT_EQ(mixes.size(), base * 6);
-
-    // Crossed names stay unique and carry the axis tags; the knobs
-    // actually land on the configs.
-    std::set<std::string> names;
-    std::set<LinkCompression> codecs;
-    for (const auto &mix : mixes) {
-        EXPECT_TRUE(names.insert(mix.name).second) << mix.name;
-        codecs.insert(mix.link.compression);
-        mix.validate();
-    }
-    EXPECT_EQ(codecs.size(), 3u);
-    EXPECT_NE(mixes.front().name.find("double-buffered"),
-              std::string::npos);
-}
-
 TEST(ConfigSpace, DefaultSweepKeepsLegacyNames)
 {
-    // Singleton streaming/compression sweeps must not grow names, so
-    // existing explorations and mix-parse round trips stay stable.
+    // Names carry only the array mix, so explorations and mix-parse
+    // round trips stay stable.
     for (const auto &mix : enumerateMixes(ConfigSpaceSpec{})) {
         EXPECT_EQ(mix.name.find("double-buffered"), std::string::npos);
         EXPECT_EQ(mix.name.find("zero-run"), std::string::npos);

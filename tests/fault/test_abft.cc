@@ -80,11 +80,10 @@ checkTile(AbftChecker &checker, const Matrix &a, const Matrix &b,
 }
 
 AbftChecker
-enabledChecker(bool correct = true)
+enabledChecker()
 {
     AbftOptions options;
     options.enabled = true;
-    options.correct = correct;
     return AbftChecker(options);
 }
 
@@ -121,18 +120,21 @@ TEST(Abft, SingleFlipIsLocatedAndCorrected)
     EXPECT_EQ(checker.stats().unlocatedTiles, 0u);
 }
 
-TEST(Abft, LocateWithoutCorrectLeavesTheCellAlone)
+TEST(Abft, LocatedCellIsRepairedFromItsRowChecksum)
 {
+    // Every uniquely located cell is repaired in place: its value is
+    // rebuilt as the row's expected sum minus the healthy cells.
     Rng rng(3);
     Workload w = makeWorkload(rng, 32, 128, 32);
-    const float flipped = flipFloatBit(w.acc(4, 7), 28);
-    w.acc(4, 7) = flipped;
+    const float original = w.acc(4, 7);
+    w.acc(4, 7) = flipFloatBit(original, 28);
 
-    AbftChecker checker = enabledChecker(/*correct=*/false);
+    AbftChecker checker = enabledChecker();
     const AbftTileResult result = checkTile(checker, w.a, w.b, w.acc);
     ASSERT_EQ(result.located.size(), 1u);
-    EXPECT_TRUE(result.corrected.empty());
-    EXPECT_EQ(w.acc(4, 7), flipped);
+    EXPECT_EQ(result.corrected, result.located);
+    EXPECT_NEAR(w.acc(4, 7), original, 0.05f);
+    EXPECT_EQ(checker.stats().correctedElements, 1u);
 }
 
 TEST(Abft, InfCellIsLocatedAndRepaired)

@@ -141,20 +141,7 @@ TEST(KernelDispatch, RowKernelsBitIdenticalAcrossTiers)
             const std::vector<std::uint16_t> bits = quantize(src);
             const float av = specialValue(rng);
 
-            // macRowF32
-            std::vector<float> got = acc0, want = acc0;
-            ks.macRowF32(got.data(), src.data(), av, n);
-            ref.macRowF32(want.data(), src.data(), av, n);
-            EXPECT_TRUE(bitsIdentical(got, want))
-                << ks.name << " macRowF32 n=" << n;
-
-            // macRowBf16
-            got = acc0;
-            want = acc0;
-            ks.macRowBf16(got.data(), bits.data(), av, n);
-            ref.macRowBf16(want.data(), bits.data(), av, n);
-            EXPECT_TRUE(bitsIdentical(got, want))
-                << ks.name << " macRowBf16 n=" << n;
+            std::vector<float> got, want;
 
             // quantizeBitsRow
             std::vector<std::uint16_t> qgot(n), qwant(n);

@@ -1,4 +1,4 @@
-/** @file Tests for the intrusive request FIFO / priority queues. */
+/** @file Tests for the intrusive request FIFO. */
 
 #include <gtest/gtest.h>
 
@@ -81,63 +81,6 @@ TEST(RequestFifoDeathTest, RemoveUnlinkedPanics)
     RequestFifo fifo;
     fifo.pushBack(arena, 0);
     EXPECT_DEATH(fifo.remove(arena, 1), "not in this queue");
-}
-
-TEST(PriorityRequestQueue, HighestBandPopsFirst)
-{
-    RequestArena arena = arenaOf(4);
-    arena[0].priority = 0;
-    arena[1].priority = 2;
-    arena[2].priority = 1;
-    arena[3].priority = 2;
-    PriorityRequestQueue queue;
-    for (RequestId id = 0; id < 4; ++id)
-        queue.push(arena, id);
-    EXPECT_EQ(queue.size(), 4u);
-    EXPECT_EQ(queue.front(), 1);
-    EXPECT_EQ(queue.pop(arena), 1u); // band 2, oldest
-    EXPECT_EQ(queue.pop(arena), 3u); // band 2, next
-    EXPECT_EQ(queue.pop(arena), 2u); // band 1
-    EXPECT_EQ(queue.pop(arena), 0u); // band 0
-    EXPECT_TRUE(queue.empty());
-}
-
-TEST(PriorityRequestQueue, ShedVictimIsOldestOfLowestBand)
-{
-    RequestArena arena = arenaOf(4);
-    arena[0].priority = 3;
-    arena[1].priority = 1;
-    arena[2].priority = 1;
-    arena[3].priority = 0;
-    PriorityRequestQueue queue;
-    for (RequestId id = 0; id < 3; ++id)
-        queue.push(arena, id);
-    // Lowest band present is 1; its oldest member is request 1.
-    EXPECT_EQ(queue.shedVictim(), 1);
-    queue.push(arena, 3); // band 0 now populated
-    EXPECT_EQ(queue.shedVictim(), 3);
-    queue.remove(arena, 3);
-    EXPECT_EQ(queue.shedVictim(), 1);
-}
-
-TEST(PriorityRequestQueue, HighPrioritiesClampToTopBand)
-{
-    RequestArena arena = arenaOf(2);
-    arena[0].priority = PriorityRequestQueue::kBands - 1;
-    arena[1].priority = 99; // clamps to the top band
-    PriorityRequestQueue queue;
-    queue.push(arena, 0);
-    queue.push(arena, 1);
-    // Same band: FIFO within it.
-    EXPECT_EQ(queue.pop(arena), 0u);
-    EXPECT_EQ(queue.pop(arena), 1u);
-}
-
-TEST(PriorityRequestQueueDeathTest, PopEmptyPanics)
-{
-    RequestArena arena = arenaOf(1);
-    PriorityRequestQueue queue;
-    EXPECT_DEATH(queue.pop(arena), "empty priority queue");
 }
 
 } // namespace

@@ -34,13 +34,12 @@ class ServeBatcherTest : public ::testing::Test
     /** Arena slot in ADMITTED state, ready for enqueue. */
     RequestId
     admitted(RequestArena &arena, std::uint64_t residues,
-             double deadline, std::uint32_t priority = 0)
+             double deadline, double arrival = 0.0)
     {
         Request request;
         request.id = static_cast<RequestId>(arena.size());
-        request.arrivalSeconds = 0.0;
+        request.arrivalSeconds = arrival;
         request.residues = residues;
-        request.priority = priority;
         request.deadlineSeconds = deadline;
         transition(request, RequestState::Admitted, 0.0);
         arena.push_back(request);
@@ -188,18 +187,32 @@ TEST_F(ServeBatcherTest, OverloadHalvesEffectiveMaxBatch)
     EXPECT_EQ(batcher.effectiveMaxBatch(), 4u); // back under the mark
 }
 
-TEST_F(ServeBatcherTest, HigherPriorityJoinsBatchFirst)
+TEST_F(ServeBatcherTest, ShedVictimIsOldestArrivalAcrossBuckets)
 {
-    ServeBatcher batcher(spec(1), model_);
+    ServeBatcher batcher(spec(8), model_);
     RequestArena arena;
-    const RequestId bulk = admitted(arena, 126, 100.0, 0);
-    const RequestId urgent = admitted(arena, 126, 100.0, 3);
-    batcher.enqueue(arena, bulk);
-    batcher.enqueue(arena, urgent);
-    ClosedBatch batch;
-    ASSERT_TRUE(batcher.close(arena, 0.0, batch));
-    ASSERT_EQ(batch.members.size(), 1u);
-    EXPECT_EQ(batch.members[0], urgent);
+    // Bucket 256 holds the oldest arrival; bucket 128 is younger.
+    const RequestId young = admitted(arena, 126, 100.0, 2.0);
+    const RequestId old = admitted(arena, 250, 100.0, 1.0);
+    const RequestId later = admitted(arena, 250, 100.0, 3.0);
+    batcher.enqueue(arena, young);
+    batcher.enqueue(arena, old);
+    batcher.enqueue(arena, later);
+    EXPECT_EQ(batcher.shedVictim(arena), static_cast<std::int32_t>(old));
+    batcher.remove(arena, old);
+    EXPECT_EQ(batcher.shedVictim(arena),
+              static_cast<std::int32_t>(young));
+
+    // Equal arrival times: the smaller bucket's front is the victim,
+    // whichever was enqueued first.
+    ServeBatcher tied(spec(8), model_);
+    RequestArena tied_arena;
+    const RequestId long_first = admitted(tied_arena, 250, 100.0, 5.0);
+    const RequestId short_second = admitted(tied_arena, 126, 100.0, 5.0);
+    tied.enqueue(tied_arena, long_first);
+    tied.enqueue(tied_arena, short_second);
+    EXPECT_EQ(tied.shedVictim(tied_arena),
+              static_cast<std::int32_t>(short_second));
 }
 
 TEST_F(ServeBatcherTest, NextCloseTracksOldestDeadline)

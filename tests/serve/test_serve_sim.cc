@@ -51,10 +51,6 @@ TEST(Admission, DecisionTable)
     spec.maxQueueDepth = 0;
     EXPECT_EQ(admit(spec, request, 0.0, 50000, 0.5),
               AdmissionDecision::Admit);
-    // Deadline awareness can be disabled.
-    spec.deadlineAware = false;
-    EXPECT_EQ(admit(spec, request, 0.8, 2, 0.5),
-              AdmissionDecision::Admit);
 }
 
 TEST(RetryPolicy, BackoffGrowsAndJitterIsDeterministic)

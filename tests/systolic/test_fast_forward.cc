@@ -429,7 +429,6 @@ TEST(FastForwardFallback, AbftKeepsRequestedEngineWithUnchangedDetection)
 
     AbftOptions abft;
     abft.enabled = true;
-    abft.correct = true;
 
     FunctionalSimulator fast_sim;
     fast_sim.setMode(FsimMode::Fast);
