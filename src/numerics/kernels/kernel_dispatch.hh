@@ -49,6 +49,10 @@
 
 namespace prose::kernels {
 
+/** Column width of one chunk of a packed gemmTileBf16 B panel: the
+ *  widest column block of the AVX-512 GEMM core (4 x 16 lanes). */
+constexpr std::size_t kBf16ChunkCols = 64;
+
 /**
  * One tier's implementations of the hot inner loops. All pointers are
  * always non-null. Unless stated otherwise, `n` is an element count and
@@ -66,28 +70,36 @@ struct KernelSet
 
     /**
      * acc[i][j] += sum_k widen(a[i][k]) * widen(b[k][j]), accumulated
-     * per output element in ascending-k order — the fast-forward
-     * engine's per-PE dot product and the cached-bf16 model GEMM.
-     * `acc` is rows x cols with row stride accStride; `a` is rows x
-     * depth (stride aStride); `b` is depth x cols (stride bStride).
+     * per output element in ascending-k order — the cached-bf16 model
+     * GEMM and the per-call bf16 matmul. `acc` is rows x cols with row
+     * stride accStride; `a` is rows x depth (stride aStride). `b` is a
+     * packed depth x cols panel: its kBf16ChunkCols-column chunks sit
+     * one after another, chunk c a depth x live block (live =
+     * min(kBf16ChunkCols, cols - c * kBf16ChunkCols)) with row stride
+     * live, starting at b + c * kBf16ChunkCols * depth. The kernel
+     * walks the chunks front to back, so the whole panel is one
+     * sequential stream. When cols <= kBf16ChunkCols the panel is the
+     * row-major depth x cols plane. Any depth is correct; the tiled
+     * matmul passes 128-deep panels, whose widened chunks fit L1.
      * Every element is MAC'd — no zero skipping — matching the stepped
      * wavefront, which fires every PE with two valid operands (so
      * +-0 * Inf still produces NaN). The tiled matmul's bits path
-     * funnels its cache blocks here too; both rely on `acc += ±0 ·
-     * finite` being an exact no-op on accumulators that are never -0.
+     * relies on `acc += ±0 · finite` being an exact no-op on
+     * accumulators that are never -0.
      * The AVX-512 tier fuses the MACs of blocks whose products are all
      * exact (see the contract above); the result bits are unchanged.
      */
     void (*gemmTileBf16)(float *acc, std::size_t accStride,
                          const std::uint16_t *a, std::size_t aStride,
-                         const std::uint16_t *b, std::size_t bStride,
-                         std::size_t rows, std::size_t cols,
-                         std::size_t depth);
+                         const std::uint16_t *b, std::size_t rows,
+                         std::size_t cols, std::size_t depth);
 
     /**
      * acc[i][j] += sum_k a[i][k] * b[k][j] in ascending-k order per
-     * output element — the fp32 twin of gemmTileBf16, behind the tiled
-     * matmul's cache blocks. Accumulators live in registers across the
+     * output element — the fp32 twin of gemmTileBf16 (row-major B),
+     * behind the tiled matmul's cache blocks and the fast-forward
+     * systolic engine, which runs it on pre-widened bf16 planes.
+     * Accumulators live in registers across the
      * whole depth loop (the MAC-row formulation round-trips the acc row
      * through memory on every k step, which is the dominant cost for
      * fp32 GEMM). Like the bf16 tile, every element is MAC'd; callers

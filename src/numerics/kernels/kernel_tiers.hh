@@ -11,6 +11,12 @@
 
 #include "kernel_dispatch.hh"
 
+#if defined(PROSE_KERNELS_HAVE_AVX2) || defined(PROSE_KERNELS_HAVE_AVX512)
+#include <xmmintrin.h>
+
+#include <algorithm>
+#endif
+
 namespace prose::kernels {
 
 /** The scalar reference table (always compiled). */
@@ -22,6 +28,28 @@ const KernelSet &avx2KernelSet();
 
 #ifdef PROSE_KERNELS_HAVE_AVX512
 const KernelSet &avx512KernelSet();
+#endif
+
+#if defined(PROSE_KERNELS_HAVE_AVX2) || defined(PROSE_KERNELS_HAVE_AVX512)
+/**
+ * Prefetch toward L2 the chunk after chunk `jb` of a packed
+ * gemmTileBf16 panel (layout in KernelSet), so it streams in while
+ * chunk `jb` computes. Only addresses inside the panel are formed; the
+ * last chunk prefetches nothing.
+ */
+inline void
+prefetchNextBf16Chunk(const std::uint16_t *b, std::size_t jb,
+                      std::size_t cols, std::size_t depth)
+{
+    const std::size_t next = jb + kBf16ChunkCols;
+    if (next >= cols)
+        return;
+    const std::size_t bytes =
+        depth * std::min(kBf16ChunkCols, cols - next) * sizeof(*b);
+    const char *chunk = reinterpret_cast<const char *>(b + next * depth);
+    for (std::size_t off = 0; off < bytes; off += 64)
+        _mm_prefetch(chunk + off, _MM_HINT_T1);
+}
 #endif
 
 #ifdef PROSE_KERNELS_HAVE_AVX512BF16

@@ -19,6 +19,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "numerics/bfloat16.hh"
@@ -180,11 +181,12 @@ gemmRowBf16Avx2(float *crow, const std::uint16_t *arow,
     }
 }
 
+/** One row-major bf16 B block with row stride bStride. */
 void
-gemmTileBf16Avx2(float *acc, std::size_t accStride,
-                 const std::uint16_t *a, std::size_t aStride,
-                 const std::uint16_t *b, std::size_t bStride,
-                 std::size_t rows, std::size_t cols, std::size_t depth)
+gemmBlockBf16Avx2(float *acc, std::size_t accStride,
+                  const std::uint16_t *a, std::size_t aStride,
+                  const std::uint16_t *b, std::size_t bStride,
+                  std::size_t rows, std::size_t cols, std::size_t depth)
 {
     // Two-row register blocking: each widened B chunk feeds both rows'
     // accumulators before the next is formed, halving the bf16->fp32
@@ -275,6 +277,22 @@ gemmTileBf16Avx2(float *acc, std::size_t accStride,
     for (; i < rows; ++i)
         gemmRowBf16Avx2(acc + i * accStride, a + i * aStride, b,
                         bStride, cols, depth);
+}
+
+/** The packed B panel one chunk at a time (layout in KernelSet), each
+ *  chunk prefetched while the one before it computes. */
+void
+gemmTileBf16Avx2(float *acc, std::size_t accStride,
+                 const std::uint16_t *a, std::size_t aStride,
+                 const std::uint16_t *b, std::size_t rows,
+                 std::size_t cols, std::size_t depth)
+{
+    for (std::size_t jb = 0; jb < cols; jb += kBf16ChunkCols) {
+        const std::size_t live = std::min(kBf16ChunkCols, cols - jb);
+        prefetchNextBf16Chunk(b, jb, cols, depth);
+        gemmBlockBf16Avx2(acc + jb, accStride, a, aStride,
+                          b + jb * depth, live, rows, live, depth);
+    }
 }
 
 /** Single-row remainder of the fp32 tile GEMM. */

@@ -9,6 +9,11 @@
  * rounds the product and the sum separately, as the scalar reference
  * does.
  *
+ * The bf16 tile reads B pre-packed in its consumption order (layout in
+ * KernelSet::gemmTileBf16): each 64-column chunk is one contiguous
+ * depth x live block, widened in one sequential pass while the next
+ * chunk is prefetched toward L2.
+ *
  * Everything is masked, so there are no scalar tails: a row of any
  * length runs the same vector code path with a partial mask on the last
  * chunk (masked loads/stores fault-suppress the dead lanes). The bf16
@@ -384,8 +389,8 @@ gemmTileF32Avx512(float *acc, std::size_t accStride, const float *a,
 void
 gemmTileBf16Avx512(float *acc, std::size_t accStride,
                    const std::uint16_t *a, std::size_t aStride,
-                   const std::uint16_t *b, std::size_t bStride,
-                   std::size_t rows, std::size_t cols, std::size_t depth)
+                   const std::uint16_t *b, std::size_t rows,
+                   std::size_t cols, std::size_t depth)
 {
     // Widen both operands to fp32 scratch once, then run the shared
     // register-blocked fp32 core. Widening is exact (bits << 16), so
@@ -408,42 +413,35 @@ gemmTileBf16Avx512(float *acc, std::size_t accStride,
             scan.row(a_scratch.data() + i * depth, a + i * aStride, depth);
         a_blocks.push_back(scan.range());
     }
-    // Block the depth so the widened B panel (kKB * live * 4 B = 32 KiB)
-    // stays L1-resident across its per-6-row-group re-reads; deep
-    // tiles (e.g. 64x64x3072 FFN-down) would otherwise stream a 768 KiB
-    // panel from L2/L3 once per row group. The extra C-tile round trips
-    // per k-block are amortized over the whole panel. Ascending kb +
-    // ascending k inside the core keeps the per-element fp32 order
-    // exactly scalar.
-    for (std::size_t jb = 0; jb < cols; jb += 64) {
-        const std::size_t live = std::min<std::size_t>(64, cols - jb);
-        const std::size_t kKB = (32 * 1024 / sizeof(float)) / live;
-        b_scratch.resize(std::min(kKB, depth) * live);
-        for (std::size_t kb = 0; kb < depth; kb += kKB) {
-            const std::size_t kd = std::min(kKB, depth - kb);
-            WidenScan scan;
-            for (std::size_t k = 0; k < kd; ++k)
-                scan.row(b_scratch.data() + k * live,
-                         b + (kb + k) * bStride + jb, live);
-            const ExpRange b_range = scan.range();
-            // Each maximal run of row blocks sharing one verdict goes
-            // to the core in one call, so its row grouping is the same
-            // as for a single unfused call.
-            for (std::size_t g = 0; g < a_blocks.size();) {
-                const bool fused = productsExact(a_blocks[g], b_range);
-                std::size_t g_end = g + 1;
-                while (g_end < a_blocks.size() &&
-                       productsExact(a_blocks[g_end], b_range) == fused)
-                    ++g_end;
-                const std::size_t i0 = g * kRowBlock;
-                const std::size_t i1 = std::min(rows, g_end * kRowBlock);
-                const auto core = fused ? gemmRowsF32Avx512<true>
-                                        : gemmRowsF32Avx512<false>;
-                core(acc + i0 * accStride + jb, accStride,
-                     a_scratch.data() + i0 * depth + kb, depth,
-                     b_scratch.data(), live, i1 - i0, live, kd);
-                g = g_end;
-            }
+    // B is packed (layout in KernelSet): each chunk is a contiguous
+    // depth x live block, widened in one sequential run while the next
+    // chunk is prefetched. The library's callers pass 128-deep panels,
+    // so a widened 64-column chunk (32 KiB) stays L1-resident across
+    // the core's per-6-row-group re-reads.
+    for (std::size_t jb = 0; jb < cols; jb += kBf16ChunkCols) {
+        const std::size_t live = std::min(kBf16ChunkCols, cols - jb);
+        b_scratch.resize(depth * live);
+        WidenScan scan;
+        scan.row(b_scratch.data(), b + jb * depth, depth * live);
+        const ExpRange b_range = scan.range();
+        prefetchNextBf16Chunk(b, jb, cols, depth);
+        // Each maximal run of row blocks sharing one verdict goes to the
+        // core in one call, so its row grouping is the same as for a
+        // single unfused call.
+        for (std::size_t g = 0; g < a_blocks.size();) {
+            const bool fused = productsExact(a_blocks[g], b_range);
+            std::size_t g_end = g + 1;
+            while (g_end < a_blocks.size() &&
+                   productsExact(a_blocks[g_end], b_range) == fused)
+                ++g_end;
+            const std::size_t i0 = g * kRowBlock;
+            const std::size_t i1 = std::min(rows, g_end * kRowBlock);
+            const auto core = fused ? gemmRowsF32Avx512<true>
+                                    : gemmRowsF32Avx512<false>;
+            core(acc + i0 * accStride + jb, accStride,
+                 a_scratch.data() + i0 * depth, depth, b_scratch.data(),
+                 live, i1 - i0, live, depth);
+            g = g_end;
         }
     }
 }

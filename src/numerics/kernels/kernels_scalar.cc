@@ -14,6 +14,7 @@
 
 #include "kernel_tiers.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "numerics/bfloat16.hh"
@@ -43,11 +44,12 @@ macRowBf16Scalar(float *acc, const std::uint16_t *b, float av,
         acc[j] += av * widenBits(b[j]);
 }
 
+/** One row-major bf16 B block with row stride bStride. */
 void
-gemmTileBf16Scalar(float *acc, std::size_t accStride,
-                   const std::uint16_t *a, std::size_t aStride,
-                   const std::uint16_t *b, std::size_t bStride,
-                   std::size_t rows, std::size_t cols, std::size_t depth)
+gemmBlockBf16Scalar(float *acc, std::size_t accStride,
+                    const std::uint16_t *a, std::size_t aStride,
+                    const std::uint16_t *b, std::size_t bStride,
+                    std::size_t rows, std::size_t cols, std::size_t depth)
 {
     for (std::size_t i = 0; i < rows; ++i) {
         const std::uint16_t *arow = a + i * aStride;
@@ -55,6 +57,20 @@ gemmTileBf16Scalar(float *acc, std::size_t accStride,
         for (std::size_t k = 0; k < depth; ++k)
             macRowBf16Scalar(crow, b + k * bStride, widenBits(arow[k]),
                              cols);
+    }
+}
+
+/** The packed B panel one chunk at a time (layout in KernelSet). */
+void
+gemmTileBf16Scalar(float *acc, std::size_t accStride,
+                   const std::uint16_t *a, std::size_t aStride,
+                   const std::uint16_t *b, std::size_t rows,
+                   std::size_t cols, std::size_t depth)
+{
+    for (std::size_t jb = 0; jb < cols; jb += kBf16ChunkCols) {
+        const std::size_t live = std::min(kBf16ChunkCols, cols - jb);
+        gemmBlockBf16Scalar(acc + jb, accStride, a, aStride,
+                            b + jb * depth, live, rows, live, depth);
     }
 }
 

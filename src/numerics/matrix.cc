@@ -63,7 +63,8 @@ namespace {
 /** B-block of the cache-blocked kernel: kKBlock x kJBlock floats
  *  (32 KiB) stays L1-resident while a chunk's row blocks stream over
  *  it — the register-tiled GEMM core re-reads the B block once per
- *  6-row group, so it must sit in the nearest cache, not L2. */
+ *  6-row group, so it must sit in the nearest cache, not L2. kKBlock
+ *  is also the k-panel depth of a packed bf16 B operand (packBf16). */
 constexpr std::size_t kKBlock = 128;
 constexpr std::size_t kJBlock = 64;
 
@@ -127,17 +128,55 @@ matmulRows(const Matrix &a, const Matrix &b, Matrix &c, std::size_t r0,
 }
 
 /**
- * The bits twin of matmulRows: same ascending-k order, but A and B are
- * bf16 bit planes and the (exact) widening to fp32 happens inside the
- * GEMM tile kernel. One kernel call per kKBlock-deep k panel spans the
- * full output width — the kernel blocks columns itself, so each A panel
- * is widened (and its exponent envelope scanned) once instead of once
- * per column block. Bit-identical to running matmulRows on the widened
- * operands, including the unconditional MAC of +-0 A entries (see
- * matmulRows).
+ * Quantize the rows x cols row-major fp32 plane `src` to bf16 bits in
+ * the packed order gemmTileBf16 reads B in: kKBlock-deep k panels one
+ * after another, each panel's kBf16ChunkCols-column chunks one after
+ * another, and each chunk a depth x live block with row stride live
+ * (panel kb starts at dst + kb * cols, chunk jb at panel + jb * depth).
+ * The bits are exactly quantizeBitsRow's; only their order differs
+ * from row-major.
  */
 void
-matmulRowsBits(const std::uint16_t *a_bits, const std::uint16_t *b_bits,
+packBf16(std::uint16_t *dst, const float *src, std::size_t rows,
+         std::size_t cols)
+{
+    const kernels::KernelSet &ks = kernels::activeKernels();
+    constexpr std::size_t kChunk = kernels::kBf16ChunkCols;
+    if (cols <= kChunk) {
+        // One chunk per panel: the packed order is the row-major order.
+        ks.quantizeBitsRow(dst, src, rows * cols);
+        return;
+    }
+    // Source rows are read front to back; each row scatters one
+    // `live`-wide run into every chunk of its panel.
+    for (std::size_t kb = 0; kb < rows; kb += kKBlock) {
+        const std::size_t depth = std::min(kKBlock, rows - kb);
+        std::uint16_t *panel = dst + kb * cols;
+        for (std::size_t k = 0; k < depth; ++k) {
+            const float *row = src + (kb + k) * cols;
+            for (std::size_t jb = 0; jb < cols; jb += kChunk) {
+                const std::size_t live = std::min(kChunk, cols - jb);
+                ks.quantizeBitsRow(panel + jb * depth + k * live, row + jb,
+                                   live);
+            }
+        }
+    }
+}
+
+/**
+ * The bits twin of matmulRows: same ascending-k order, but A is a
+ * row-major bf16 bit plane, B is packed by packBf16, and the (exact)
+ * widening to fp32 happens inside the GEMM tile kernel. One kernel call
+ * per kKBlock-deep k panel spans the full output width — the kernel
+ * walks the panel's column chunks itself, so each A panel is widened
+ * (and its exponent envelope scanned) once instead of once per column
+ * block. Panel kb starts at b_packed + kb * n, because every earlier
+ * panel is a full kKBlock deep. Bit-identical to running matmulRows on
+ * the widened operands, including the unconditional MAC of +-0 A
+ * entries (see matmulRows).
+ */
+void
+matmulRowsBits(const std::uint16_t *a_bits, const std::uint16_t *b_packed,
                Matrix &c, std::size_t r0, std::size_t r1,
                std::size_t depth)
 {
@@ -146,23 +185,24 @@ matmulRowsBits(const std::uint16_t *a_bits, const std::uint16_t *b_bits,
     for (std::size_t kb = 0; kb < depth; kb += kKBlock) {
         const std::size_t k_end = std::min(depth, kb + kKBlock);
         ks.gemmTileBf16(c.row(r0), n, a_bits + r0 * depth + kb, depth,
-                        b_bits + kb * n, n, r1 - r0, n, k_end - kb);
+                        b_packed + kb * n, r1 - r0, n, k_end - kb);
     }
 }
 
-/** C = widen(A) x widen(B) over bf16 bit planes, pooled when big. */
+/** C = widen(A) x widen(B) over a bf16 bit plane and a packed B,
+ *  pooled when big. */
 Matrix
 matmulBits(const std::uint16_t *a_bits, std::size_t m, std::size_t depth,
-           const std::uint16_t *b_bits, std::size_t n)
+           const std::uint16_t *b_packed, std::size_t n)
 {
     Matrix c(m, n);
     if (!shouldPool(m * depth * n)) {
-        matmulRowsBits(a_bits, b_bits, c, 0, m, depth);
+        matmulRowsBits(a_bits, b_packed, c, 0, m, depth);
         return c;
     }
     ThreadPool::global().parallelFor(
         m, [&](std::size_t r0, std::size_t r1) {
-            matmulRowsBits(a_bits, b_bits, c, r0, r1, depth);
+            matmulRowsBits(a_bits, b_packed, c, r0, r1, depth);
         });
     return c;
 }
@@ -170,10 +210,9 @@ matmulBits(const std::uint16_t *a_bits, std::size_t m, std::size_t depth,
 } // namespace
 
 QuantizedOperand::QuantizedOperand(const Matrix &source)
-    : rows_(source.rows()), cols_(source.cols()), bits_(source.size())
+    : rows_(source.rows()), cols_(source.cols()), packed_(source.size())
 {
-    kernels::activeKernels().quantizeBitsRow(bits_.data(), source.data(),
-                                             source.size());
+    packBf16(packed_.data(), source.data(), rows_, cols_);
 }
 
 Matrix
@@ -199,14 +238,15 @@ matmulBf16(const Matrix &a, const Matrix &b)
     PROSE_ASSERT(a.cols() == b.rows(), "matmulBf16 inner-dim mismatch");
     // Quantize both operands once up front (what streaming bf16 inputs
     // see) into per-thread arena scratch — compact bit planes, no heap
-    // churn — then accumulate in fp32 like the 32-bit PE accumulators.
+    // churn, B straight into packed order — then accumulate in fp32
+    // like the 32-bit PE accumulators.
     const kernels::KernelSet &ks = kernels::activeKernels();
     Arena &arena = Arena::threadLocal();
     Arena::Scope scope(arena);
     std::uint16_t *qa = arena.alloc<std::uint16_t>(a.size());
     ks.quantizeBitsRow(qa, a.data(), a.size());
     std::uint16_t *qb = arena.alloc<std::uint16_t>(b.size());
-    ks.quantizeBitsRow(qb, b.data(), b.size());
+    packBf16(qb, b.data(), b.rows(), b.cols());
     return matmulBits(qa, a.rows(), a.cols(), qb, b.cols());
 }
 
@@ -220,7 +260,7 @@ matmulBf16(const Matrix &a, const QuantizedOperand &b)
     Arena::Scope scope(arena);
     std::uint16_t *qa = arena.alloc<std::uint16_t>(a.size());
     ks.quantizeBitsRow(qa, a.data(), a.size());
-    return matmulBits(qa, a.rows(), a.cols(), b.bits().data(), b.cols());
+    return matmulBits(qa, a.rows(), a.cols(), b.packedBits().data(), b.cols());
 }
 
 Matrix

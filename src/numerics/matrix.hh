@@ -75,8 +75,11 @@ class Matrix
  * callers quantize once, at construction, instead of once per matmul
  * call.
  *
- * Storage is the compact bf16 bit plane alone (half the fp32
- * footprint, what the SIMD GEMM kernels stream) plus its shape.
+ * Storage is the compact bf16 bit plane alone, 2 bytes per element,
+ * plus its shape. The plane is packed in the order the bf16 GEMM tile
+ * kernel consumes it (128-deep k panels of 64-column chunks, see
+ * kernels::KernelSet::gemmTileBf16), so every matmul streams it front
+ * to back; there is no row-major copy.
  */
 class QuantizedOperand
 {
@@ -84,21 +87,21 @@ class QuantizedOperand
     /** Empty cache entry. */
     QuantizedOperand() = default;
 
-    /** Quantize `source` once. */
+    /** Quantize `source` once, into packed order. */
     explicit QuantizedOperand(const Matrix &source);
 
-    bool empty() const { return bits_.empty(); }
+    bool empty() const { return packed_.empty(); }
 
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
 
-    /** The operand as raw bf16 bit patterns, row-major. */
-    const std::vector<std::uint16_t> &bits() const { return bits_; }
+    /** The operand as raw bf16 bit patterns, in packed panel order. */
+    const std::vector<std::uint16_t> &packedBits() const { return packed_; }
 
   private:
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
-    std::vector<std::uint16_t> bits_;
+    std::vector<std::uint16_t> packed_;
 };
 
 /**

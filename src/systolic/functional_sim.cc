@@ -70,8 +70,9 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
     // at a time (below), because the fast engine's GEMM core would
     // otherwise stride through the full row pitch and thrash the DTLB
     // on wide operands. The fast GEMM core and the ABFT checksums
-    // consume these. The stepped engine's scalar PE walk ignores them:
-    // its tiles are dominated by the O(dim^2) register sweeps anyway.
+    // consume these. The stepped engine's scalar PE walk reads the fp32
+    // operands instead: its tiles are dominated by the O(dim^2) register
+    // sweeps anyway.
     float *wa = arena.alloc<float>(a.size());
     ks.widenRow(wa, qa, a.size());
     float *wpb = arena.alloc<float>(k * std::min(s, n));
@@ -91,9 +92,7 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
         // reuses it.
         for (std::size_t r = 0; r < k; ++r)
             ks.widenRow(wpb + r * cols, qb + r * n + tn, cols);
-        const TileOperand b_view{ b.data() + tn,  n, qb + tn, n,
-                                  k,              cols,
-                                  wpb,            cols };
+        const TileOperand b_view{ b.data() + tn, n, wpb, cols, k, cols };
         // ABFT's B-only checksum vectors depend on the panel alone:
         // sum them once here rather than once per row tile.
         const AbftPlane b_plane{ wpb, cols, k, cols };
@@ -102,9 +101,8 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
             b_sums = abftPanelSums(b_plane);
         for (std::size_t tm = 0; tm < m; tm += s) {
             const std::size_t rows = std::min(s, m - tm);
-            const TileOperand a_view{ a.row(tm),   k, qa + tm * k, k,
-                                      rows,        k,
-                                      wa + tm * k, k };
+            const TileOperand a_view{ a.row(tm), k, wa + tm * k, k,
+                                      rows,      k };
 
             // Stream the full-k tile product into the accumulators.
             array.matmulTile(a_view, b_view);

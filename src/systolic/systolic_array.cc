@@ -289,20 +289,21 @@ SystolicArray::matmulTile(const TileOperand &a, const TileOperand &b)
 std::uint64_t
 SystolicArray::matmulTile(const Matrix &a, const Matrix &b)
 {
-    // Quantize into per-thread arena scratch once, then run the
-    // zero-copy view path. External callers (tests, the DSE micro
-    // kernels) keep the Matrix interface; the fused fsim pipeline
-    // quantizes whole operands up front and builds views itself.
+    // Quantize into per-thread arena scratch once, widened back to
+    // fp32 as runFused does for whole operands (quantizeRoundtripRow is
+    // widen(roundFromFloat(x)), exactly), then run the zero-copy view
+    // path. External callers (tests, the DSE micro kernels) keep the
+    // Matrix interface; the fused fsim pipeline builds its views itself.
     const kernels::KernelSet &ks = kernels::activeKernels();
     Arena &arena = Arena::threadLocal();
     Arena::Scope scope(arena);
-    std::uint16_t *qa = arena.alloc<std::uint16_t>(a.size());
-    ks.quantizeBitsRow(qa, a.data(), a.size());
-    std::uint16_t *qb = arena.alloc<std::uint16_t>(b.size());
-    ks.quantizeBitsRow(qb, b.data(), b.size());
-    const TileOperand ta{ a.data(), a.cols(), qa,
+    float *wa = arena.alloc<float>(a.size());
+    ks.quantizeRoundtripRow(wa, a.data(), a.size());
+    float *wb = arena.alloc<float>(b.size());
+    ks.quantizeRoundtripRow(wb, b.data(), b.size());
+    const TileOperand ta{ a.data(), a.cols(), wa,
                           a.cols(), a.rows(), a.cols() };
-    const TileOperand tb{ b.data(), b.cols(), qb,
+    const TileOperand tb{ b.data(), b.cols(), wb,
                           b.cols(), b.rows(), b.cols() };
     return matmulTile(ta, tb);
 }
@@ -371,27 +372,22 @@ SystolicArray::fastMatmulTile(const TileOperand &a, const TileOperand &b)
     // k' + i + j, so its MACs execute in ascending-k' order — the GEMM
     // microkernel performs the identical sequence of fp32 operations
     // per accumulator (it vectorizes across independent j lanes only),
-    // streaming the pre-quantized bf16 bit planes with no per-tile
-    // copy or re-quantization. widen(bits) == what the stepped edge
-    // latch computes, by the TileOperand invariant.
+    // streaming the widened planes with no per-tile copy. wide == what
+    // the stepped edge latch computes, by the TileOperand invariant.
+    // The depth is blocked so the live B panel (kb * cols * 4 B =
+    // 32 KiB) stays L1-resident across the core's row groups; ascending
+    // kb preserves the per-accumulator ascending-k' MAC order exactly.
+    PROSE_ASSERT(a.wide && b.wide,
+                 "the fast engine needs widened operand planes");
     const kernels::KernelSet &ks = kernels::activeKernels();
-    if (a.wide && b.wide) {
-        // Pre-widened planes: run the fp32 core, blocking the depth so
-        // the live B panel (kb * cols * 4 B = 32 KiB) stays L1-resident
-        // across the core's row groups. Ascending kb preserves the
-        // per-accumulator ascending-k' MAC order exactly.
-        const std::size_t kb_step =
-            std::max<std::size_t>(64, (32 * 1024 / sizeof(float)) /
-                                          std::max<std::size_t>(cols, 1));
-        for (std::size_t kb = 0; kb < k_depth; kb += kb_step) {
-            const std::size_t kd = std::min(kb_step, k_depth - kb);
-            ks.gemmTileF32(acc_.data(), n, a.wide + kb, a.wideStride,
-                           b.wide + kb * b.wideStride, b.wideStride,
-                           rows, cols, kd);
-        }
-    } else {
-        ks.gemmTileBf16(acc_.data(), n, a.bf16, a.bf16Stride, b.bf16,
-                        b.bf16Stride, rows, cols, k_depth);
+    const std::size_t kb_step =
+        std::max<std::size_t>(64, (32 * 1024 / sizeof(float)) /
+                                      std::max<std::size_t>(cols, 1));
+    for (std::size_t kb = 0; kb < k_depth; kb += kb_step) {
+        const std::size_t kd = std::min(kb_step, k_depth - kb);
+        ks.gemmTileF32(acc_.data(), n, a.wide + kb, a.wideStride,
+                       b.wide + kb * b.wideStride, b.wideStride, rows,
+                       cols, kd);
     }
     macCount_ += static_cast<std::uint64_t>(rows) * cols * k_depth;
 

@@ -82,37 +82,26 @@ const char *toString(SimdOp op);
 /**
  * Zero-copy view of one matmul operand tile, structure-of-arrays: the
  * unquantized fp32 elements (what the stepped engine's edge latches
- * quantize) alongside the bf16 bit plane of the very same elements
- * (what the fast engine's GEMM microkernel streams). Callers that
- * quantize a whole operand once — e.g. the functional simulator's
- * fused pipeline — carve per-tile views out of it instead of copying
- * and re-quantizing per tile.
+ * quantize) alongside the same elements quantized to bf16 and widened
+ * back to fp32 (what the fast engine's fp32 GEMM core and the ABFT
+ * checksums read). Callers that quantize a whole operand once — e.g.
+ * the functional simulator's fused pipeline — carve per-tile views out
+ * of it instead of copying and re-quantizing per tile.
  *
- * Invariant: bf16[i*bf16Stride + j] == Bfloat16::roundFromFloat(
- * fp32[i*fp32Stride + j]) for every element. Validate mode enforces it
- * end to end: the engines read different planes and must agree bit for
- * bit.
+ * Invariant: wide[i*wideStride + j] == quantizeBf16(
+ * fp32[i*fp32Stride + j]) for every element, which widenRow over
+ * quantizeBitsRow's bits and quantizeRoundtripRow both produce exactly.
+ * Validate mode enforces it end to end: the engines read different
+ * planes and must agree bit for bit.
  */
 struct TileOperand
 {
-    const float *fp32;         ///< row-major unquantized elements
-    std::size_t fp32Stride;    ///< fp32 row stride, in elements
-    const std::uint16_t *bf16; ///< bf16 bits of the same elements
-    std::size_t bf16Stride;    ///< bf16 row stride, in elements
+    const float *fp32;      ///< row-major unquantized elements
+    std::size_t fp32Stride; ///< fp32 row stride, in elements
+    const float *wide;      ///< quantized-and-widened same elements
+    std::size_t wideStride; ///< wide row stride, in elements
     std::size_t rows;
     std::size_t cols;
-
-    /**
-     * Optional: the bf16 plane pre-widened back to fp32 —
-     * wide[i*wideStride + j] == widen(bf16[i*bf16Stride + j]), which
-     * widenRow produces exactly (bits << 16). When both operands carry
-     * it, the fast engine runs the pure fp32 GEMM core directly and
-     * skips the per-tile widening scratch entirely; the fused pipeline
-     * widens each whole operand once per dataflow call instead of once
-     * per tile visit. Null falls back to in-kernel widening.
-     */
-    const float *wide = nullptr;
-    std::size_t wideStride = 0;
 };
 
 /**
@@ -151,9 +140,9 @@ class SystolicArray
      * no traffic. Runs on the engine selected by mode().
      *
      * The view overload is the zero-copy hot path: both operand planes
-     * (fp32 + pre-quantized bf16 bits) are the caller's, nothing is
+     * (fp32 + quantized-and-widened) are the caller's, nothing is
      * copied or re-quantized per tile. The Matrix overload quantizes
-     * into per-thread arena scratch and delegates.
+     * and widens into per-thread arena scratch and delegates.
      *
      * @return matmul-mode cycles spent, including stall cycles.
      */

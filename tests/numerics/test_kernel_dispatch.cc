@@ -7,10 +7,13 @@
  * denormal cases pin the AVX512-BF16 hardware-convert path, whose raw
  * instruction is DAZ and must fall back to the emulation per chunk.
  *
- * The bf16 GEMM tile gets targeted cases for its exact fused MAC:
- * tiles whose every product is an fp32 normal (the fused core), the
- * exponent-sum bounds of that gate, subnormal and zero operands, and
- * special accumulators, each under every FTZ/DAZ combination.
+ * The bf16 GEMM tile reads B packed in 64-column chunks; its cases pack
+ * a row-major plane in the test (packB), and one checks every tier
+ * against a plain loop over the row-major plane. It gets targeted cases
+ * for its exact fused MAC: tiles whose every product is an fp32 normal
+ * (the fused core), the exponent-sum bounds of that gate, subnormal and
+ * zero operands, and special accumulators, each under every FTZ/DAZ
+ * combination.
  *
  * Also covered: PROSE_SIMD spec parsing (strict and lenient flavors)
  * and the pool-dispatch threshold observability counter.
@@ -124,6 +127,29 @@ bitsIdentical(const std::vector<float> &a, const std::vector<float> &b)
     return ::testing::AssertionSuccess();
 }
 
+/**
+ * The depth x cols block of the row-major plane `b` (row stride
+ * bStride) in gemmTileBf16's packed B order: kBf16ChunkCols-column
+ * chunks one after another, chunk c a depth x live block with row
+ * stride live. Exactly depth * cols entries, so a kernel that reads
+ * past the panel reads past the allocation.
+ */
+std::vector<std::uint16_t>
+packB(const std::vector<std::uint16_t> &b, std::size_t bStride,
+      std::size_t depth, std::size_t cols)
+{
+    std::vector<std::uint16_t> packed;
+    packed.reserve(depth * cols);
+    for (std::size_t jb = 0; jb < cols; jb += kernels::kBf16ChunkCols) {
+        const std::size_t j_end =
+            std::min(cols, jb + kernels::kBf16ChunkCols);
+        for (std::size_t k = 0; k < depth; ++k)
+            for (std::size_t j = jb; j < j_end; ++j)
+                packed.push_back(b[k * bStride + j]);
+    }
+    return packed;
+}
+
 /** Shapes chosen to cover full vector chunks, sub-width tails, and the
  *  1-element degenerate case for 8/16-lane kernels. */
 constexpr std::size_t kLengths[] = { 1, 2, 7, 8, 9, 15, 16, 17,
@@ -220,18 +246,20 @@ TEST(KernelDispatch, RowKernelsBitIdenticalAcrossTiers)
 
 TEST(KernelDispatch, GemmTileBitIdenticalAcrossTiersWithStrides)
 {
-    const KernelSet &ref = kernels::kernelsForTier(SimdTier::Scalar);
+    // Every tier against a plain loop over the row-major B (so the
+    // packed layout itself is pinned, not only cross-tier agreement).
     struct Shape
     {
         std::size_t rows, cols, depth;
     };
-    // Tails below/above the 8/16/32/64-lane block widths, plus strided
-    // views (stride > cols) as the fsim tile loop produces them.
+    // Tails below/above the 8/16/32/64-lane block widths, several
+    // packed chunks, plus strided A and accumulator views as the
+    // tiled matmul produces them.
     const Shape shapes[] = { { 1, 1, 1 },    { 3, 5, 7 },
                              { 4, 16, 8 },   { 5, 17, 9 },
                              { 8, 33, 16 },  { 2, 64, 12 },
                              { 3, 65, 5 },   { 6, 128, 10 },
-                             { 7, 100, 23 } };
+                             { 7, 100, 23 }, { 5, 130, 129 } };
     for (SimdTier tier : availableTiers()) {
         const KernelSet &ks = kernels::kernelsForTier(tier);
         Rng rng(99);
@@ -248,9 +276,16 @@ TEST(KernelDispatch, GemmTileBitIdenticalAcrossTiersWithStrides)
 
             std::vector<float> got = c0, want = c0;
             ks.gemmTileBf16(got.data(), cStride, a.data(), aStride,
-                            b.data(), bStride, s.rows, s.cols, s.depth);
-            ref.gemmTileBf16(want.data(), cStride, a.data(), aStride,
-                             b.data(), bStride, s.rows, s.cols, s.depth);
+                            packB(b, bStride, s.depth, s.cols).data(),
+                            s.rows, s.cols, s.depth);
+            for (std::size_t i = 0; i < s.rows; ++i)
+                for (std::size_t j = 0; j < s.cols; ++j)
+                    for (std::size_t k = 0; k < s.depth; ++k)
+                        want[i * cStride + j] +=
+                            Bfloat16::fromBits(a[i * aStride + k])
+                                .toFloat() *
+                            Bfloat16::fromBits(b[k * bStride + j])
+                                .toFloat();
             EXPECT_TRUE(bitsIdentical(got, want))
                 << ks.name << " gemmTileBf16 " << s.rows << "x" << s.cols
                 << "x" << s.depth;
@@ -336,7 +371,8 @@ exponentPlane(Rng &rng, std::size_t n, unsigned lo, unsigned hi,
     return bits;
 }
 
-/** An rows x cols x depth problem with strided A, B and accumulator. */
+/** An rows x cols x depth problem with strided A and accumulator; B is
+ *  drawn row-major with a stride and packed for the kernel call. */
 struct TileCase
 {
     std::size_t rows, cols, depth;
@@ -352,13 +388,16 @@ struct TileCase
 };
 
 /**
- * Every tier's gemmTileBf16 against the scalar tier's, with both run
- * under each FTZ/DAZ combination (the gate must hold under all of them).
+ * Every tier's gemmTileBf16 against the scalar tier's on the packed B,
+ * with both run under each FTZ/DAZ combination (the gate must hold
+ * under all of them).
  */
 ::testing::AssertionResult
 gemmTileMatchesScalar(const TileCase &t)
 {
     const KernelSet &ref = kernels::kernelsForTier(SimdTier::Scalar);
+    const std::vector<std::uint16_t> b =
+        packB(t.b, t.bStride, t.depth, t.cols);
     for (unsigned mode : fpModes()) {
         for (SimdTier tier : availableTiers()) {
             const KernelSet &ks = kernels::kernelsForTier(tier);
@@ -366,11 +405,11 @@ gemmTileMatchesScalar(const TileCase &t)
             {
                 ScopedFpMode fp(mode);
                 ks.gemmTileBf16(got.data(), t.cStride, t.a.data(),
-                                t.aStride, t.b.data(), t.bStride, t.rows,
-                                t.cols, t.depth);
+                                t.aStride, b.data(), t.rows, t.cols,
+                                t.depth);
                 ref.gemmTileBf16(want.data(), t.cStride, t.a.data(),
-                                 t.aStride, t.b.data(), t.bStride, t.rows,
-                                 t.cols, t.depth);
+                                 t.aStride, b.data(), t.rows, t.cols,
+                                 t.depth);
             }
             ::testing::AssertionResult same = bitsIdentical(got, want);
             if (!same) {
@@ -606,7 +645,7 @@ TEST(KernelDispatch, GemmTileDoesNotSkipZeroTimesInf)
         const std::uint16_t inf = Bfloat16::roundFromFloat(
             std::numeric_limits<float>::infinity());
         std::vector<float> acc(1, 0.0f);
-        ks.gemmTileBf16(acc.data(), 1, &zero, 1, &inf, 1, 1, 1, 1);
+        ks.gemmTileBf16(acc.data(), 1, &zero, 1, &inf, 1, 1, 1);
         EXPECT_TRUE(std::isnan(acc[0]))
             << ks.name << ": 0 * Inf must be NaN";
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -226,10 +227,15 @@ Matrix
 naiveMatmul(const Matrix &a, const Matrix &b)
 {
     Matrix c(a.rows(), b.cols());
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t k = 0; k < a.cols(); ++k)
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        float *crow = c.row(i);
+        for (std::size_t k = 0; k < a.cols(); ++k) {
+            const float aik = a(i, k);
+            const float *brow = b.row(k);
             for (std::size_t j = 0; j < b.cols(); ++j)
-                c(i, j) += a(i, k) * b(k, j);
+                crow[j] += aik * brow[j];
+        }
+    }
     return c;
 }
 
@@ -350,6 +356,91 @@ TEST(QuantizedOperand, MatchesPerCallQuantizationBitwise)
     const QuantizedOperand cached(w);
     EXPECT_EQ(Matrix::maxAbsDiff(matmulBf16(a, cached), matmulBf16(a, w)),
               0.0f);
+}
+
+/** Bit equality, any NaN matching any NaN (payloads are outside the
+ *  kernels' contract). */
+::testing::AssertionResult
+bitsIdentical(const Matrix &got, const Matrix &want)
+{
+    if (!got.sameShape(want))
+        return ::testing::AssertionFailure() << "shape mismatch";
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        const float g = got.data()[i];
+        const float w = want.data()[i];
+        if (std::isnan(g) && std::isnan(w))
+            continue;
+        if (std::memcmp(&g, &w, sizeof(float)) != 0) {
+            return ::testing::AssertionFailure()
+                   << "element " << i << ": " << g << " vs " << w;
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(QuantizedOperand, PackedChunkAndPanelEdgesMatchNaive)
+{
+    // The bf16 B operand is packed in 128-deep k panels of 64-column
+    // chunks. Widths straddle one chunk (63, 64, 65) and span several
+    // (200); depths straddle one panel (127, 128, 129) and span several
+    // (300). Both the cached operand and the per-call path must equal
+    // the textbook loop over the quantized operands, serially and on a
+    // 3-lane pool. A zero row and a zero column ride along.
+    Rng rng(27);
+    ThreadPool pool(3);
+    for (std::size_t n : { 1, 63, 64, 65, 200 }) {
+        for (std::size_t k : { 1, 127, 128, 129, 300 }) {
+            Matrix a = randomMatrix(rng, 13, k);
+            Matrix w = randomMatrix(rng, k, n);
+            for (std::size_t j = 0; j < n; ++j)
+                w(k - 1, j) = 0.0f;
+            for (std::size_t r = 0; r < k; ++r)
+                w(r, n / 2) = -0.0f;
+            Matrix aq = a, wq = w;
+            aq.quantizeBf16InPlace();
+            wq.quantizeBf16InPlace();
+            const Matrix want = naiveMatmul(aq, wq);
+            const QuantizedOperand cached(w);
+            const auto check = [&](const char *how) {
+                EXPECT_TRUE(bitsIdentical(matmulBf16(a, cached), want))
+                    << "cached " << k << "x" << n << " " << how;
+                EXPECT_TRUE(bitsIdentical(matmulBf16(a, w), want))
+                    << "per call " << k << "x" << n << " " << how;
+            };
+            {
+                ThreadPool::SerialGuard guard;
+                check("serial");
+            }
+            ThreadPool::setGlobalOverride(&pool);
+            check("3-lane pool");
+            ThreadPool::setGlobalOverride(nullptr);
+        }
+    }
+}
+
+TEST(QuantizedOperand, PackedOperandSplitAcrossPoolLanesMatchesNaive)
+{
+    // 1700x300x200 is ~102M MACs, above the 3-lane pool floor, so the
+    // rows really split across lanes, each lane walking the whole
+    // packed B (several panels, a ragged last chunk).
+    Rng rng(29);
+    const Matrix a = randomMatrix(rng, 1700, 300);
+    const Matrix w = randomMatrix(rng, 300, 200);
+    Matrix aq = a, wq = w;
+    aq.quantizeBf16InPlace();
+    wq.quantizeBf16InPlace();
+    const Matrix want = naiveMatmul(aq, wq);
+    const QuantizedOperand cached(w);
+    ThreadPool pool(3);
+    ThreadPool::setGlobalOverride(&pool);
+    const std::uint64_t before = ThreadPool::dispatchCount();
+    const Matrix got_cached = matmulBf16(a, cached);
+    const Matrix got_per_call = matmulBf16(a, w);
+    const std::uint64_t dispatched = ThreadPool::dispatchCount() - before;
+    ThreadPool::setGlobalOverride(nullptr);
+    EXPECT_EQ(dispatched, 2u);
+    EXPECT_TRUE(bitsIdentical(got_cached, want));
+    EXPECT_TRUE(bitsIdentical(got_per_call, want));
 }
 
 TEST(QuantizedOperand, DefaultIsEmpty)

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -254,6 +255,53 @@ TEST(FastForward, ValidateModeRunsBothEnginesAndAgrees)
     Matrix out;
     EXPECT_EQ(array.drain(out), dim);
     EXPECT_EQ(out.rows(), dim);
+}
+
+TEST(FastForward, MatchesSteppedOnWideTileWithInfAndNaN)
+{
+    // The Matrix overload widens its quantized operands and runs the
+    // fast engine's fp32 core; pin it against the stepped PE walk on a
+    // tile one column past a 64-column block, with +-Inf, NaN and +-0
+    // operands (0 * Inf must make NaN in both engines). NaN payloads
+    // are outside the contract, so any NaN matches any NaN.
+    Rng rng(65);
+    Matrix a = randomMatrix(rng, 7, 40, 2.0f);
+    Matrix b = randomMatrix(rng, 40, 65, 2.0f);
+    const float inf = std::numeric_limits<float>::infinity();
+    a(0, 3) = 0.0f;
+    a(2, 9) = -inf;
+    a(5, 39) = std::numeric_limits<float>::quiet_NaN();
+    a(6, 0) = -0.0f;
+    b(3, 64) = inf;
+    b(9, 63) = -0.0f;
+    b(17, 0) = std::numeric_limits<float>::quiet_NaN();
+    b(39, 64) = -inf;
+
+    Matrix want;
+    std::uint64_t want_cycles = 0;
+    for (FsimMode mode :
+         { FsimMode::Stepped, FsimMode::Fast, FsimMode::Validate }) {
+        SCOPED_TRACE(toString(mode));
+        SystolicArray array(ArrayGeometry::mType(72));
+        array.setMode(mode);
+        const std::uint64_t cycles = array.matmulTile(a, b);
+        EXPECT_EQ(array.macCount(), 7u * 65u * 40u);
+        const Matrix got = array.accumulators();
+        if (mode == FsimMode::Stepped) {
+            want = got;
+            want_cycles = cycles;
+            EXPECT_TRUE(std::isnan(want(0, 64)));
+            continue;
+        }
+        EXPECT_EQ(cycles, want_cycles);
+        ASSERT_TRUE(got.sameShape(want));
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            const float g = got.data()[i];
+            const float w = want.data()[i];
+            EXPECT_TRUE((std::isnan(g) && std::isnan(w)) || bitEqual(g, w))
+                << "element " << i << ": " << g << " vs " << w;
+        }
+    }
 }
 
 TEST(FastForward, AlphaAndAddendVariantsThroughFunctionalSim)
