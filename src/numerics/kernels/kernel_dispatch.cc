@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <vector>
 
 #include "common/logging.hh"
 #include "kernel_tiers.hh"
@@ -122,6 +123,30 @@ resolvedAvx512KernelSet()
 }
 #endif
 
+/** Each tier's name for toString and both parsers. The tier tables'
+ *  KernelSet::name spell it the same, so activeSimdTier parses it. */
+struct TierName
+{
+    SimdTier tier;
+    const char *name;
+};
+
+constexpr TierName kTierNames[] = {
+    { SimdTier::Scalar, "scalar" },
+    { SimdTier::Avx2, "avx2" },
+    { SimdTier::Avx512, "avx512" },
+};
+
+/** The table entry named `name`, or nullptr when no tier is. */
+const TierName *
+findTier(const std::string &name)
+{
+    for (const TierName &t : kTierNames)
+        if (name == t.name)
+            return &t;
+    return nullptr;
+}
+
 std::atomic<const KernelSet *> &
 activeKernelSlot()
 {
@@ -131,17 +156,24 @@ activeKernelSlot()
 
 } // namespace
 
+TileScratch
+tileScratch(std::size_t aFloats, std::size_t bFloats, std::size_t aBlocks)
+{
+    static thread_local std::vector<float> a;
+    static thread_local std::vector<float> b;
+    static thread_local std::vector<ExpRange> ranges;
+    a.resize(aFloats);
+    b.resize(bFloats);
+    ranges.resize(aBlocks);
+    return { a.data(), b.data(), ranges.data() };
+}
+
 const char *
 toString(SimdTier tier)
 {
-    switch (tier) {
-      case SimdTier::Scalar:
-        return "scalar";
-      case SimdTier::Avx2:
-        return "avx2";
-      case SimdTier::Avx512:
-        return "avx512";
-    }
+    for (const TierName &t : kTierNames)
+        if (t.tier == tier)
+            return t.name;
     return "?";
 }
 
@@ -150,14 +182,12 @@ parseSimdTier(const std::string &name)
 {
     if (name == "auto")
         return bestSimdTier();
-    if (name == "scalar")
-        return SimdTier::Scalar;
-    if (name == "avx2")
-        return SimdTier::Avx2;
-    if (name == "avx512")
-        return SimdTier::Avx512;
-    fatal("unknown SIMD tier \"", name,
-          "\"; expected auto, scalar, avx2, or avx512");
+    const TierName *t = findTier(name);
+    if (!t) {
+        fatal("unknown SIMD tier \"", name,
+              "\"; expected auto, scalar, avx2, or avx512");
+    }
+    return t->tier;
 }
 
 SimdTier
@@ -166,27 +196,21 @@ simdTierFromSpec(const char *spec)
     if (!spec || !*spec)
         return bestSimdTier();
     const std::string s = spec;
-    SimdTier tier;
-    if (s == "auto") {
+    if (s == "auto")
         return bestSimdTier();
-    } else if (s == "scalar") {
-        tier = SimdTier::Scalar;
-    } else if (s == "avx2") {
-        tier = SimdTier::Avx2;
-    } else if (s == "avx512") {
-        tier = SimdTier::Avx512;
-    } else {
+    const TierName *t = findTier(s);
+    if (!t) {
         warn("ignoring invalid PROSE_SIMD=\"", s,
              "\"; using auto (expected auto, scalar, avx2, or avx512)");
         return bestSimdTier();
     }
-    if (!simdTierAvailable(tier)) {
+    if (!simdTierAvailable(t->tier)) {
         const SimdTier best = bestSimdTier();
         warn("PROSE_SIMD=", s, " not available on this build/CPU; ",
              "falling back to ", toString(best));
         return best;
     }
-    return tier;
+    return t->tier;
 }
 
 bool

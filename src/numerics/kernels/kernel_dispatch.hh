@@ -23,11 +23,12 @@
  * verbatim. The scalar reference rounds every MAC's product and sum
  * separately, so a MAC is fused only where every product is provably
  * exact: then fma(a, b, c) and c + a * b are the same number for any
- * accumulator. The one such site is the AVX-512 gemmTileBf16, which
- * fuses a (row block x B chunk) only when all its bf16 products are
- * fp32 normals (see productsExact in kernels_avx512.cc). Everywhere
- * else the kernels/ translation units, compiled with -ffp-contract=off
- * and without -mfma, keep the two roundings separate; tests/numerics/
+ * accumulator. The one such site is gemmTileBf16 on a tier whose
+ * traits set kFusedMac (AVX-512), which fuses a (row block x B chunk)
+ * only when all its bf16 products are fp32 normals (see productsExact
+ * in kernel_body.hh). Everywhere else the kernels/ translation units,
+ * compiled with -ffp-contract=off and without -mfma, keep the two
+ * roundings separate; tests/numerics/
  * test_kernel_dispatch.cc hammers every tier against scalar on
  * randomized shapes, strides, special values, the fused gate's bounds
  * and every FTZ/DAZ setting.

@@ -10,15 +10,15 @@
  * the reference rounds them like any other value. Denormal fp32 inputs
  * always produce denormal bf16 results (same exponent range), so the
  * guard below detects chunks containing any denormal input and routes
- * just those through the scalar reference. Randomized cross-tier tests
- * pin this tier to the scalar bits, denormals included.
+ * just those through the scalar tier's row, which stays in its
+ * baseline TU (an inline reference helper expanded here would leave a
+ * weak copy compiled for AVX-512). Randomized cross-tier tests pin this
+ * tier to the scalar bits, denormals included.
  */
 
 #include "kernel_tiers.hh"
 
 #include <immintrin.h>
-
-#include "numerics/bfloat16.hh"
 
 namespace prose::kernels {
 
@@ -27,7 +27,7 @@ quantizeBitsRowAvx512Bf16(std::uint16_t *dst, const float *src,
                           std::size_t n)
 {
     for (std::size_t j = 0; j < n; j += 16) {
-        const std::size_t live = std::min<std::size_t>(16, n - j);
+        const std::size_t live = n - j < 16 ? n - j : 16;
         const __mmask16 m =
             static_cast<__mmask16>((1u << live) - 1u);
         const __m512 v = _mm512_maskz_loadu_ps(m, src + j);
@@ -39,8 +39,7 @@ quantizeBitsRowAvx512Bf16(std::uint16_t *dst, const float *src,
             _mm512_cmpgt_epi32_mask(abs, _mm512_setzero_si512()), abs,
             _mm512_set1_epi32(0x00800000));
         if (denormal) {
-            for (std::size_t l = 0; l < live; ++l)
-                dst[j + l] = Bfloat16::roundFromFloat(src[j + l]);
+            scalarKernelSet().quantizeBitsRow(dst + j, src + j, live);
             continue;
         }
         // GCC vector types convert with a (C-style) bit cast only.

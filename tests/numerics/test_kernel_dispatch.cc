@@ -150,96 +150,149 @@ packB(const std::vector<std::uint16_t> &b, std::size_t bStride,
     return packed;
 }
 
-/** Shapes chosen to cover full vector chunks, sub-width tails, and the
- *  1-element degenerate case for 8/16-lane kernels. */
-constexpr std::size_t kLengths[] = { 1, 2, 7, 8, 9, 15, 16, 17,
-                                     31, 33, 64, 100, 257 };
+/** MXCSR flush-to-zero (bit 15) and denormals-are-zero (bit 6). */
+constexpr unsigned kFtz = 0x8000u;
+constexpr unsigned kDaz = 0x0040u;
+
+/** The FTZ/DAZ combinations the cross-tier cases run under; only the
+ *  default environment where MXCSR does not exist. */
+std::vector<unsigned>
+fpModes()
+{
+#ifdef PROSE_TEST_HAVE_MXCSR
+    return { 0u, kFtz, kDaz, kFtz | kDaz };
+#else
+    return { 0u };
+#endif
+}
+
+/** Sets MXCSR's FTZ/DAZ bits to `bits` for one scope. */
+class ScopedFpMode
+{
+  public:
+    explicit ScopedFpMode(unsigned bits)
+    {
+#ifdef PROSE_TEST_HAVE_MXCSR
+        saved_ = _mm_getcsr();
+        _mm_setcsr((saved_ & ~(kFtz | kDaz)) | bits);
+#else
+        (void)bits;
+#endif
+    }
+    ~ScopedFpMode()
+    {
+#ifdef PROSE_TEST_HAVE_MXCSR
+        _mm_setcsr(saved_);
+#endif
+    }
+    ScopedFpMode(const ScopedFpMode &) = delete;
+    ScopedFpMode &operator=(const ScopedFpMode &) = delete;
+
+  private:
+    unsigned saved_ = 0;
+};
+
+/** Every length 0..33, so each partial tail of the 8- and 16-lane
+ *  kernels runs (after zero, one and two whole vectors), plus longer
+ *  rows. */
+constexpr std::size_t kLengths[] = { 0,  1,  2,  3,  4,  5,  6,  7,  8,
+                                     9,  10, 11, 12, 13, 14, 15, 16, 17,
+                                     18, 19, 20, 21, 22, 23, 24, 25, 26,
+                                     27, 28, 29, 30, 31, 32, 33, 64, 100,
+                                     257 };
 
 TEST(KernelDispatch, RowKernelsBitIdenticalAcrossTiers)
 {
     const KernelSet &ref = kernels::kernelsForTier(SimdTier::Scalar);
-    for (SimdTier tier : availableTiers()) {
-        const KernelSet &ks = kernels::kernelsForTier(tier);
-        Rng rng(1234);
-        for (std::size_t n : kLengths) {
-            const std::vector<float> src = specialVector(rng, n);
-            const std::vector<float> acc0 = specialVector(rng, n);
-            const std::vector<std::uint16_t> bits = quantize(src);
-            const float av = specialValue(rng);
+    for (unsigned mode : fpModes()) {
+        SCOPED_TRACE(::testing::Message()
+                     << "ftz/daz bits 0x" << std::hex << mode);
+        for (SimdTier tier : availableTiers()) {
+            const KernelSet &ks = kernels::kernelsForTier(tier);
+            Rng rng(1234);
+            for (std::size_t n : kLengths) {
+                const std::vector<float> src = specialVector(rng, n);
+                const std::vector<float> acc0 = specialVector(rng, n);
+                const std::vector<std::uint16_t> bits = quantize(src);
+                const float av = specialValue(rng);
+                // The scalar operand is pre-quantized per contract.
+                const float q = quantizeBf16(av);
 
-            std::vector<float> got, want;
+                ScopedFpMode fp(mode);
+                std::vector<float> got, want;
 
-            // quantizeBitsRow
-            std::vector<std::uint16_t> qgot(n), qwant(n);
-            ks.quantizeBitsRow(qgot.data(), src.data(), n);
-            ref.quantizeBitsRow(qwant.data(), src.data(), n);
-            EXPECT_EQ(qgot, qwant) << ks.name << " quantizeBitsRow n=" << n;
+                // quantizeBitsRow
+                std::vector<std::uint16_t> qgot(n), qwant(n);
+                ks.quantizeBitsRow(qgot.data(), src.data(), n);
+                ref.quantizeBitsRow(qwant.data(), src.data(), n);
+                EXPECT_EQ(qgot, qwant)
+                    << ks.name << " quantizeBitsRow n=" << n;
 
-            // widenRow
-            got.assign(n, 0.0f);
-            want.assign(n, 0.0f);
-            ks.widenRow(got.data(), bits.data(), n);
-            ref.widenRow(want.data(), bits.data(), n);
-            EXPECT_TRUE(bitsIdentical(got, want))
-                << ks.name << " widenRow n=" << n;
+                // widenRow
+                got.assign(n, 0.0f);
+                want.assign(n, 0.0f);
+                ks.widenRow(got.data(), bits.data(), n);
+                ref.widenRow(want.data(), bits.data(), n);
+                EXPECT_TRUE(bitsIdentical(got, want))
+                    << ks.name << " widenRow n=" << n;
 
-            // quantizeRoundtripRow (out-of-place and in-place)
-            got.assign(n, 0.0f);
-            want.assign(n, 0.0f);
-            ks.quantizeRoundtripRow(got.data(), src.data(), n);
-            ref.quantizeRoundtripRow(want.data(), src.data(), n);
-            EXPECT_TRUE(bitsIdentical(got, want))
-                << ks.name << " quantizeRoundtripRow n=" << n;
-            std::vector<float> inplace = src;
-            ks.quantizeRoundtripRow(inplace.data(), inplace.data(), n);
-            EXPECT_TRUE(bitsIdentical(inplace, want))
-                << ks.name << " quantizeRoundtripRow in-place n=" << n;
+                // quantizeRoundtripRow (out-of-place and in-place)
+                got.assign(n, 0.0f);
+                want.assign(n, 0.0f);
+                ks.quantizeRoundtripRow(got.data(), src.data(), n);
+                ref.quantizeRoundtripRow(want.data(), src.data(), n);
+                EXPECT_TRUE(bitsIdentical(got, want))
+                    << ks.name << " quantizeRoundtripRow n=" << n;
+                std::vector<float> inplace = src;
+                ks.quantizeRoundtripRow(inplace.data(), inplace.data(), n);
+                EXPECT_TRUE(bitsIdentical(inplace, want))
+                    << ks.name << " quantizeRoundtripRow in-place n=" << n;
 
-            // truncateRow
-            got.assign(n, 0.0f);
-            want.assign(n, 0.0f);
-            ks.truncateRow(got.data(), src.data(), n);
-            ref.truncateRow(want.data(), src.data(), n);
-            EXPECT_TRUE(bitsIdentical(got, want))
-                << ks.name << " truncateRow n=" << n;
+                // truncateRow
+                got.assign(n, 0.0f);
+                want.assign(n, 0.0f);
+                ks.truncateRow(got.data(), src.data(), n);
+                ref.truncateRow(want.data(), src.data(), n);
+                EXPECT_TRUE(bitsIdentical(got, want))
+                    << ks.name << " truncateRow n=" << n;
 
-            // SIMD-unit rows (scalar operand pre-quantized per contract)
-            const float q = quantizeBf16(av);
-            got = acc0;
-            want = acc0;
-            ks.simdMulScalarRow(got.data(), q, n);
-            ref.simdMulScalarRow(want.data(), q, n);
-            EXPECT_TRUE(bitsIdentical(got, want))
-                << ks.name << " simdMulScalarRow n=" << n;
+                // SIMD-unit rows
+                got = acc0;
+                want = acc0;
+                ks.simdMulScalarRow(got.data(), q, n);
+                ref.simdMulScalarRow(want.data(), q, n);
+                EXPECT_TRUE(bitsIdentical(got, want))
+                    << ks.name << " simdMulScalarRow n=" << n;
 
-            got = acc0;
-            want = acc0;
-            ks.simdAddScalarRow(got.data(), q, n);
-            ref.simdAddScalarRow(want.data(), q, n);
-            EXPECT_TRUE(bitsIdentical(got, want))
-                << ks.name << " simdAddScalarRow n=" << n;
+                got = acc0;
+                want = acc0;
+                ks.simdAddScalarRow(got.data(), q, n);
+                ref.simdAddScalarRow(want.data(), q, n);
+                EXPECT_TRUE(bitsIdentical(got, want))
+                    << ks.name << " simdAddScalarRow n=" << n;
 
-            got = acc0;
-            want = acc0;
-            ks.simdMulVectorRow(got.data(), src.data(), n);
-            ref.simdMulVectorRow(want.data(), src.data(), n);
-            EXPECT_TRUE(bitsIdentical(got, want))
-                << ks.name << " simdMulVectorRow n=" << n;
+                got = acc0;
+                want = acc0;
+                ks.simdMulVectorRow(got.data(), src.data(), n);
+                ref.simdMulVectorRow(want.data(), src.data(), n);
+                EXPECT_TRUE(bitsIdentical(got, want))
+                    << ks.name << " simdMulVectorRow n=" << n;
 
-            got = acc0;
-            want = acc0;
-            ks.simdAddVectorRow(got.data(), src.data(), n);
-            ref.simdAddVectorRow(want.data(), src.data(), n);
-            EXPECT_TRUE(bitsIdentical(got, want))
-                << ks.name << " simdAddVectorRow n=" << n;
+                got = acc0;
+                want = acc0;
+                ks.simdAddVectorRow(got.data(), src.data(), n);
+                ref.simdAddVectorRow(want.data(), src.data(), n);
+                EXPECT_TRUE(bitsIdentical(got, want))
+                    << ks.name << " simdAddVectorRow n=" << n;
 
-            // scaleQuantizeRow
-            got = src;
-            want = src;
-            ks.scaleQuantizeRow(got.data(), av, n);
-            ref.scaleQuantizeRow(want.data(), av, n);
-            EXPECT_TRUE(bitsIdentical(got, want))
-                << ks.name << " scaleQuantizeRow n=" << n;
+                // scaleQuantizeRow
+                got = src;
+                want = src;
+                ks.scaleQuantizeRow(got.data(), av, n);
+                ref.scaleQuantizeRow(want.data(), av, n);
+                EXPECT_TRUE(bitsIdentical(got, want))
+                    << ks.name << " scaleQuantizeRow n=" << n;
+            }
         }
     }
 }
@@ -294,48 +347,6 @@ TEST(KernelDispatch, GemmTileBitIdenticalAcrossTiersWithStrides)
 }
 
 // --- gemmTileBf16's exact fused MAC ----------------------------------
-
-/** MXCSR flush-to-zero (bit 15) and denormals-are-zero (bit 6). */
-constexpr unsigned kFtz = 0x8000u;
-constexpr unsigned kDaz = 0x0040u;
-
-/** The FTZ/DAZ combinations the fused-gate cases run under; only the
- *  default environment where MXCSR does not exist. */
-std::vector<unsigned>
-fpModes()
-{
-#ifdef PROSE_TEST_HAVE_MXCSR
-    return { 0u, kFtz, kDaz, kFtz | kDaz };
-#else
-    return { 0u };
-#endif
-}
-
-/** Sets MXCSR's FTZ/DAZ bits to `bits` for one scope. */
-class ScopedFpMode
-{
-  public:
-    explicit ScopedFpMode(unsigned bits)
-    {
-#ifdef PROSE_TEST_HAVE_MXCSR
-        saved_ = _mm_getcsr();
-        _mm_setcsr((saved_ & ~(kFtz | kDaz)) | bits);
-#else
-        (void)bits;
-#endif
-    }
-    ~ScopedFpMode()
-    {
-#ifdef PROSE_TEST_HAVE_MXCSR
-        _mm_setcsr(saved_);
-#endif
-    }
-    ScopedFpMode(const ScopedFpMode &) = delete;
-    ScopedFpMode &operator=(const ScopedFpMode &) = delete;
-
-  private:
-    unsigned saved_ = 0;
-};
 
 /** bf16 bits from a sign, a biased exponent and a 7-bit mantissa. */
 std::uint16_t
@@ -424,14 +435,15 @@ gemmTileMatchesScalar(const TileCase &t)
 }
 
 /** Row counts through the 6-row blocks' 1..5-row remainders, column
- *  counts through the 16-lane and 64-column tails, and depths across
- *  one and several B chunks. */
+ *  counts through the 8- and 16-lane tails and the 16-, 64-column
+ *  blocks, and depths across one and several B chunks. */
 std::vector<TileCase>
 remainderShapes()
 {
     std::vector<TileCase> shapes;
-    const std::size_t col_depths[][2] = { { 1, 1 },    { 17, 9 },
-                                          { 64, 128 }, { 65, 3 },
+    const std::size_t col_depths[][2] = { { 1, 1 },     { 5, 7 },
+                                          { 17, 9 },    { 46, 16 },
+                                          { 64, 128 },  { 65, 3 },
                                           { 130, 131 }, { 100, 200 } };
     for (std::size_t rows : { 1, 2, 3, 4, 5, 6, 7, 13 })
         for (const auto &cd : col_depths)
@@ -553,41 +565,33 @@ TEST(KernelDispatch, GemmTileMixedRowBlocksMatchScalar)
 
 TEST(KernelDispatch, GemmTileF32BitIdenticalAcrossTiersWithStrides)
 {
+    // remainderShapes() crosses the register blocks' row remainders and
+    // the column tails; strided views as the tiled matmul produces them.
     const KernelSet &ref = kernels::kernelsForTier(SimdTier::Scalar);
-    struct Shape
-    {
-        std::size_t rows, cols, depth;
-    };
-    // Odd row counts exercise the register-blocked kernels' remainder
-    // row; tails below/above the 8/16/32/64-lane block widths and
-    // strided views exercise the column tails.
-    const Shape shapes[] = { { 1, 1, 1 },    { 3, 5, 7 },
-                             { 4, 16, 8 },   { 5, 17, 9 },
-                             { 8, 33, 16 },  { 2, 64, 12 },
-                             { 3, 65, 5 },   { 6, 128, 10 },
-                             { 7, 100, 23 } };
-    for (SimdTier tier : availableTiers()) {
-        const KernelSet &ks = kernels::kernelsForTier(tier);
-        Rng rng(1234);
-        for (const Shape &s : shapes) {
-            const std::size_t aStride = s.depth + 3;
-            const std::size_t bStride = s.cols + 5;
-            const std::size_t cStride = s.cols + 2;
-            const std::vector<float> a =
-                specialVector(rng, s.rows * aStride);
-            const std::vector<float> b =
-                specialVector(rng, s.depth * bStride);
-            const std::vector<float> c0 =
-                specialVector(rng, s.rows * cStride);
-
-            std::vector<float> got = c0, want = c0;
-            ks.gemmTileF32(got.data(), cStride, a.data(), aStride,
-                           b.data(), bStride, s.rows, s.cols, s.depth);
-            ref.gemmTileF32(want.data(), cStride, a.data(), aStride,
-                            b.data(), bStride, s.rows, s.cols, s.depth);
-            EXPECT_TRUE(bitsIdentical(got, want))
-                << ks.name << " gemmTileF32 " << s.rows << "x" << s.cols
-                << "x" << s.depth;
+    Rng rng(1234);
+    for (const TileCase &t : remainderShapes()) {
+        const std::vector<float> a = specialVector(rng, t.rows * t.aStride);
+        const std::vector<float> b =
+            specialVector(rng, t.depth * t.bStride);
+        const std::vector<float> c0 = specialVector(rng, t.rows * t.cStride);
+        for (unsigned mode : fpModes()) {
+            for (SimdTier tier : availableTiers()) {
+                const KernelSet &ks = kernels::kernelsForTier(tier);
+                std::vector<float> got = c0, want = c0;
+                {
+                    ScopedFpMode fp(mode);
+                    ks.gemmTileF32(got.data(), t.cStride, a.data(),
+                                   t.aStride, b.data(), t.bStride, t.rows,
+                                   t.cols, t.depth);
+                    ref.gemmTileF32(want.data(), t.cStride, a.data(),
+                                    t.aStride, b.data(), t.bStride, t.rows,
+                                    t.cols, t.depth);
+                }
+                EXPECT_TRUE(bitsIdentical(got, want))
+                    << ks.name << " gemmTileF32 " << t.rows << "x"
+                    << t.cols << "x" << t.depth << ", ftz/daz bits 0x"
+                    << std::hex << mode;
+            }
         }
     }
 }
