@@ -94,7 +94,7 @@ main(int argc, char **argv)
         const Matrix lut =
             model.forward(batch, NumericsMode::Bf16Lut).hidden;
         const BindingExperimentResult result = runBindingExperiment(
-            model, train, test, 10.0, NumericsMode::Bf16Lut);
+            model, train, test, NumericsMode::Bf16Lut);
 
         table.addRow({ choice.label, std::to_string(bytes),
                        Table::fmt(cosine(fp32, lut), 5),

@@ -117,8 +117,8 @@ int
 main(int argc, char **argv)
 {
     rejectArgs(argc, argv);
-    const TwoLevelLut gelu = TwoLevelLut::makeGelu();
-    const TwoLevelLut exp = TwoLevelLut::makeExp();
+    const TwoLevelLut &gelu = geluLut();
+    const TwoLevelLut &exp = expLut();
 
     banner("Figure 13: GELU LUT (window [-4, 3], " +
            std::to_string(gelu.storageBytes()) + " bytes)");

@@ -60,7 +60,7 @@ main(int argc, char **argv)
     phases.print(std::cout);
 
     // Bit-exact check against the reference numerics.
-    const TwoLevelLut lut = TwoLevelLut::makeGelu();
+    const TwoLevelLut &lut = geluLut();
     const Matrix mm_ref = matmulBf16(a, b);
     float worst = 0.0f;
     for (std::size_t i = 0; i < n; ++i) {

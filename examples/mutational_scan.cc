@@ -47,7 +47,7 @@ main(int argc, char **argv)
 
     // Scan the wild type.
     const MutationScan scan =
-        scanMutations(model, head, train.parent, 64);
+        scanMutations(model, head, train.parent);
     std::cout << "wild type (" << scan.wildType.size()
               << " residues): " << scan.wildType << "\n";
     std::cout << "scored " << scan.effects.size()

@@ -64,10 +64,9 @@ buildEnergyReport(const ProseConfig &config, const SimReport &report)
             idle * watts * kIdlePowerFraction;
     }
 
-    const HostPowerSpec host;
     energy.cpuJoules =
-        report.cpuDuty * host.cpuActiveWatts * report.makespan;
-    energy.dramJoules = host.dramWatts * report.makespan;
+        report.cpuDuty * kHostCpuActiveWatts * report.makespan;
+    energy.dramJoules = kHostDramWatts * report.makespan;
     energy.linkJoules =
         static_cast<double>(report.bytesIn + report.bytesOut) *
         kLinkJoulesPerByte;

@@ -36,7 +36,7 @@ struct EnergyReport
  * Build the ledger for a finished run. Array busy seconds come from the
  * report's per-type tallies; idle = (makespan - busy/count) per array,
  * burning 30% of the array's Table 2 power; the link costs 25 pJ per
- * byte moved; the host draws HostPowerSpec's defaults.
+ * byte moved; the host draws kHostCpuActiveWatts and kHostDramWatts.
  */
 EnergyReport buildEnergyReport(const ProseConfig &config,
                                const SimReport &report);

@@ -149,8 +149,8 @@ ProseSystem::run(const BertShape &shape, FaultInjector *injector) const
         used * power.arrayPowerWatts(config_.instance.groups,
                                      config_.instance.partialInputBuffer);
     report.systemWatts = arrays +
-                         report.hostDuty * power.host().cpuActiveWatts +
-                         power.host().dramWatts;
+                         report.hostDuty * kHostCpuActiveWatts +
+                         kHostDramWatts;
     return report;
 }
 

@@ -119,21 +119,12 @@ ThreadPool::SerialGuard::~SerialGuard()
 void
 ThreadPool::parallelFor(std::size_t n, const RangeFn &body)
 {
-    parallelFor(n, 0, body);
-}
-
-void
-ThreadPool::parallelFor(std::size_t n, std::size_t max_chunks,
-                        const RangeFn &body)
-{
     if (n == 0)
         return;
     // Over-decompose ~4x for load balance; chunk claim order is
     // irrelevant to results because indices partition exactly.
-    std::size_t chunks =
+    const std::size_t chunks =
         std::min(n, static_cast<std::size_t>(parallelism()) * 4);
-    if (max_chunks)
-        chunks = std::min(chunks, max_chunks);
     if (chunks <= 1 || workers_.empty() || inParallelRegion()) {
         ++tlParallelDepth;
         try {

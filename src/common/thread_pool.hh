@@ -3,9 +3,10 @@
  * prose::compute — the shared host-side compute backend.
  *
  * A persistent, lazily-initialized pool of worker threads that every
- * parallel consumer in the repo (tiled matmul kernels, host softmax /
- * LayerNorm, the DSE sweep, the functional simulator's batch fan-out)
- * submits to, instead of spawning ad-hoc std::thread vectors per call.
+ * parallel consumer in the repo (tiled matmul kernels, the model's
+ * attention fan-out, the DSE sweep, the functional simulator's batch
+ * fan-out) submits to, instead of spawning ad-hoc std::thread vectors
+ * per call.
  *
  * Scheduling is chunked self-scheduling: a parallelFor splits [0, n)
  * into contiguous index ranges and workers (plus the calling thread,
@@ -104,14 +105,6 @@ class ThreadPool
      * is active.
      */
     void parallelFor(std::size_t n, const RangeFn &body);
-
-    /**
-     * As parallelFor(n, body), but split into at most max_chunks
-     * chunks, bounding effective concurrency — the knob parallelRows()
-     * uses to model a host CPU with fewer lanes than the pool.
-     */
-    void parallelFor(std::size_t n, std::size_t max_chunks,
-                     const RangeFn &body);
 
     /**
      * RAII switch forcing every parallelFor on this thread to run

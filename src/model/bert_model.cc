@@ -43,24 +43,19 @@ BertModel::BertModel(const BertConfig &config, std::uint64_t seed)
 }
 
 BertModel::BertModel(const BertConfig &config, BertWeights weights)
-    : config_(config), weights_(std::move(weights)),
-      geluLut_(TwoLevelLut::makeGelu()), expLut_(TwoLevelLut::makeExp())
+    : config_(config), weights_(std::move(weights))
 {
     config_.validate();
     PROSE_ASSERT(weights_.layers.size() == config_.layers,
                  "weights/config layer-count mismatch");
     buildWeightCache();
-    geluFlatBits_ = geluLut_.flattenToFloatBits();
-    expFlatBits_ = expLut_.flattenToFloatBits();
 }
 
 void
 BertModel::setSpecialFunctionLuts(TwoLevelLut gelu, TwoLevelLut exp)
 {
-    geluLut_ = std::move(gelu);
-    expLut_ = std::move(exp);
-    geluFlatBits_ = geluLut_.flattenToFloatBits();
-    expFlatBits_ = expLut_.flattenToFloatBits();
+    customGelu_ = std::move(gelu);
+    customExp_ = std::move(exp);
 }
 
 void
@@ -230,24 +225,21 @@ BertModel::encoderLayer(const Matrix &x, const LayerWeights &lw, int layer,
             if (mode == NumericsMode::Fp32) {
                 probs = rowSoftmax(scores);
             } else {
-                // Accelerator path: Exp on-array (optionally via LUT),
-                // row sum + divide on the host CPU in fp32. The LUT
-                // sweep and the divide epilogue run through the SIMD
-                // kernel layer; both kernels are bit-exact with the
-                // scalar forms on every tier.
+                // Accelerator path: Exp on-array via the LUT, row sum +
+                // divide on the host CPU in fp32. The LUT sweep and the
+                // divide epilogue run through the SIMD kernel layer;
+                // both kernels are bit-exact with the scalar forms on
+                // every tier.
                 const auto &kernels = kernels::activeKernels();
+                const std::uint32_t *exp_table =
+                    (customExp_ ? *customExp_ : expLut())
+                        .flatFloatBits()
+                        .data();
                 for (std::uint64_t i = 0; i < seq_len; ++i) {
                     float *prow = probs.row(i);
-                    if (mode == NumericsMode::Bf16Lut) {
-                        std::copy(scores.row(i), scores.row(i) + seq_len,
-                                  prow);
-                        kernels.lutRow(prow, expFlatBits_.data(),
-                                       seq_len);
-                    } else {
-                        for (std::uint64_t j = 0; j < seq_len; ++j)
-                            prow[j] =
-                                quantizeBf16(std::exp(scores(i, j)));
-                    }
+                    std::copy(scores.row(i), scores.row(i) + seq_len,
+                              prow);
+                    kernels.lutRow(prow, exp_table, seq_len);
                     double denom = 0.0;
                     for (std::uint64_t j = 0; j < seq_len; ++j)
                         denom += prow[j];
@@ -285,21 +277,18 @@ BertModel::encoderLayer(const Matrix &x, const LayerWeights &lw, int layer,
     modalQuantize(inter, mode);
     record(OpKind::MulAdd, Sublayer::Intermediate, 1, bl, 0,
            config_.intermediate, true);
-    if (mode == NumericsMode::Bf16Lut) {
+    if (mode == NumericsMode::Fp32) {
+        for (std::size_t i = 0; i < inter.rows(); ++i)
+            for (std::size_t j = 0; j < inter.cols(); ++j)
+                inter(i, j) = geluTanh(inter(i, j));
+    } else {
         // GELU LUT sweep through the SIMD gather kernel (bit-exact
         // with the scalar two-level lookup on every tier).
+        const std::uint32_t *gelu_table =
+            (customGelu_ ? *customGelu_ : geluLut()).flatFloatBits().data();
         for (std::size_t i = 0; i < inter.rows(); ++i)
-            kernels::activeKernels().lutRow(
-                inter.row(i), geluFlatBits_.data(), inter.cols());
-    } else {
-        for (std::size_t i = 0; i < inter.rows(); ++i) {
-            for (std::size_t j = 0; j < inter.cols(); ++j) {
-                if (mode == NumericsMode::Bf16)
-                    inter(i, j) = quantizeBf16(geluTanh(inter(i, j)));
-                else
-                    inter(i, j) = geluTanh(inter(i, j));
-            }
-        }
+            kernels::activeKernels().lutRow(inter.row(i), gelu_table,
+                                            inter.cols());
     }
     record(OpKind::Gelu, Sublayer::Intermediate, 1, bl, 0,
            config_.intermediate);

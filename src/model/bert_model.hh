@@ -1,16 +1,17 @@
 /**
  * @file
  * The Protein BERT encoder: a from-scratch BERT-base-style transformer
- * executing real math, with three numerics modes and optional op tracing.
+ * executing real math, with two numerics modes and optional op tracing.
  *
  * Modes:
  *  - Fp32: reference fp32 forward (the "GPU" numerics).
- *  - Bf16: operands quantized to bfloat16, products accumulated in fp32 —
- *    the ProSE MAC datapath.
- *  - Bf16Lut: Bf16 plus GELU/Exp evaluated through the two-level lookup
- *    tables of the special-function units, i.e. the full accelerator
- *    numerics. The paper notes model accuracy is sensitive to GELU /
- *    softmax precision; tests compare these modes.
+ *  - Bf16Lut: the full accelerator numerics. Operands are quantized to
+ *    bfloat16 and products accumulated in fp32 (the ProSE MAC datapath),
+ *    and GELU/Exp are evaluated through the two-level lookup tables of
+ *    the special-function units: the paper's process-wide geluLut() /
+ *    expLut() unless setSpecialFunctionLuts gave the model its own. The
+ *    paper notes model accuracy is sensitive to GELU / softmax
+ *    precision; tests compare the two modes.
  *
  * When a trace is supplied, the forward records exactly the op stream
  * synthesizeBertTrace() predicts (a unit test enforces equality), which is
@@ -22,6 +23,7 @@
 #define PROSE_MODEL_BERT_MODEL_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "bert_config.hh"
@@ -36,7 +38,6 @@ namespace prose {
 enum class NumericsMode
 {
     Fp32,
-    Bf16,
     Bf16Lut,
 };
 
@@ -96,8 +97,9 @@ class BertModel
         NumericsMode mode = NumericsMode::Fp32) const;
 
     /**
-     * Replace the special-function lookup tables used by Bf16Lut mode —
-     * the knob behind the Figures 13/14 window-size ablation ("we have
+     * Give this model its own special-function lookup tables for
+     * Bf16Lut mode, in place of the shared geluLut()/expLut() — the
+     * knob behind the Figures 13/14 window-size ablation ("we have
      * validated that these truncation policies do not affect the
      * accuracy of the models we study").
      */
@@ -135,7 +137,7 @@ class BertModel
                        const QuantizedOperand &wq,
                        NumericsMode mode) const;
 
-    /** Elementwise quantization when the mode is a bf16 mode. */
+    /** Elementwise quantization when the mode is Bf16Lut. */
     void modalQuantize(Matrix &m, NumericsMode mode) const;
 
     /** bf16-quantized copies of one layer's weight matrices. */
@@ -149,18 +151,10 @@ class BertModel
 
     BertConfig config_;
     BertWeights weights_;
-    TwoLevelLut geluLut_;
-    TwoLevelLut expLut_;
-    /**
-     * Flat 65536-entry gather tables of the two LUTs (bf16 bit pattern
-     * -> fp32 bit pattern), rebuilt whenever the LUTs change. The
-     * Bf16Lut GELU/Exp sweeps run through kernels::lutRow against
-     * these; flattenToFloatBits makes a flat read bit-exact with the
-     * two-level read by construction, so the vectorized sweeps match
-     * the scalar lookupFloat path on every SIMD tier.
-     */
-    std::vector<std::uint32_t> geluFlatBits_;
-    std::vector<std::uint32_t> expFlatBits_;
+    /** Tables from setSpecialFunctionLuts; empty means the shared ones.
+     *  The Bf16Lut sweeps gather from their flatFloatBits(). */
+    std::optional<TwoLevelLut> customGelu_;
+    std::optional<TwoLevelLut> customExp_;
     std::vector<QuantizedLayerWeights> bf16Weights_;
     QuantizedOperand poolerWBf16_;
 };

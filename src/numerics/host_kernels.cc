@@ -3,35 +3,15 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "bfloat16.hh"
 #include "kernels/kernel_dispatch.hh"
 
 namespace prose {
 
 void
-parallelRows(std::size_t rows, unsigned workers,
-             const std::function<void(std::size_t)> &fn)
+hostSoftmaxDivide(Matrix &exp_values)
 {
-    PROSE_ASSERT(workers >= 1, "need at least one host worker");
-    if (workers == 1 || rows < 2 * workers) {
-        for (std::size_t row = 0; row < rows; ++row)
-            fn(row);
-        return;
-    }
-    // Submit to the shared pool instead of spawning threads per call;
-    // capping the chunk count models a host CPU with `workers` lanes.
-    ThreadPool::global().parallelFor(
-        rows, workers, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t row = begin; row < end; ++row)
-                fn(row);
-        });
-}
-
-void
-hostSoftmaxDivide(Matrix &exp_values, unsigned workers)
-{
-    parallelRows(exp_values.rows(), workers, [&](std::size_t row) {
+    for (std::size_t row = 0; row < exp_values.rows(); ++row) {
         double denom = 0.0;
         float *values = exp_values.row(row);
         for (std::size_t j = 0; j < exp_values.cols(); ++j)
@@ -43,7 +23,7 @@ hostSoftmaxDivide(Matrix &exp_values, unsigned workers)
         // reduction, not independent lanes).
         kernels::activeKernels().scaleQuantizeRow(values, inv,
                                                   exp_values.cols());
-    });
+    }
 }
 
 } // namespace prose

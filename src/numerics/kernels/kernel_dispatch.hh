@@ -150,9 +150,10 @@ struct KernelSet
      * acc[j] = bitcast<float>(table[bits(acc[j]) >> 16]) — the
      * special-function (GELU/Exp) sweep. `table` is a flat 65536-entry
      * map from a bf16 bit pattern (the truncated top half of the
-     * accumulator) to the widened fp32 bit pattern of the LUT output;
-     * TwoLevelLut::flattenToFloatBits builds it by evaluating the
-     * two-level hardware lookup on every possible input, so a plain
+     * accumulator) to the widened fp32 bit pattern of the LUT output.
+     * TwoLevelLut::flatFloatBits() is that map: the table builds it
+     * once, at construction, by evaluating the two-level hardware
+     * lookup on every possible input, so a plain
      * table read — scalar or gathered — is bit-exact by construction,
      * NaNs and denormals included.
      */

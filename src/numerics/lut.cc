@@ -8,10 +8,10 @@
 
 namespace prose {
 
-TwoLevelLut::TwoLevelLut(std::string name, std::function<float(float)> fn,
-                         int exp_lo, int exp_hi, BoundaryPolicy policy)
-    : name_(std::move(name)), fn_(std::move(fn)), expLo_(exp_lo),
-      expHi_(exp_hi), policy_(policy)
+TwoLevelLut::TwoLevelLut(std::string name, float (*fn)(float), int exp_lo,
+                         int exp_hi, BoundaryPolicy policy)
+    : name_(std::move(name)), expLo_(exp_lo), expHi_(exp_hi),
+      policy_(policy)
 {
     PROSE_ASSERT(expLo_ <= expHi_, "LUT exponent window inverted");
     const int window = expHi_ - expLo_ + 1;
@@ -31,9 +31,17 @@ TwoLevelLut::TwoLevelLut(std::string name, std::function<float(float)> fn,
                     (sign << 15) | (biased << 7) | m);
                 const float x = Bfloat16::fromBits(bits).toFloat();
                 seg.entries[static_cast<std::size_t>(m)] =
-                    Bfloat16(fn_(x)).bits();
+                    Bfloat16(fn(x)).bits();
             }
         }
+    }
+
+    flat_.resize(65536);
+    for (std::uint32_t bits = 0; bits < 65536; ++bits) {
+        const float out =
+            lookup(Bfloat16::fromBits(static_cast<std::uint16_t>(bits)))
+                .toFloat();
+        std::memcpy(&flat_[bits], &out, sizeof(out));
     }
 }
 
@@ -99,21 +107,6 @@ TwoLevelLut::lookupFloat(float x) const
     return lookup(Bfloat16(x)).toFloat();
 }
 
-std::vector<std::uint32_t>
-TwoLevelLut::flattenToFloatBits() const
-{
-    std::vector<std::uint32_t> flat(65536);
-    for (std::uint32_t bits = 0; bits < 65536; ++bits) {
-        const float out =
-            lookup(Bfloat16::fromBits(static_cast<std::uint16_t>(bits)))
-                .toFloat();
-        std::uint32_t out_bits;
-        std::memcpy(&out_bits, &out, sizeof(out_bits));
-        flat[bits] = out_bits;
-    }
-    return flat;
-}
-
 std::size_t
 TwoLevelLut::storageBytes() const
 {
@@ -123,17 +116,20 @@ TwoLevelLut::storageBytes() const
     return total;
 }
 
-TwoLevelLut
-TwoLevelLut::makeGelu()
+const TwoLevelLut &
+geluLut()
 {
-    return TwoLevelLut("GELU", &geluTanh, -4, 3,
-                       BoundaryPolicy::GeluLike);
+    static const TwoLevelLut lut("GELU", &geluTanh, -4, 3,
+                                 TwoLevelLut::BoundaryPolicy::GeluLike);
+    return lut;
 }
 
-TwoLevelLut
-TwoLevelLut::makeExp()
+const TwoLevelLut &
+expLut()
 {
-    return TwoLevelLut("Exp", &expRef, -6, 5, BoundaryPolicy::ExpLike);
+    static const TwoLevelLut lut("Exp", &expRef, -6, 5,
+                                 TwoLevelLut::BoundaryPolicy::ExpLike);
+    return lut;
 }
 
 } // namespace prose

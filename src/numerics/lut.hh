@@ -17,13 +17,16 @@
  *    negative). 12 x 2 x 128 x 2 bytes = 6 KiB.
  *
  * These sizes match the paper's "4 KB and 6 KB respectively".
+ *
+ * The paper's two tables are process-wide constants (geluLut(), expLut()),
+ * built on first use and read by every array and model; only the window
+ * ablation builds tables of its own.
  */
 
 #ifndef PROSE_NUMERICS_LUT_HH
 #define PROSE_NUMERICS_LUT_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,8 +37,8 @@ namespace prose {
 /**
  * A hardware-faithful two-level special-function LUT over bfloat16.
  * Construction precomputes every in-window entry by rounding the reference
- * function; lookup() touches exactly one first-level and one second-level
- * entry, modelling the single-cycle indexed read.
+ * function, then the flat form; lookup() touches exactly one first-level
+ * and one second-level entry, modelling the single-cycle indexed read.
  */
 class TwoLevelLut
 {
@@ -57,8 +60,8 @@ class TwoLevelLut
      * @param exp_hi highest unbiased exponent stored
      * @param policy out-of-window behaviour
      */
-    TwoLevelLut(std::string name, std::function<float(float)> fn,
-                int exp_lo, int exp_hi, BoundaryPolicy policy);
+    TwoLevelLut(std::string name, float (*fn)(float), int exp_lo,
+                int exp_hi, BoundaryPolicy policy);
 
     /** Single-cycle lookup. Denormals and zeros take the below-window
      *  path; NaN propagates. */
@@ -71,16 +74,19 @@ class TwoLevelLut
     std::size_t storageBytes() const;
 
     /**
-     * Flatten the two-level lookup into a 65536-entry table mapping
+     * The two-level lookup flattened into a 65536-entry table mapping
      * every bf16 bit pattern to the fp32 bit pattern of
-     * lookup(pattern).toFloat(). Built by evaluating lookup() on each
-     * input, so a flat read is bit-exact with the two-level read by
-     * construction — including NaNs, denormals, and the boundary
-     * policies. This is the fast-forward engine's representation
-     * (kernels::KernelSet::lutRow gathers from it); the stepped
+     * lookup(pattern).toFloat(). Built once, at construction, by
+     * evaluating lookup() on each input, so a flat read is bit-exact
+     * with the two-level read — including NaNs, denormals, and the
+     * boundary policies. The fast-forward engine and the model's
+     * sweeps gather from it (kernels::KernelSet::lutRow); the stepped
      * wavefront keeps the hardware-faithful two-level lookup().
      */
-    std::vector<std::uint32_t> flattenToFloatBits() const;
+    const std::vector<std::uint32_t> &flatFloatBits() const
+    {
+        return flat_;
+    }
 
     /** Number of second-level tables (sign x exponent combinations). */
     std::size_t segmentCount() const { return segments_.size(); }
@@ -88,12 +94,6 @@ class TwoLevelLut
     const std::string &name() const { return name_; }
     int exponentLow() const { return expLo_; }
     int exponentHigh() const { return expHi_; }
-
-    /** Factory for the paper's GELU unit (window [-4, 3]). */
-    static TwoLevelLut makeGelu();
-
-    /** Factory for the paper's Exp unit (window [-6, 5]). */
-    static TwoLevelLut makeExp();
 
   private:
     /** One second-level table: 128 bf16 outputs for a (sign, exp) pair. */
@@ -109,12 +109,18 @@ class TwoLevelLut
     Bfloat16 boundaryValue(Bfloat16 x, bool below_window) const;
 
     std::string name_;
-    std::function<float(float)> fn_;
     int expLo_;
     int expHi_;
     BoundaryPolicy policy_;
     std::vector<Segment> segments_;
+    std::vector<std::uint32_t> flat_; ///< see flatFloatBits()
 };
+
+/** The paper's GELU unit (window [-4, 3]), shared by the process. */
+const TwoLevelLut &geluLut();
+
+/** The paper's Exp unit (window [-6, 5]), shared by the process. */
+const TwoLevelLut &expLut();
 
 } // namespace prose
 

@@ -4,11 +4,6 @@
 
 namespace prose {
 
-PowerModel::PowerModel(HostPowerSpec host)
-    : host_(host)
-{
-}
-
 double
 PowerModel::arrayPowerWatts(const std::vector<ArrayGroupSpec> &groups,
                             bool with_buffer) const
@@ -39,7 +34,7 @@ PowerModel::systemPowerWatts(const std::vector<ArrayGroupSpec> &groups,
     PROSE_ASSERT(cpu_duty >= 0.0 && cpu_duty <= 1.0,
                  "cpu duty cycle out of [0, 1]");
     return arrayPowerWatts(groups, with_buffer) +
-           cpu_duty * host_.cpuActiveWatts + host_.dramWatts;
+           cpu_duty * kHostCpuActiveWatts + kHostDramWatts;
 }
 
 } // namespace prose

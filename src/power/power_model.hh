@@ -24,19 +24,16 @@ struct ArrayGroupSpec
     std::uint32_t count = 0;
 };
 
-/** Host-side power constants from the paper's RAPL measurements. */
-struct HostPowerSpec
-{
-    double cpuActiveWatts = 50.21; ///< package power while serving ProSE
-    double dramWatts = 6.23;       ///< DRAM power under ProSE load
-};
+/** Host CPU package power while serving ProSE (paper's RAPL reading). */
+constexpr double kHostCpuActiveWatts = 50.21;
+
+/** Host DRAM power under ProSE load (paper's RAPL reading). */
+constexpr double kHostDramWatts = 6.23;
 
 /** Power/area roll-up of one configuration. */
 class PowerModel
 {
   public:
-    explicit PowerModel(HostPowerSpec host = HostPowerSpec{});
-
     /** Sum of array powers (watts). */
     double arrayPowerWatts(const std::vector<ArrayGroupSpec> &groups,
                            bool with_buffer) const;
@@ -52,11 +49,6 @@ class PowerModel
      */
     double systemPowerWatts(const std::vector<ArrayGroupSpec> &groups,
                             bool with_buffer, double cpu_duty) const;
-
-    const HostPowerSpec &host() const { return host_; }
-
-  private:
-    HostPowerSpec host_;
 };
 
 } // namespace prose

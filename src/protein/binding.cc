@@ -122,6 +122,9 @@ BindingBenchmark::makeTestSet(std::size_t variants)
 
 namespace {
 
+/** Ridge penalty of the Section 2.2 regression head. */
+constexpr double kRidgeLambda = 10.0;
+
 /** Tokenize and feature-extract one family (batched per family). */
 Matrix
 extractFamilyFeatures(const BertModel &model, const BindingDataset &family,
@@ -140,8 +143,7 @@ extractFamilyFeatures(const BertModel &model, const BindingDataset &family,
 
 BindingExperimentResult
 runBindingExperiment(const BertModel &model, const BindingDataset &train,
-                     const BindingDataset &test, double lambda,
-                     NumericsMode mode)
+                     const BindingDataset &test, NumericsMode mode)
 {
     PROSE_ASSERT(train.variants.size() >= 4 && test.variants.size() >= 4,
                  "binding experiment needs a few variants per family");
@@ -149,7 +151,7 @@ runBindingExperiment(const BertModel &model, const BindingDataset &train,
     const Matrix x_train = extractFamilyFeatures(model, train, mode);
     const Matrix x_test = extractFamilyFeatures(model, test, mode);
 
-    const RidgeModel ridge = ridgeFit(x_train, train.affinities, lambda);
+    const RidgeModel ridge = ridgeFit(x_train, train.affinities, kRidgeLambda);
 
     BindingExperimentResult result;
     result.trainCount = train.variants.size();

@@ -120,13 +120,11 @@ struct BindingExperimentResult
  * @param model feature extractor (frozen weights)
  * @param train Herceptin-like family
  * @param test BH1-like family
- * @param lambda ridge penalty
  * @param mode numerics mode of the feature-extraction forward passes
  */
 BindingExperimentResult runBindingExperiment(
     const BertModel &model, const BindingDataset &train,
-    const BindingDataset &test, double lambda = 10.0,
-    NumericsMode mode = NumericsMode::Fp32);
+    const BindingDataset &test, NumericsMode mode = NumericsMode::Fp32);
 
 } // namespace prose
 

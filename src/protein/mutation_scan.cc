@@ -9,6 +9,13 @@
 
 namespace prose {
 
+namespace {
+
+/** Mutants scored per forward pass. */
+constexpr std::size_t kScanBatch = 64;
+
+} // namespace
+
 const MutationEffect &
 MutationScan::best() const
 {
@@ -46,11 +53,9 @@ MutationScan::positionSensitivity() const
 
 MutationScan
 scanMutations(const BertModel &model, const RegressionHead &head,
-              const std::string &wild_type, std::size_t batch_size,
-              NumericsMode mode)
+              const std::string &wild_type)
 {
     PROSE_ASSERT(!wild_type.empty(), "empty wild type");
-    PROSE_ASSERT(batch_size > 0, "mutation scan needs a batch size");
     for (char residue : wild_type)
         PROSE_ASSERT(isCanonical(residue),
                      "wild type contains a non-canonical residue '",
@@ -63,7 +68,7 @@ scanMutations(const BertModel &model, const RegressionHead &head,
     scan.wildType = wild_type;
     {
         const Matrix features = model.extractFeatures(
-            { tokenizer.encode(wild_type, target_len) }, mode);
+            { tokenizer.encode(wild_type, target_len) });
         scan.wildTypeScore = head.predict(features).front();
     }
 
@@ -73,7 +78,7 @@ scanMutations(const BertModel &model, const RegressionHead &head,
     auto flush = [&] {
         if (pending.empty())
             return;
-        const Matrix features = model.extractFeatures(tokens, mode);
+        const Matrix features = model.extractFeatures(tokens);
         const std::vector<double> scores = head.predict(features);
         for (std::size_t i = 0; i < pending.size(); ++i) {
             pending[i].score = scores[i] - scan.wildTypeScore;
@@ -95,7 +100,7 @@ scanMutations(const BertModel &model, const RegressionHead &head,
             effect.to = to;
             pending.push_back(effect);
             tokens.push_back(tokenizer.encode(mutant, target_len));
-            if (pending.size() >= batch_size)
+            if (pending.size() >= kScanBatch)
                 flush();
         }
     }

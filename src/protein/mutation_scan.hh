@@ -49,15 +49,13 @@ struct MutationScan
 
 /**
  * Scan every single-point mutant of `wild_type`, scoring each with the
- * fitted head over the model's features. Mutants are batched
- * `batch_size` at a time (all share the wild-type's length, so no
- * padding is introduced).
+ * fitted head over the model's fp32 features. Mutants are batched 64 at
+ * a time (all share the wild-type's length, so no padding is
+ * introduced).
  */
 MutationScan scanMutations(const BertModel &model,
                            const RegressionHead &head,
-                           const std::string &wild_type,
-                           std::size_t batch_size = 64,
-                           NumericsMode mode = NumericsMode::Fp32);
+                           const std::string &wild_type);
 
 } // namespace prose
 

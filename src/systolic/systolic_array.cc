@@ -9,6 +9,7 @@
 #include "numerics/bfloat16.hh"
 #include "numerics/float_bits.hh"
 #include "numerics/kernels/kernel_dispatch.hh"
+#include "numerics/lut.hh"
 
 namespace prose {
 namespace {
@@ -19,24 +20,6 @@ spanAt(const TileSpan &span, std::size_t i, std::size_t pass)
 {
     const std::size_t row = span.broadcastRow ? 0 : i;
     return span.data[row * span.stride + pass];
-}
-
-/**
- * Process-wide flattened special-function tables for the fast-forward
- * SIMD sweep. Every array instantiates the same fixed GELU/Exp
- * factories, so the 256 KiB flat map (bf16 input bits -> widened fp32
- * output bits) can be shared and built once instead of per-array;
- * flattenToFloatBits() evaluates the member two-level lookup on every
- * input, so reads are bit-identical to applyAlu's stepped path.
- */
-const std::uint32_t *
-flatLutTable(SimdOp op)
-{
-    static const std::vector<std::uint32_t> gelu_table =
-        TwoLevelLut::makeGelu().flattenToFloatBits();
-    static const std::vector<std::uint32_t> exp_table =
-        TwoLevelLut::makeExp().flattenToFloatBits();
-    return op == SimdOp::Gelu ? gelu_table.data() : exp_table.data();
 }
 
 } // namespace
@@ -65,8 +48,7 @@ SystolicArray::SystolicArray(const ArrayGeometry &geometry,
                              double a_supply_rate, double b_supply_rate)
     : geometry_(geometry),
       aBuffer_(geometry.bufferDepth, a_supply_rate),
-      bBuffer_(geometry.bufferDepth, b_supply_rate),
-      geluLut_(TwoLevelLut::makeGelu()), expLut_(TwoLevelLut::makeExp())
+      bBuffer_(geometry.bufferDepth, b_supply_rate)
 {
     const std::size_t n = geometry_.dim;
     PROSE_ASSERT(n > 0, "zero-size systolic array");
@@ -462,12 +444,12 @@ SystolicArray::applyAlu(SimdOp op, float acc_value, float operand) const
         PROSE_ASSERT(geometry_.hasGelu,
                      "GELU issued to an array without GELU LUTs (",
                      geometry_.describe(), ")");
-        return geluLut_.lookup(truncateToBf16(acc_value)).toFloat();
+        return geluLut().lookup(truncateToBf16(acc_value)).toFloat();
       case SimdOp::Exp:
         PROSE_ASSERT(geometry_.hasExp,
                      "Exp issued to an array without Exp LUTs (",
                      geometry_.describe(), ")");
-        return expLut_.lookup(truncateToBf16(acc_value)).toFloat();
+        return expLut().lookup(truncateToBf16(acc_value)).toFloat();
     }
     panic("unreachable SIMD op");
 }
@@ -674,7 +656,8 @@ SystolicArray::fastSimdSpecial(SimdOp op)
                  "Exp issued to an array without Exp LUTs (",
                  geometry_.describe(), ")");
     const std::size_t n = geometry_.dim;
-    const std::uint32_t *table = flatLutTable(op);
+    const std::uint32_t *table =
+        (op == SimdOp::Gelu ? geluLut() : expLut()).flatFloatBits().data();
     const kernels::KernelSet &ks = kernels::activeKernels();
     for (std::size_t i = 0; i < liveRows_; ++i)
         ks.lutRow(acc_.data() + i * n, table, liveCols_);

@@ -58,7 +58,6 @@
 
 #include "array_config.hh"
 #include "fsim_mode.hh"
-#include "numerics/lut.hh"
 #include "numerics/matrix.hh"
 #include "stream_buffer.hh"
 
@@ -328,8 +327,6 @@ class SystolicArray
     std::string faultSite_;
     StreamBuffer aBuffer_;
     StreamBuffer bBuffer_;
-    TwoLevelLut geluLut_;
-    TwoLevelLut expLut_;
     FsimMode mode_ = defaultFsimMode();
 
     std::vector<float> acc_;   ///< n*n fp32 accumulators

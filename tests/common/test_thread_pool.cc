@@ -55,19 +55,6 @@ TEST(ThreadPool, ChunksArePartitionOfRange)
     EXPECT_EQ(covered, 101u);
 }
 
-TEST(ThreadPool, MaxChunksBoundsConcurrency)
-{
-    ThreadPool pool(8);
-    std::mutex m;
-    std::size_t calls = 0;
-    pool.parallelFor(1000, 2, [&](std::size_t, std::size_t) {
-        std::lock_guard<std::mutex> lock(m);
-        ++calls;
-    });
-    EXPECT_LE(calls, 2u);
-    EXPECT_GE(calls, 1u);
-}
-
 TEST(ThreadPool, SameSumForAnyPoolSize)
 {
     // The pool only partitions the index space; a chunk-local

@@ -29,7 +29,7 @@ TEST(EndToEnd, RealForwardDrivesThePerfSim)
         batch.push_back(tok.encode(randomProtein(rng, 30), 32));
 
     OpTrace trace;
-    model.forward(batch, NumericsMode::Bf16, &trace);
+    model.forward(batch, NumericsMode::Bf16Lut, &trace);
     ASSERT_FALSE(trace.empty());
 
     const auto tasks = DataflowBuilder{}.build(trace);

@@ -7,6 +7,7 @@
 #include "common/thread_pool.hh"
 #include "model/bert_model.hh"
 #include "model/tokenizer.hh"
+#include "numerics/activations.hh"
 #include "numerics/float_bits.hh"
 #include "numerics/kernels/kernel_dispatch.hh"
 
@@ -91,21 +92,23 @@ TEST_F(BertModelTest, Bf16CloseToFp32)
 {
     const auto batch = encodeBatch({ "ACDEFGHIKLMNPQRSTVWY" }, 24);
     const auto fp32 = model_.forward(batch, NumericsMode::Fp32);
-    const auto bf16 = model_.forward(batch, NumericsMode::Bf16);
+    const auto lut = model_.forward(batch, NumericsMode::Bf16Lut);
     // LayerNorm keeps activations ~N(0,1); bf16 error accumulates but
     // must stay small relative to that scale.
-    EXPECT_LT(Matrix::maxAbsDiff(fp32.hidden, bf16.hidden), 0.25f);
-    EXPECT_GT(Matrix::maxAbsDiff(fp32.hidden, bf16.hidden), 0.0f);
+    EXPECT_LT(Matrix::maxAbsDiff(fp32.hidden, lut.hidden), 0.25f);
+    EXPECT_GT(Matrix::maxAbsDiff(fp32.hidden, lut.hidden), 0.0f);
 }
 
 TEST_F(BertModelTest, LutModeCloseToBf16)
 {
-    // The full accelerator numerics (LUT GELU/Exp) track the plain bf16
-    // path closely — the paper's "preserve all 16 bits" requirement.
+    // The full accelerator numerics (LUT GELU/Exp) track the fp32
+    // reference closely — the paper's "preserve all 16 bits"
+    // requirement — in the pooled output as well as the hidden states.
     const auto batch = encodeBatch({ "MEYQACDWKLMN" }, 16);
-    const auto bf16 = model_.forward(batch, NumericsMode::Bf16);
+    const auto fp32 = model_.forward(batch, NumericsMode::Fp32);
     const auto lut = model_.forward(batch, NumericsMode::Bf16Lut);
-    EXPECT_LT(Matrix::maxAbsDiff(bf16.hidden, lut.hidden), 0.25f);
+    EXPECT_LT(Matrix::maxAbsDiff(fp32.hidden, lut.hidden), 0.25f);
+    EXPECT_LT(Matrix::maxAbsDiff(fp32.pooled, lut.pooled), 0.25f);
 }
 
 TEST_F(BertModelTest, TraceMatchesSynthesizer)
@@ -224,7 +227,7 @@ TEST(BertModelPooled, ForwardBitIdenticalSerialVsPooled)
     const BertModel model(BertConfig::tiny(), 11);
     const auto batch = encodeBatch({ "ACDEFGHIKL", "MNPQRSTVWY" }, 16);
     for (const NumericsMode mode :
-         { NumericsMode::Fp32, NumericsMode::Bf16, NumericsMode::Bf16Lut }) {
+         { NumericsMode::Fp32, NumericsMode::Bf16Lut }) {
         BertModel::Output serial;
         {
             ThreadPool::SerialGuard guard;
@@ -245,6 +248,43 @@ bool
 sameBits(const Matrix &a, const Matrix &b)
 {
     return a.sameShape(b) && bitsEqual(a.data(), b.data(), a.size());
+}
+
+/** GELU and Exp tables over the given exponent windows. */
+void
+setLutWindows(BertModel &model, int gelu_lo, int gelu_hi, int exp_lo,
+              int exp_hi)
+{
+    model.setSpecialFunctionLuts(
+        TwoLevelLut("GELU", &geluTanh, gelu_lo, gelu_hi,
+                    TwoLevelLut::BoundaryPolicy::GeluLike),
+        TwoLevelLut("Exp", &expRef, exp_lo, exp_hi,
+                    TwoLevelLut::BoundaryPolicy::ExpLike));
+}
+
+TEST(BertModelLuts, OwnPaperWindowTablesReproduceSharedTables)
+{
+    const auto batch = encodeBatch({ "MEYQACDWKLMN", "ACDEFGHIKLMN" }, 16);
+    const BertModel shared(BertConfig::tiny(), 5);
+    BertModel own(BertConfig::tiny(), 5);
+    setLutWindows(own, -4, 3, -6, 5);
+    const auto want = shared.forward(batch, NumericsMode::Bf16Lut);
+    const auto got = own.forward(batch, NumericsMode::Bf16Lut);
+    EXPECT_TRUE(sameBits(want.hidden, got.hidden));
+    EXPECT_TRUE(sameBits(want.pooled, got.pooled));
+}
+
+TEST(BertModelLuts, NarrowWindowChangesOnlyTheLutMode)
+{
+    const auto batch = encodeBatch({ "MEYQACDWKLMN", "ACDEFGHIKLMN" }, 16);
+    const BertModel shared(BertConfig::tiny(), 5);
+    BertModel narrow(BertConfig::tiny(), 5);
+    setLutWindows(narrow, -1, 0, -1, 0);
+    EXPECT_FALSE(
+        sameBits(shared.forward(batch, NumericsMode::Bf16Lut).hidden,
+                 narrow.forward(batch, NumericsMode::Bf16Lut).hidden));
+    EXPECT_TRUE(sameBits(shared.forward(batch, NumericsMode::Fp32).hidden,
+                         narrow.forward(batch, NumericsMode::Fp32).hidden));
 }
 
 TEST(BertModelSimd, BertBaseLayerBf16LutBitIdenticalScalarVsActiveTier)

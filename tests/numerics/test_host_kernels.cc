@@ -1,9 +1,7 @@
-/** @file Tests for the real host-side kernels (softmax divide, layer
- *  norm) including their row-parallel execution. */
+/** @file Tests for the real host-side softmax divide kernel. */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 
 #include "common/random.hh"
@@ -44,36 +42,6 @@ TEST(HostKernels, SoftmaxResultsAreBf16)
     for (std::size_t i = 0; i < exp_values.rows(); ++i)
         for (std::size_t j = 0; j < exp_values.cols(); ++j)
             EXPECT_EQ(exp_values(i, j), quantizeBf16(exp_values(i, j)));
-}
-
-TEST(HostKernels, SoftmaxParallelMatchesSerial)
-{
-    Rng rng(3);
-    const Matrix original = positiveMatrix(rng, 64, 40);
-    Matrix serial = original;
-    Matrix parallel = original;
-    hostSoftmaxDivide(serial, 1);
-    hostSoftmaxDivide(parallel, 8);
-    EXPECT_EQ(Matrix::maxAbsDiff(serial, parallel), 0.0f);
-}
-
-TEST(HostKernels, ParallelRowsVisitsEveryRowOnce)
-{
-    std::vector<std::atomic<int>> visits(257);
-    for (auto &v : visits)
-        v = 0;
-    parallelRows(visits.size(), 7,
-                 [&](std::size_t row) { ++visits[row]; });
-    for (const auto &v : visits)
-        EXPECT_EQ(v.load(), 1);
-}
-
-TEST(HostKernels, SmallWorkloadsStaySerial)
-{
-    // Fewer rows than 2x workers: runs inline (no thread overhead).
-    int calls = 0;
-    parallelRows(3, 8, [&](std::size_t) { ++calls; });
-    EXPECT_EQ(calls, 3);
 }
 
 TEST(HostKernelsDeathTest, ZeroSoftmaxRowPanics)

@@ -18,7 +18,7 @@ namespace {
 TEST(GeluLut, StorageIsExactlyFourKilobytes)
 {
     // 8 exponents x 2 signs x 128 mantissas x 2 bytes = 4 KiB (paper).
-    const TwoLevelLut lut = TwoLevelLut::makeGelu();
+    const TwoLevelLut &lut = geluLut();
     EXPECT_EQ(lut.storageBytes(), 4096u);
     EXPECT_EQ(lut.segmentCount(), 16u);
 }
@@ -26,7 +26,7 @@ TEST(GeluLut, StorageIsExactlyFourKilobytes)
 TEST(ExpLut, StorageIsExactlySixKilobytes)
 {
     // 12 exponents x 2 signs x 128 mantissas x 2 bytes = 6 KiB (paper).
-    const TwoLevelLut lut = TwoLevelLut::makeExp();
+    const TwoLevelLut &lut = expLut();
     EXPECT_EQ(lut.storageBytes(), 6144u);
     EXPECT_EQ(lut.segmentCount(), 24u);
 }
@@ -35,7 +35,7 @@ TEST(GeluLut, ExactInWindow)
 {
     // Inside the window the LUT stores the correctly-rounded bf16 GELU,
     // so it is bit-exact against round(geluTanh(x)).
-    const TwoLevelLut lut = TwoLevelLut::makeGelu();
+    const TwoLevelLut &lut = geluLut();
     for (std::uint32_t bits = 0; bits <= 0xffff; ++bits) {
         const Bfloat16 x = Bfloat16::fromBits(
             static_cast<std::uint16_t>(bits));
@@ -53,7 +53,7 @@ TEST(GeluLut, ExactInWindow)
 
 TEST(GeluLut, BelowWindowIsZero)
 {
-    const TwoLevelLut lut = TwoLevelLut::makeGelu();
+    const TwoLevelLut &lut = geluLut();
     // |x| < 2^-4: approximated as 0 (Figure 13).
     EXPECT_EQ(lut.lookupFloat(0.03f), 0.0f);
     EXPECT_EQ(lut.lookupFloat(-0.03f), 0.0f);
@@ -62,7 +62,7 @@ TEST(GeluLut, BelowWindowIsZero)
 
 TEST(GeluLut, AboveWindowIsLinearOrZero)
 {
-    const TwoLevelLut lut = TwoLevelLut::makeGelu();
+    const TwoLevelLut &lut = geluLut();
     // Large positive: GELU(x) ~ x. Large negative: ~ 0.
     EXPECT_FLOAT_EQ(lut.lookupFloat(20.0f), quantizeBf16(20.0f));
     EXPECT_FLOAT_EQ(lut.lookupFloat(100.0f), quantizeBf16(100.0f));
@@ -72,7 +72,7 @@ TEST(GeluLut, AboveWindowIsLinearOrZero)
 TEST(GeluLut, AbsoluteErrorSmallEverywhere)
 {
     // End-to-end accuracy over the range activations actually occupy.
-    const TwoLevelLut lut = TwoLevelLut::makeGelu();
+    const TwoLevelLut &lut = geluLut();
     float worst = 0.0f;
     for (float x = -8.0f; x <= 8.0f; x += 1.0f / 128.0f) {
         const float err = std::fabs(lut.lookupFloat(x) - geluTanh(x));
@@ -85,7 +85,7 @@ TEST(GeluLut, AbsoluteErrorSmallEverywhere)
 
 TEST(ExpLut, ExactInWindow)
 {
-    const TwoLevelLut lut = TwoLevelLut::makeExp();
+    const TwoLevelLut &lut = expLut();
     for (std::uint32_t bits = 0; bits <= 0xffff; ++bits) {
         const Bfloat16 x = Bfloat16::fromBits(
             static_cast<std::uint16_t>(bits));
@@ -103,7 +103,7 @@ TEST(ExpLut, ExactInWindow)
 
 TEST(ExpLut, BelowWindowIsOne)
 {
-    const TwoLevelLut lut = TwoLevelLut::makeExp();
+    const TwoLevelLut &lut = expLut();
     // |x| < 2^-6: exp(x) ~ 1 (Figure 14).
     EXPECT_FLOAT_EQ(lut.lookupFloat(0.001f), 1.0f);
     EXPECT_FLOAT_EQ(lut.lookupFloat(-0.001f), 1.0f);
@@ -112,7 +112,7 @@ TEST(ExpLut, BelowWindowIsOne)
 
 TEST(ExpLut, AboveWindowSaturates)
 {
-    const TwoLevelLut lut = TwoLevelLut::makeExp();
+    const TwoLevelLut &lut = expLut();
     // Large negative input flushes to zero; large positive clamps to
     // the largest finite bf16 rather than producing infinity.
     EXPECT_EQ(lut.lookupFloat(-100.0f), 0.0f);
@@ -124,7 +124,7 @@ TEST(ExpLut, RelativeErrorInSoftmaxRange)
 {
     // Softmax scores land roughly in [-30, 10]; relative error there
     // must stay near bf16 resolution for model accuracy (Section 3.2).
-    const TwoLevelLut lut = TwoLevelLut::makeExp();
+    const TwoLevelLut &lut = expLut();
     for (float x = -30.0f; x <= 10.0f; x += 0.037f) {
         const float ref = std::exp(quantizeBf16(x));
         const float got = lut.lookupFloat(x);
@@ -136,15 +136,15 @@ TEST(ExpLut, RelativeErrorInSoftmaxRange)
 
 TEST(Lut, NanPropagates)
 {
-    const TwoLevelLut lut = TwoLevelLut::makeExp();
+    const TwoLevelLut &lut = expLut();
     const Bfloat16 nan = Bfloat16::fromBits(0x7fc0);
     EXPECT_TRUE(lut.lookup(nan).isNan());
 }
 
 TEST(Lut, DenormalsTakeBelowWindowPath)
 {
-    const TwoLevelLut gelu = TwoLevelLut::makeGelu();
-    const TwoLevelLut exp = TwoLevelLut::makeExp();
+    const TwoLevelLut &gelu = geluLut();
+    const TwoLevelLut &exp = expLut();
     const Bfloat16 denormal = Bfloat16::fromBits(0x0001);
     EXPECT_EQ(gelu.lookup(denormal).toFloat(), 0.0f);
     EXPECT_EQ(exp.lookup(denormal).toFloat(), 1.0f);
@@ -152,7 +152,7 @@ TEST(Lut, DenormalsTakeBelowWindowPath)
 
 TEST(Lut, InfinityTakesAboveWindowPath)
 {
-    const TwoLevelLut gelu = TwoLevelLut::makeGelu();
+    const TwoLevelLut &gelu = geluLut();
     const Bfloat16 pos_inf = Bfloat16::fromBits(0x7f80);
     const Bfloat16 neg_inf = Bfloat16::fromBits(0xff80);
     EXPECT_TRUE(gelu.lookup(pos_inf).isInf());
@@ -161,17 +161,19 @@ TEST(Lut, InfinityTakesAboveWindowPath)
 
 TEST(Lut, FlattenMatchesLookupExhaustively)
 {
-    // The flat gather table the fast SIMD wavefront uses must agree
-    // with the hardware-faithful two-level lookup on every one of the
-    // 65536 bf16 input patterns (NaNs, denormals, and both window
-    // boundaries included) — bit-for-bit on the widened fp32 output.
-    for (const TwoLevelLut &lut :
-         { TwoLevelLut::makeGelu(), TwoLevelLut::makeExp() }) {
-        const std::vector<std::uint32_t> flat = lut.flattenToFloatBits();
+    // The flat gather table the fast SIMD wavefront and the model use
+    // must agree with the hardware-faithful two-level lookup on every
+    // one of the 65536 bf16 input patterns (NaNs, denormals, and both
+    // window boundaries included) — bit-for-bit on the widened fp32
+    // output. Checked for both shared tables and one custom window.
+    const TwoLevelLut narrow("GELU", &geluTanh, -2, 1,
+                             TwoLevelLut::BoundaryPolicy::GeluLike);
+    for (const TwoLevelLut *lut : { &geluLut(), &expLut(), &narrow }) {
+        const std::vector<std::uint32_t> &flat = lut->flatFloatBits();
         ASSERT_EQ(flat.size(), 65536u);
         for (std::uint32_t bits = 0; bits < 65536u; ++bits) {
             const float want =
-                lut.lookup(Bfloat16::fromBits(
+                lut->lookup(Bfloat16::fromBits(
                                static_cast<std::uint16_t>(bits)))
                     .toFloat();
             std::uint32_t want_bits;
@@ -185,7 +187,7 @@ TEST(Lut, OneLookupTouchesSingleSegment)
 {
     // Structural sanity: window bounds are honored by segmentCount and
     // the exponent accessors.
-    const TwoLevelLut lut = TwoLevelLut::makeGelu();
+    const TwoLevelLut &lut = geluLut();
     EXPECT_EQ(lut.exponentLow(), -4);
     EXPECT_EQ(lut.exponentHigh(), 3);
     EXPECT_EQ(lut.name(), "GELU");

@@ -71,7 +71,7 @@ TEST(MutationScan, EnumeratesAllSubstitutions)
 {
     Fixture &f = fixture();
     const std::string wild = "ACDEFGHIKL";
-    const MutationScan scan = scanMutations(f.model, f.head, wild, 32);
+    const MutationScan scan = scanMutations(f.model, f.head, wild);
     EXPECT_EQ(scan.effects.size(), 19u * wild.size());
     // No self-substitutions.
     for (const auto &effect : scan.effects)
@@ -82,7 +82,7 @@ TEST(MutationScan, EffectsAreHeadDeltas)
 {
     Fixture &f = fixture();
     const std::string wild = "ACDEFG";
-    const MutationScan scan = scanMutations(f.model, f.head, wild, 16);
+    const MutationScan scan = scanMutations(f.model, f.head, wild);
 
     // Recompute one mutant's score by hand.
     const AminoTokenizer tokenizer;
@@ -99,14 +99,23 @@ TEST(MutationScan, EffectsAreHeadDeltas)
 
 TEST(MutationScan, BatchSizeDoesNotChangeResults)
 {
+    // 114 mutants span two batches; each effect must equal the mutant
+    // scored on its own.
     Fixture &f = fixture();
     const std::string wild = "MEYQAC";
-    const MutationScan small = scanMutations(f.model, f.head, wild, 3);
-    const MutationScan large = scanMutations(f.model, f.head, wild, 64);
-    ASSERT_EQ(small.effects.size(), large.effects.size());
-    for (std::size_t i = 0; i < small.effects.size(); ++i)
-        EXPECT_NEAR(small.effects[i].score, large.effects[i].score,
-                    1e-9);
+    const MutationScan scan = scanMutations(f.model, f.head, wild);
+    const AminoTokenizer tokenizer;
+    ASSERT_EQ(scan.effects.size(), 19u * wild.size());
+    for (const MutationEffect &effect : scan.effects) {
+        std::string mutant = wild;
+        mutant[effect.position] = effect.to;
+        const double alone =
+            f.head
+                .predict(f.model.extractFeatures(
+                    { tokenizer.encode(mutant, wild.size() + 2) }))
+                .front();
+        EXPECT_NEAR(effect.score, alone - scan.wildTypeScore, 1e-9);
+    }
 }
 
 TEST(MutationScan, RecoversHydropathyDirection)
@@ -116,7 +125,7 @@ TEST(MutationScan, RecoversHydropathyDirection)
     // (R, -4.5) should score positive, and vice versa.
     Fixture &f = fixture();
     const std::string wild = "RRRRRRIIIIII";
-    const MutationScan scan = scanMutations(f.model, f.head, wild, 64);
+    const MutationScan scan = scanMutations(f.model, f.head, wild);
     // R -> I at an R site vs I -> R at an I site.
     EXPECT_GT(effectOf(scan, 0, 'I'), effectOf(scan, 6, 'R'));
 }
@@ -126,7 +135,7 @@ TEST(MutationScan, PredictedEffectsCorrelateWithTruth)
     Fixture &f = fixture();
     Rng rng(21);
     const std::string wild = randomProtein(rng, Fixture::kLen);
-    const MutationScan scan = scanMutations(f.model, f.head, wild, 64);
+    const MutationScan scan = scanMutations(f.model, f.head, wild);
 
     std::vector<double> predicted, truth;
     for (const auto &effect : scan.effects) {
@@ -142,7 +151,7 @@ TEST(MutationScan, BestAndWorstAreExtremes)
 {
     Fixture &f = fixture();
     const std::string wild = "ACDEFG";
-    const MutationScan scan = scanMutations(f.model, f.head, wild, 64);
+    const MutationScan scan = scanMutations(f.model, f.head, wild);
     for (const auto &effect : scan.effects) {
         EXPECT_LE(effect.score, scan.best().score);
         EXPECT_GE(effect.score, scan.worst().score);
@@ -153,7 +162,7 @@ TEST(MutationScan, PositionSensitivityCoversEveryPosition)
 {
     Fixture &f = fixture();
     const std::string wild = "ACDEFGHI";
-    const MutationScan scan = scanMutations(f.model, f.head, wild, 64);
+    const MutationScan scan = scanMutations(f.model, f.head, wild);
     const auto sensitivity = scan.positionSensitivity();
     ASSERT_EQ(sensitivity.size(), wild.size());
     for (double s : sensitivity)

@@ -101,7 +101,7 @@ TEST(FunctionalSim, Dataflow2AppliesGeluLut)
     FunctionalSimulator sim = makeSim();
     const Matrix got = sim.dataflow2(a, b, 1.0f, &bias);
 
-    const TwoLevelLut lut = TwoLevelLut::makeGelu();
+    const TwoLevelLut &lut = geluLut();
     const Matrix mm = matmulBf16(a, b);
     for (std::size_t i = 0; i < got.rows(); ++i) {
         for (std::size_t j = 0; j < got.cols(); ++j) {

@@ -145,7 +145,7 @@ TEST(SimdMode, GeluPassMatchesLut)
     const Matrix acc = loadTile(array, rng, 6, 6, 8);
     array.simdSpecial(SimdOp::Gelu);
 
-    const TwoLevelLut lut = TwoLevelLut::makeGelu();
+    const TwoLevelLut &lut = geluLut();
     const Matrix got = array.accumulators();
     for (std::size_t i = 0; i < 6; ++i)
         for (std::size_t j = 0; j < 6; ++j)
@@ -160,7 +160,7 @@ TEST(SimdMode, ExpPassMatchesLut)
     const Matrix acc = loadTile(array, rng, 5, 5, 4);
     array.simdSpecial(SimdOp::Exp);
 
-    const TwoLevelLut lut = TwoLevelLut::makeExp();
+    const TwoLevelLut &lut = expLut();
     const Matrix got = array.accumulators();
     for (std::size_t i = 0; i < 5; ++i)
         for (std::size_t j = 0; j < 5; ++j)
@@ -226,7 +226,7 @@ TEST(SimdMode, FusedDataflowKeepsIntermediateInAccumulators)
     Matrix out;
     array.drain(out);
 
-    const TwoLevelLut lut = TwoLevelLut::makeGelu();
+    const TwoLevelLut &lut = geluLut();
     const Matrix mm = matmulBf16(a, b);
     for (std::size_t i = 0; i < 4; ++i) {
         for (std::size_t j = 0; j < 4; ++j) {
