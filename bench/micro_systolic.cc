@@ -36,6 +36,7 @@ BM_CycleSteppedMatmulTile(benchmark::State &state)
     const Matrix a = randomMatrix(rng, dim, 64);
     const Matrix b = randomMatrix(rng, 64, dim);
     SystolicArray array(ArrayGeometry::mType(dim));
+    array.setMode(FsimMode::Stepped);
     std::uint64_t cycles = 0;
     for (auto _ : state) {
         array.clearAccumulators();
@@ -53,6 +54,7 @@ BM_CycleSteppedSimdPass(benchmark::State &state)
     const auto dim = static_cast<std::uint32_t>(state.range(0));
     Rng rng(2);
     SystolicArray array(ArrayGeometry::gType(dim));
+    array.setMode(FsimMode::Stepped);
     array.matmulTile(randomMatrix(rng, dim, 16),
                      randomMatrix(rng, 16, dim));
     for (auto _ : state)

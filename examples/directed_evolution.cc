@@ -23,8 +23,8 @@
 #include "bench_util.hh"
 #include "common/table.hh"
 #include "model/bert_model.hh"
-#include "model/downstream.hh"
 #include "model/tokenizer.hh"
+#include "numerics/linalg.hh"
 #include "protein/binding.hh"
 
 using namespace prose;
@@ -83,9 +83,9 @@ main(int argc, char **argv)
     const BertModel model(config, 11);
     const std::size_t target_len = spec.fabLength + 2;
 
-    RegressionHead surrogate;
-    surrogate.fit(extract(model, library.variants, target_len),
-                  library.affinities, 10.0);
+    const RidgeModel surrogate =
+        ridgeFit(extract(model, library.variants, target_len),
+                 library.affinities, 10.0);
 
     // Evolve.
     Rng rng(99);
@@ -104,7 +104,7 @@ main(int argc, char **argv)
             pool.push_back(mutateAnywhere(rng, champion, 2));
 
         const std::vector<double> predicted =
-            surrogate.predict(extract(model, pool, target_len));
+            surrogate.predictRows(extract(model, pool, target_len));
         const std::size_t best = static_cast<std::size_t>(
             std::max_element(predicted.begin(), predicted.end()) -
             predicted.begin());

@@ -42,8 +42,8 @@ main(int argc, char **argv)
     for (const auto &variant : train.variants)
         tokens.push_back(
             tokenizer.encode(variant, train.parent.size() + 2));
-    RegressionHead head;
-    head.fit(model.extractFeatures(tokens), train.affinities, 10.0);
+    const RidgeModel head =
+        ridgeFit(model.extractFeatures(tokens), train.affinities, 10.0);
 
     // Scan the wild type.
     const MutationScan scan =

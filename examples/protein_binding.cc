@@ -24,8 +24,6 @@
 #include "bench_util.hh"
 #include "common/table.hh"
 #include "model/bert_model.hh"
-#include "model/tokenizer.hh"
-#include "numerics/linalg.hh"
 #include "protein/binding.hh"
 
 using namespace prose;
@@ -64,19 +62,7 @@ main(int argc, char **argv)
               << "  (paper: 0.5161; >~0.5 is experimentally useful)\n\n";
 
     // Show the screening outcome: top-5 ranked candidates vs truth.
-    const AminoTokenizer tokenizer;
-    std::vector<std::vector<std::uint32_t>> tokens;
-    for (const auto &variant : test.variants)
-        tokens.push_back(
-            tokenizer.encode(variant, test.parent.size() + 2));
-    const Matrix features = model.extractFeatures(tokens);
-    std::vector<std::vector<std::uint32_t>> train_tokens;
-    for (const auto &variant : train.variants)
-        train_tokens.push_back(
-            tokenizer.encode(variant, train.parent.size() + 2));
-    const RidgeModel ridge = ridgeFit(
-        model.extractFeatures(train_tokens), train.affinities, 10.0);
-    const std::vector<double> predicted = ridge.predictRows(features);
+    const std::vector<double> &predicted = result.testPredictions;
 
     std::vector<std::size_t> order(predicted.size());
     std::iota(order.begin(), order.end(), 0u);

@@ -17,6 +17,7 @@
 #include "model/bert_model.hh"
 #include "model/downstream.hh"
 #include "model/tokenizer.hh"
+#include "numerics/linalg.hh"
 #include "protein/amino_acid.hh"
 #include "protein/fasta.hh"
 
@@ -89,10 +90,9 @@ main(int argc, char **argv)
     for (const auto &protein : test_set)
         y_test.push_back(trueFluorescence(protein));
 
-    RegressionHead fluorescence;
-    fluorescence.fit(x_train, y_train, 5.0);
+    const RidgeModel fluorescence = ridgeFit(x_train, y_train, 5.0);
     const double rho =
-        spearman(fluorescence.predict(x_test), y_test);
+        spearman(fluorescence.predictRows(x_test), y_test);
 
     // --- Stability classification --------------------------------------
     std::vector<int> s_train, s_test;

@@ -6,6 +6,7 @@
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "numerics/activations.hh"
+#include "numerics/host_kernels.hh"
 #include "numerics/kernels/kernel_dispatch.hh"
 #include "tokenizer.hh"
 
@@ -122,16 +123,11 @@ BertModel::embed(const std::vector<std::vector<std::uint32_t>> &tokens,
                 row[j] = tok[j] + pos[j];
         }
     }
-    if (trace)
-        trace->record(OpKind::Embed, Sublayer::Embedding, -1,
-                      1, batch * seq_len, 0, h);
-
     x = layerNorm(x, weights_.lnEmbGamma, weights_.lnEmbBeta,
                   config_.layerNormEps);
     modalQuantize(x, mode);
     if (trace)
-        trace->record(OpKind::LayerNorm, Sublayer::Embedding, -1,
-                      1, batch * seq_len, 0, h);
+        recordEmbedding(*trace, config_.shape(batch, seq_len));
     return x;
 }
 
@@ -145,20 +141,14 @@ BertModel::encoderLayer(const Matrix &x, const LayerWeights &lw, int layer,
     const std::uint64_t heads = config_.heads;
     const std::uint64_t dk = config_.headDim();
     const std::uint64_t bl = batch * seq_len;
-    const std::uint64_t bh = batch * heads;
-
-    auto record = [&](OpKind kind, Sublayer sub, std::uint64_t bt,
-                      std::uint64_t m, std::uint64_t k, std::uint64_t n,
-                      bool broadcast = false) {
-        if (trace)
-            trace->record(kind, sub, layer, bt, m, k, n, broadcast);
-    };
 
     PROSE_ASSERT(layer >= 0 &&
                      static_cast<std::size_t>(layer) < bf16Weights_.size(),
                  "encoder layer index outside the weight cache");
     const QuantizedLayerWeights &qw =
         bf16Weights_[static_cast<std::size_t>(layer)];
+    if (trace)
+        recordEncoderLayer(*trace, config_.shape(batch, seq_len), layer);
 
     // --- Attention sublayer -------------------------------------------
     // Q/K/V projections: MatMul + bias MulAdd (Dataflow 1) + head split.
@@ -168,21 +158,11 @@ BertModel::encoderLayer(const Matrix &x, const LayerWeights &lw, int layer,
     const std::vector<float> *proj_b[3] = { &lw.bq, &lw.bk, &lw.bv };
     for (int p = 0; p < 3; ++p) {
         qkv[p] = modalMatmul(x, *proj_w[p], *proj_wq[p], mode);
-        record(OpKind::MatMul, Sublayer::Attention, 1, bl, h, h);
         qkv[p] = addBias(qkv[p], *proj_b[p]);
         modalQuantize(qkv[p], mode);
-        record(OpKind::MulAdd, Sublayer::Attention, 1, bl, 0, h, true);
-        record(OpKind::Transpose, Sublayer::Attention, 1, bl, 0, h);
     }
 
     // Attention scores / probabilities / context (Dataflow 3).
-    record(OpKind::Bmm, Sublayer::Attention, bh, seq_len, dk, seq_len);
-    record(OpKind::MatDiv, Sublayer::Attention, bh, seq_len, 0, seq_len);
-    record(OpKind::Exp, Sublayer::Attention, bh, seq_len, 0, seq_len);
-    record(OpKind::SoftmaxHost, Sublayer::Attention, bh, seq_len, 0,
-           seq_len);
-    record(OpKind::Bmm, Sublayer::Attention, bh, seq_len, seq_len, dk);
-
     const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(dk));
     PROSE_ASSERT(heads * dk == h && qkv[0].rows() == bl,
                  "head split does not tile the projections");
@@ -221,62 +201,44 @@ BertModel::encoderLayer(const Matrix &x, const LayerWeights &lw, int layer,
                 }
             }
 
-            Matrix probs(seq_len, seq_len);
+            // Softmax in place: `scores` becomes the probabilities.
             if (mode == NumericsMode::Fp32) {
-                probs = rowSoftmax(scores);
+                scores = rowSoftmax(scores);
             } else {
-                // Accelerator path: Exp on-array via the LUT, row sum +
-                // divide on the host CPU in fp32. The LUT sweep and the
-                // divide epilogue run through the SIMD kernel layer;
-                // both kernels are bit-exact with the scalar forms on
-                // every tier.
-                const auto &kernels = kernels::activeKernels();
+                // Accelerator path: Exp on-array via the LUT (the SIMD
+                // gather kernel, bit-exact with the scalar lookup on
+                // every tier), then Dataflow 3's host trip, the same
+                // sum/divide the functional simulator runs.
                 const std::uint32_t *exp_table =
                     (customExp_ ? *customExp_ : expLut())
                         .flatFloatBits()
                         .data();
-                for (std::uint64_t i = 0; i < seq_len; ++i) {
-                    float *prow = probs.row(i);
-                    std::copy(scores.row(i), scores.row(i) + seq_len,
-                              prow);
-                    kernels.lutRow(prow, exp_table, seq_len);
-                    double denom = 0.0;
-                    for (std::uint64_t j = 0; j < seq_len; ++j)
-                        denom += prow[j];
-                    const float inv = static_cast<float>(1.0 / denom);
-                    kernels.scaleQuantizeRow(prow, inv, seq_len);
-                }
+                for (std::uint64_t i = 0; i < seq_len; ++i)
+                    kernels::activeKernels().lutRow(scores.row(i),
+                                                    exp_table, seq_len);
+                hostSoftmaxDivide(scores);
             }
 
-            Matrix ctx = modalMatmul(probs, vh, mode);
+            Matrix ctx = modalMatmul(scores, vh, mode);
             for (std::uint64_t t = 0; t < seq_len; ++t)
                 std::copy_n(ctx.row(t), dk,
                             context.row(b * seq_len + t) + hd * dk);
         }
     });
-    record(OpKind::Transpose, Sublayer::Attention, 1, bl, 0, h);
 
     // Attention output projection + residual (Dataflow 1) + LayerNorm.
     Matrix attn_out = modalMatmul(context, lw.wo, qw.wo, mode);
-    record(OpKind::MatMul, Sublayer::Attention, 1, bl, h, h);
     attn_out = addBias(attn_out, lw.bo);
-    record(OpKind::MulAdd, Sublayer::Attention, 1, bl, 0, h, true);
     attn_out = add(attn_out, x);
     modalQuantize(attn_out, mode);
-    record(OpKind::MulAdd, Sublayer::Attention, 1, bl, 0, h);
     Matrix normed = layerNorm(attn_out, lw.lnAttnGamma, lw.lnAttnBeta,
                               config_.layerNormEps);
     modalQuantize(normed, mode);
-    record(OpKind::LayerNorm, Sublayer::Attention, 1, bl, 0, h);
 
     // --- Intermediate sublayer (Dataflow 2) ----------------------------
     Matrix inter = modalMatmul(normed, lw.w1, qw.w1, mode);
-    record(OpKind::MatMul, Sublayer::Intermediate, 1, bl, h,
-           config_.intermediate);
     inter = addBias(inter, lw.b1);
     modalQuantize(inter, mode);
-    record(OpKind::MulAdd, Sublayer::Intermediate, 1, bl, 0,
-           config_.intermediate, true);
     if (mode == NumericsMode::Fp32) {
         for (std::size_t i = 0; i < inter.rows(); ++i)
             for (std::size_t j = 0; j < inter.cols(); ++j)
@@ -290,22 +252,15 @@ BertModel::encoderLayer(const Matrix &x, const LayerWeights &lw, int layer,
             kernels::activeKernels().lutRow(inter.row(i), gelu_table,
                                             inter.cols());
     }
-    record(OpKind::Gelu, Sublayer::Intermediate, 1, bl, 0,
-           config_.intermediate);
 
     // --- Output sublayer (Dataflow 1) -----------------------------------
     Matrix out = modalMatmul(inter, lw.w2, qw.w2, mode);
-    record(OpKind::MatMul, Sublayer::Output, 1, bl, config_.intermediate,
-           h);
     out = addBias(out, lw.b2);
-    record(OpKind::MulAdd, Sublayer::Output, 1, bl, 0, h, true);
     out = add(out, normed);
     modalQuantize(out, mode);
-    record(OpKind::MulAdd, Sublayer::Output, 1, bl, 0, h);
     Matrix result = layerNorm(out, lw.lnOutGamma, lw.lnOutBeta,
                               config_.layerNormEps);
     modalQuantize(result, mode);
-    record(OpKind::LayerNorm, Sublayer::Output, 1, bl, 0, h);
     return result;
 }
 

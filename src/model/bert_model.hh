@@ -13,10 +13,12 @@
  *    paper notes model accuracy is sensitive to GELU / softmax
  *    precision; tests compare the two modes.
  *
- * When a trace is supplied, the forward records exactly the op stream
- * synthesizeBertTrace() predicts (a unit test enforces equality), which is
- * how the performance simulator can run from synthetic traces at sizes
- * where real math would be wastefully slow.
+ * When a trace is supplied, embed() and each encoder layer record their
+ * block through trace/'s emitters (recordEmbedding, recordEncoderLayer)
+ * with the dims they run, so the forward's op stream is the one
+ * synthesizeBertTrace() builds from the same emitters. That is how the
+ * performance simulator can run from synthetic traces at sizes where
+ * real math would be wastefully slow.
  */
 
 #ifndef PROSE_MODEL_BERT_MODEL_HH

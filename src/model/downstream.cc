@@ -8,21 +8,6 @@
 namespace prose {
 
 void
-RegressionHead::fit(const Matrix &features,
-                    const std::vector<double> &targets, double lambda)
-{
-    model_ = ridgeFit(features, targets, lambda);
-    fitted_ = true;
-}
-
-std::vector<double>
-RegressionHead::predict(const Matrix &features) const
-{
-    PROSE_ASSERT(fitted_, "RegressionHead used before fit()");
-    return model_.predictRows(features);
-}
-
-void
 LogisticHead::fit(const Matrix &features, const std::vector<int> &labels,
                   FitOptions options)
 {

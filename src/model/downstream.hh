@@ -3,8 +3,9 @@
  * Downstream task heads (Figure 2(b)): small models fit on top of
  * frozen Protein BERT features for fluorescence, stability, and binding
  * prediction. The paper's own experiment uses regularized linear
- * regression; a logistic head covers the classification-style tasks
- * (e.g. "does this protein stay folded?").
+ * regression (ridgeFit in numerics/linalg.hh); the logistic head here
+ * covers the classification-style tasks (e.g. "does this protein stay
+ * folded?").
  */
 
 #ifndef PROSE_MODEL_DOWNSTREAM_HH
@@ -13,28 +14,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "numerics/linalg.hh"
 #include "numerics/matrix.hh"
 
 namespace prose {
-
-/** Ridge-regression head over extracted features. */
-class RegressionHead
-{
-  public:
-    /** Fit on a feature matrix (n_samples x dim) and targets. */
-    void fit(const Matrix &features, const std::vector<double> &targets,
-             double lambda = 10.0);
-
-    /** Predict each feature row; panics if not fitted. */
-    std::vector<double> predict(const Matrix &features) const;
-
-    bool fitted() const { return fitted_; }
-
-  private:
-    RidgeModel model_;
-    bool fitted_ = false;
-};
 
 /** Binary logistic-regression head trained by batch gradient descent. */
 class LogisticHead

@@ -114,6 +114,11 @@ Bfloat16::roundFromFloat(float value)
     return static_cast<std::uint16_t>(bits >> 16);
 }
 
+/**
+ * Truncate an fp32 value to bfloat16 by dropping the low 16 bits — the
+ * semantics of the ProSE PE OUTPUT port, which taps accumulator bits
+ * [31:16] directly (Figure 10(b)). No rounding is applied.
+ */
 inline Bfloat16
 truncateToBf16(float value)
 {
@@ -128,13 +133,6 @@ quantizeBf16(float value)
 {
     return Bfloat16(value).toFloat();
 }
-
-/**
- * Truncate an fp32 value to bfloat16 by dropping the low 16 bits — the
- * semantics of the ProSE PE OUTPUT port, which taps accumulator bits
- * [31:16] directly (Figure 10(b)). No rounding is applied.
- */
-Bfloat16 truncateToBf16(float value);
 
 /** Float-in/float-out wrapper around truncateToBf16. */
 inline float

@@ -60,6 +60,8 @@ choleskySolve(const Matrix &l, const std::vector<double> &b)
 std::vector<double>
 RidgeModel::predictRows(const Matrix &x) const
 {
+    PROSE_ASSERT(weights.size() == x.cols(),
+                 "ridge model feature arity mismatch");
     std::vector<double> out;
     out.reserve(x.rows());
     for (std::size_t i = 0; i < x.rows(); ++i) {

@@ -34,7 +34,8 @@ struct RidgeModel
     std::vector<double> weights;
     double intercept = 0.0;
 
-    /** Predict each row of a feature matrix. */
+    /** Predict each row of a feature matrix; panics unless it has one
+     *  column per weight. */
     std::vector<double> predictRows(const Matrix &x) const;
 };
 

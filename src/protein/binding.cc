@@ -158,8 +158,8 @@ runBindingExperiment(const BertModel &model, const BindingDataset &train,
     result.testCount = test.variants.size();
     result.trainSpearman =
         spearman(ridge.predictRows(x_train), train.affinities);
-    result.testSpearman =
-        spearman(ridge.predictRows(x_test), test.affinities);
+    result.testPredictions = ridge.predictRows(x_test);
+    result.testSpearman = spearman(result.testPredictions, test.affinities);
     return result;
 }
 

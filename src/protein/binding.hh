@@ -110,6 +110,8 @@ struct BindingExperimentResult
     double testSpearman = 0.0;
     std::size_t trainCount = 0;
     std::size_t testCount = 0;
+    /** Predicted affinity of each test variant, in family order. */
+    std::vector<double> testPredictions;
 };
 
 /**

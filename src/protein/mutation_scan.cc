@@ -52,7 +52,7 @@ MutationScan::positionSensitivity() const
 }
 
 MutationScan
-scanMutations(const BertModel &model, const RegressionHead &head,
+scanMutations(const BertModel &model, const RidgeModel &head,
               const std::string &wild_type)
 {
     PROSE_ASSERT(!wild_type.empty(), "empty wild type");
@@ -69,7 +69,7 @@ scanMutations(const BertModel &model, const RegressionHead &head,
     {
         const Matrix features = model.extractFeatures(
             { tokenizer.encode(wild_type, target_len) });
-        scan.wildTypeScore = head.predict(features).front();
+        scan.wildTypeScore = head.predictRows(features).front();
     }
 
     // Enumerate all 19 x L mutants, scoring in batches.
@@ -79,7 +79,7 @@ scanMutations(const BertModel &model, const RegressionHead &head,
         if (pending.empty())
             return;
         const Matrix features = model.extractFeatures(tokens);
-        const std::vector<double> scores = head.predict(features);
+        const std::vector<double> scores = head.predictRows(features);
         for (std::size_t i = 0; i < pending.size(); ++i) {
             pending[i].score = scores[i] - scan.wildTypeScore;
             scan.effects.push_back(pending[i]);

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "model/bert_model.hh"
-#include "model/downstream.hh"
+#include "numerics/linalg.hh"
 
 namespace prose {
 
@@ -54,7 +54,7 @@ struct MutationScan
  * introduced).
  */
 MutationScan scanMutations(const BertModel &model,
-                           const RegressionHead &head,
+                           const RidgeModel &head,
                            const std::string &wild_type);
 
 } // namespace prose

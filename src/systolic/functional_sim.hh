@@ -72,7 +72,6 @@ class FunctionalSimulator
 
     SystolicArray &mArray() { return mArray_; }
     SystolicArray &gArray() { return gArray_; }
-    SystolicArray &eArray() { return eArray_; }
 
     /** @name Fault injection and ABFT @{ */
 

@@ -60,9 +60,6 @@ class StreamBuffer
     /** Capacity in entries. */
     double depth() const { return depth_; }
 
-    /** Configured supply rate (entries per cycle). */
-    double supplyRate() const { return supplyRate_; }
-
     /** @name Fast-forward support @{ */
 
     /**

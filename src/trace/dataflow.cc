@@ -235,7 +235,50 @@ recordAttentionBlock(OpTrace &trace, int layer, std::uint64_t bl,
                  h);
 }
 
+/**
+ * Record one feed-forward block: the up-projection with bias and GELU
+ * (Dataflow 2), then the down-projection with bias + residual
+ * (Dataflow 1) and the closing LayerNorm.
+ */
+void
+recordFeedForward(OpTrace &trace, int layer, std::uint64_t bl,
+                  std::uint64_t h, std::uint64_t ffn)
+{
+    trace.record(OpKind::MatMul, Sublayer::Intermediate, layer, 1, bl, h,
+                 ffn);
+    trace.record(OpKind::MulAdd, Sublayer::Intermediate, layer, 1, bl, 0,
+                 ffn, true);
+    trace.record(OpKind::Gelu, Sublayer::Intermediate, layer, 1, bl, 0,
+                 ffn);
+    trace.record(OpKind::MatMul, Sublayer::Output, layer, 1, bl, ffn, h);
+    trace.record(OpKind::MulAdd, Sublayer::Output, layer, 1, bl, 0, h,
+                 true);
+    trace.record(OpKind::MulAdd, Sublayer::Output, layer, 1, bl, 0, h);
+    trace.record(OpKind::LayerNorm, Sublayer::Output, layer, 1, bl, 0, h);
+}
+
 } // namespace
+
+void
+recordEmbedding(OpTrace &trace, const BertShape &shape)
+{
+    const std::uint64_t bl = shape.batch * shape.seqLen;
+    trace.record(OpKind::Embed, Sublayer::Embedding, -1, 1, bl, 0,
+                 shape.hidden);
+    trace.record(OpKind::LayerNorm, Sublayer::Embedding, -1, 1, bl, 0,
+                 shape.hidden);
+}
+
+void
+recordEncoderLayer(OpTrace &trace, const BertShape &shape, int layer)
+{
+    const std::uint64_t bl = shape.batch * shape.seqLen;
+    // Bidirectional self-attention: the memory is the sequence itself.
+    recordAttentionBlock(trace, layer, bl, bl, shape.hidden, shape.heads,
+                         shape.batch * shape.heads, shape.seqLen,
+                         shape.seqLen);
+    recordFeedForward(trace, layer, bl, shape.hidden, shape.intermediate);
+}
 
 OpTrace
 synthesizeDecoderTrace(const DecoderShape &shape)
@@ -245,10 +288,11 @@ synthesizeDecoderTrace(const DecoderShape &shape)
     const std::uint64_t memory_tokens = shape.batch * shape.sourceLen;
     const std::uint64_t h = shape.hidden;
     const std::uint64_t bh = shape.batch * shape.heads;
-    const std::uint64_t ffn = shape.intermediate;
 
-    trace.record(OpKind::Embed, Sublayer::Embedding, -1, 1, bl, 0, h);
-    trace.record(OpKind::LayerNorm, Sublayer::Embedding, -1, 1, bl, 0, h);
+    // Target-token embedding, as in the encoder.
+    recordEmbedding(trace, BertShape{ shape.layers, h, shape.heads,
+                                      shape.intermediate, shape.batch,
+                                      shape.targetLen });
 
     for (std::uint64_t layer = 0; layer < shape.layers; ++layer) {
         const int li = static_cast<int>(layer);
@@ -259,20 +303,7 @@ synthesizeDecoderTrace(const DecoderShape &shape)
         recordAttentionBlock(trace, li, bl, memory_tokens, h,
                              shape.heads, bh, shape.targetLen,
                              shape.sourceLen);
-        // Feed-forward (Dataflow 2 + Dataflow 1), as in the encoder.
-        trace.record(OpKind::MatMul, Sublayer::Intermediate, li, 1, bl,
-                     h, ffn);
-        trace.record(OpKind::MulAdd, Sublayer::Intermediate, li, 1, bl,
-                     0, ffn, true);
-        trace.record(OpKind::Gelu, Sublayer::Intermediate, li, 1, bl, 0,
-                     ffn);
-        trace.record(OpKind::MatMul, Sublayer::Output, li, 1, bl, ffn,
-                     h);
-        trace.record(OpKind::MulAdd, Sublayer::Output, li, 1, bl, 0, h,
-                     true);
-        trace.record(OpKind::MulAdd, Sublayer::Output, li, 1, bl, 0, h);
-        trace.record(OpKind::LayerNorm, Sublayer::Output, li, 1, bl, 0,
-                     h);
+        recordFeedForward(trace, li, bl, h, shape.intermediate);
     }
     return trace;
 }
@@ -281,64 +312,9 @@ OpTrace
 synthesizeBertTrace(const BertShape &shape)
 {
     OpTrace trace;
-    const std::uint64_t bl = shape.batch * shape.seqLen;
-    const std::uint64_t h = shape.hidden;
-    const std::uint64_t dk = shape.hidden / shape.heads;
-    const std::uint64_t bh = shape.batch * shape.heads;
-    const std::uint64_t l = shape.seqLen;
-    const std::uint64_t ffn = shape.intermediate;
-
-    // Embedding lookup + LayerNorm.
-    trace.record(OpKind::Embed, Sublayer::Embedding, -1, 1, bl, 0, h);
-    trace.record(OpKind::LayerNorm, Sublayer::Embedding, -1, 1, bl, 0, h);
-
-    for (std::uint64_t layer = 0; layer < shape.layers; ++layer) {
-        const int li = static_cast<int>(layer);
-
-        // Q/K/V projections: MatMul + bias MulAdd each, plus the head
-        // split reshape.
-        for (int proj = 0; proj < 3; ++proj) {
-            trace.record(OpKind::MatMul, Sublayer::Attention, li,
-                         1, bl, h, h);
-            trace.record(OpKind::MulAdd, Sublayer::Attention, li,
-                         1, bl, 0, h, true);
-            trace.record(OpKind::Transpose, Sublayer::Attention, li,
-                         1, bl, 0, h);
-        }
-
-        // Attention scores and probabilities (Dataflow 3).
-        trace.record(OpKind::Bmm, Sublayer::Attention, li, bh, l, dk, l);
-        trace.record(OpKind::MatDiv, Sublayer::Attention, li, bh, l, 0, l);
-        trace.record(OpKind::Exp, Sublayer::Attention, li, bh, l, 0, l);
-        trace.record(OpKind::SoftmaxHost, Sublayer::Attention, li,
-                     bh, l, 0, l);
-        trace.record(OpKind::Bmm, Sublayer::Attention, li, bh, l, l, dk);
-
-        // Concatenate heads, output projection, residual, LayerNorm.
-        trace.record(OpKind::Transpose, Sublayer::Attention, li,
-                     1, bl, 0, h);
-        trace.record(OpKind::MatMul, Sublayer::Attention, li, 1, bl, h, h);
-        trace.record(OpKind::MulAdd, Sublayer::Attention, li, 1, bl, 0, h,
-                     true);
-        trace.record(OpKind::MulAdd, Sublayer::Attention, li, 1, bl, 0, h);
-        trace.record(OpKind::LayerNorm, Sublayer::Attention, li,
-                     1, bl, 0, h);
-
-        // Intermediate (feed-forward up-projection + GELU): Dataflow 2.
-        trace.record(OpKind::MatMul, Sublayer::Intermediate, li,
-                     1, bl, h, ffn);
-        trace.record(OpKind::MulAdd, Sublayer::Intermediate, li,
-                     1, bl, 0, ffn, true);
-        trace.record(OpKind::Gelu, Sublayer::Intermediate, li,
-                     1, bl, 0, ffn);
-
-        // Output (down-projection + residual + LayerNorm): Dataflow 1.
-        trace.record(OpKind::MatMul, Sublayer::Output, li, 1, bl, ffn, h);
-        trace.record(OpKind::MulAdd, Sublayer::Output, li, 1, bl, 0, h,
-                     true);
-        trace.record(OpKind::MulAdd, Sublayer::Output, li, 1, bl, 0, h);
-        trace.record(OpKind::LayerNorm, Sublayer::Output, li, 1, bl, 0, h);
-    }
+    recordEmbedding(trace, shape);
+    for (std::uint64_t layer = 0; layer < shape.layers; ++layer)
+        recordEncoderLayer(trace, shape, static_cast<int>(layer));
     return trace;
 }
 

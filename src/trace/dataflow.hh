@@ -9,9 +9,11 @@
  *   Dataflow 3: BMM -> MatDiv -> Exp -> host softmax -> BMM (E-Type)
  *
  * Ops that stay on the host (LayerNorm, embedding, transposes) become Host
- * tasks. The builder pattern-matches the deterministic op order the model
- * emits; any unexpected sequence is an internal error, which keeps the
- * builder honest against model changes.
+ * tasks. The op order is written down once, in this module's emitters
+ * (recordEmbedding, recordEncoderLayer, and the decoder's blocks), which
+ * the synthesizers and BertModel's instrumented forward both call. The
+ * builder pattern-matches that order; any unexpected sequence is an
+ * internal error, which keeps the builder and the emitters in step.
  */
 
 #ifndef PROSE_TRACE_DATAFLOW_HH
@@ -76,11 +78,11 @@ class DataflowBuilder
 };
 
 /**
- * Shape parameters for synthesizing a Protein BERT op trace without
- * running the math — used by the performance simulator at sizes where a
- * real forward would be needlessly slow. Kept in plain integers so this
- * module does not depend on the model library; BertModel has an equality
- * test that its real instrumented forward produces the same op stream.
+ * Shape parameters of a Protein BERT op trace. The performance simulator
+ * synthesizes traces from them at sizes where a real forward would be
+ * needlessly slow, and BertModel passes its own dims when it records the
+ * forward it runs. Kept in plain integers so this module does not
+ * depend on the model library.
  */
 struct BertShape
 {
@@ -92,7 +94,20 @@ struct BertShape
     std::uint64_t seqLen = 512;
 };
 
-/** Emit the op sequence of one Protein BERT forward pass, shapes only. */
+/** Record the embedding lookup and its LayerNorm (two Host ops). */
+void recordEmbedding(OpTrace &trace, const BertShape &shape);
+
+/**
+ * Record one encoder layer: the self-attention block (Q/K/V projections,
+ * the Dataflow 3 core, output projection + residual, LayerNorm), then
+ * the feed-forward block (Dataflow 2, Dataflow 1, LayerNorm).
+ */
+void recordEncoderLayer(OpTrace &trace, const BertShape &shape, int layer);
+
+/**
+ * Emit the op sequence of one Protein BERT forward pass, shapes only:
+ * the embedding, then every encoder layer in order.
+ */
 OpTrace synthesizeBertTrace(const BertShape &shape);
 
 /**

@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/annotate.hh"
 #include "common/thread_pool.hh"
 #include "numerics/float_bits.hh"
 #include "numerics/matrix.hh"
@@ -212,20 +211,6 @@ TEST(ThreadPoolStress, MatmulBitIdenticalSerialVsParallel)
                     << "rep " << rep << " at (" << i << "," << j << ")";
     }
     ThreadPool::setGlobalOverride(nullptr);
-}
-
-// The annotate.hh shims must be callable in every build flavor: under
-// TSan they add happens-before edges (extra sync is always sound);
-// elsewhere they compile to nothing. A pure happens-before/after pair
-// on a token the test owns is side-effect-free either way.
-TEST(ThreadPoolStress, AnnotationShimsAreCallable)
-{
-    static_assert(PROSE_TSAN_ENABLED == 0 || PROSE_TSAN_ENABLED == 1,
-                  "annotate.hh must define PROSE_TSAN_ENABLED");
-    int token = 0;
-    PROSE_ANNOTATE_HAPPENS_BEFORE(&token);
-    PROSE_ANNOTATE_HAPPENS_AFTER(&token);
-    SUCCEED();
 }
 
 // PROSE_THREADS=1 must yield a pool whose results match any larger

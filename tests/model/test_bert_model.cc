@@ -221,6 +221,22 @@ TEST(BertModelDeathTest, EmptyBatchPanics)
     EXPECT_DEATH(model.forward({}), "empty batch");
 }
 
+TEST(BertModelDeathTest, AllPadSequencePanicsInBf16Lut)
+{
+    // Every key of an all-PAD sequence is masked, so each Bf16Lut
+    // softmax row sums to zero; the host divide must say so rather than
+    // scale by 1/0. Fp32's max-subtracted softmax stays finite.
+    BertModel model(BertConfig::tiny(), 7);
+    const std::vector<std::vector<std::uint32_t>> pads{
+        std::vector<std::uint32_t>(8, kPadToken)
+    };
+    const BertModel::Output fp32 = model.forward(pads, NumericsMode::Fp32);
+    for (std::size_t j = 0; j < fp32.hidden.cols(); ++j)
+        ASSERT_TRUE(std::isfinite(fp32.hidden(0, j)));
+    EXPECT_DEATH(model.forward(pads, NumericsMode::Bf16Lut),
+                 "summed to zero");
+}
+
 TEST(BertModelPooled, ForwardBitIdenticalSerialVsPooled)
 {
     ThreadPool pool(4);

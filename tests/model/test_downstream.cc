@@ -3,35 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "common/random.hh"
-#include "common/stats.hh"
 #include "model/downstream.hh"
 
 namespace prose {
 namespace {
-
-TEST(RegressionHead, FitsLinearTarget)
-{
-    Rng rng(1);
-    Matrix x(100, 4);
-    x.fillGaussian(rng, 0.0f, 1.0f);
-    std::vector<double> y(100);
-    for (std::size_t i = 0; i < 100; ++i)
-        y[i] = 3.0 * x(i, 0) - x(i, 2) + 0.5;
-
-    RegressionHead head;
-    EXPECT_FALSE(head.fitted());
-    head.fit(x, y, 1e-4);
-    EXPECT_TRUE(head.fitted());
-    const auto predictions = head.predict(x);
-    EXPECT_GT(pearson(predictions, y), 0.999);
-}
-
-TEST(RegressionHeadDeathTest, PredictBeforeFitPanics)
-{
-    RegressionHead head;
-    Matrix x(2, 2, 1.0f);
-    EXPECT_DEATH(head.predict(x), "before fit");
-}
 
 TEST(LogisticHead, SeparatesLinearlySeparableData)
 {

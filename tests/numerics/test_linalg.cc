@@ -158,6 +158,17 @@ TEST(RidgeDeathTest, NonPositivePenaltyPanics)
     EXPECT_DEATH(ridgeFit(x, y, 0.0), "positive penalty");
 }
 
+TEST(RidgeDeathTest, PredictWithMisSizedWeightsPanics)
+{
+    // An unfitted model (no weights) and one fitted on other features
+    // must not read past `weights`.
+    const Matrix x(2, 3, 1.0f);
+    EXPECT_DEATH(RidgeModel{}.predictRows(x), "feature arity");
+    RidgeModel fitted;
+    fitted.weights = { 1.0, 2.0 };
+    EXPECT_DEATH(fitted.predictRows(x), "feature arity");
+}
+
 TEST(Ridge, IllScaledFeaturesRecoverWeights)
 {
     // Feature scales spanning six orders of magnitude: accumulating the

@@ -33,7 +33,7 @@ struct Fixture
             targets.push_back(hydropathy / kLen);
             tokens.push_back(tokenizer.encode(protein, kLen + 2));
         }
-        head.fit(model.extractFeatures(tokens), targets, 5.0);
+        head = ridgeFit(model.extractFeatures(tokens), targets, 5.0);
     }
 
     static BertConfig
@@ -46,7 +46,7 @@ struct Fixture
 
     static constexpr std::size_t kLen = 18;
     BertModel model;
-    RegressionHead head;
+    RidgeModel head;
 };
 
 Fixture &
@@ -90,7 +90,7 @@ TEST(MutationScan, EffectsAreHeadDeltas)
     mutant[2] = 'W';
     const double mutant_score =
         f.head
-            .predict(f.model.extractFeatures(
+            .predictRows(f.model.extractFeatures(
                 { tokenizer.encode(mutant, wild.size() + 2) }))
             .front();
     EXPECT_NEAR(effectOf(scan, 2, 'W'),
@@ -111,7 +111,7 @@ TEST(MutationScan, BatchSizeDoesNotChangeResults)
         mutant[effect.position] = effect.to;
         const double alone =
             f.head
-                .predict(f.model.extractFeatures(
+                .predictRows(f.model.extractFeatures(
                     { tokenizer.encode(mutant, wild.size() + 2) }))
                 .front();
         EXPECT_NEAR(effect.score, alone - scan.wildTypeScore, 1e-9);

@@ -273,5 +273,76 @@ TEST(FunctionalSim, Dataflow3BatchParallelMatchesSerial)
     EXPECT_EQ(batched.macCount(), serial.macCount());
 }
 
+// The engine contract at the paper's layer size (sequence 128, hidden
+// 768, 12 heads, FFN 3072), not only in the smoke shapes above:
+// Validate runs the stepped PE walk and the fast engine on every tile
+// and panics on any divergence in results or statistics.
+constexpr std::size_t kFullSeq = 128, kFullHidden = 768, kFullHeads = 12,
+                      kFullFfn = 3072;
+
+TEST(FunctionalSim, FullSizeDataflow1Validates)
+{
+    Rng rng(41);
+    Matrix bias(1, kFullHidden);
+    bias.fillGaussian(rng, 0.0f, 1.0f);
+    FunctionalSimulator sim;
+    sim.setMode(FsimMode::Validate);
+    const Matrix out =
+        sim.dataflow1(randomMatrix(rng, kFullSeq, kFullHidden, 0.5f),
+                      randomMatrix(rng, kFullHidden, kFullHidden, 0.05f),
+                      1.0f, &bias);
+    EXPECT_EQ(out.rows(), kFullSeq);
+    EXPECT_EQ(out.cols(), kFullHidden);
+    EXPECT_EQ(sim.mArray().matmulCycles(),
+              TimingModel::matmulCycles(kFullSeq, kFullHidden, kFullHidden,
+                                        64));
+    EXPECT_EQ(sim.mArray().simdCycles(),
+              3 * TimingModel::simdPassCycles(kFullSeq, kFullHidden, 64));
+}
+
+TEST(FunctionalSim, FullSizeDataflow2Validates)
+{
+    Rng rng(42);
+    Matrix bias(1, kFullFfn);
+    bias.fillGaussian(rng, 0.0f, 1.0f);
+    FunctionalSimulator sim;
+    sim.setMode(FsimMode::Validate);
+    const Matrix out =
+        sim.dataflow2(randomMatrix(rng, kFullSeq, kFullHidden, 0.5f),
+                      randomMatrix(rng, kFullHidden, kFullFfn, 0.05f),
+                      1.0f, &bias);
+    EXPECT_EQ(out.rows(), kFullSeq);
+    EXPECT_EQ(out.cols(), kFullFfn);
+    EXPECT_EQ(sim.gArray().matmulCycles(),
+              TimingModel::matmulCycles(kFullSeq, kFullHidden, kFullFfn,
+                                        32));
+    EXPECT_EQ(sim.gArray().simdCycles(),
+              4 * TimingModel::simdPassCycles(kFullSeq, kFullFfn, 32));
+}
+
+TEST(FunctionalSim, FullSizeDataflow3Validates)
+{
+    Rng rng(43);
+    const std::size_t dk = kFullHidden / kFullHeads;
+    std::vector<Matrix> q, k, v;
+    for (std::size_t h = 0; h < kFullHeads; ++h) {
+        q.push_back(randomMatrix(rng, kFullSeq, dk, 0.3f));
+        k.push_back(randomMatrix(rng, kFullSeq, dk, 0.3f));
+        v.push_back(randomMatrix(rng, kFullSeq, dk, 0.3f));
+    }
+    FunctionalSimulator sim;
+    sim.setMode(FsimMode::Validate);
+    const std::vector<Matrix> ctx = sim.dataflow3(
+        q, k, v, 1.0f / std::sqrt(static_cast<float>(dk)));
+    ASSERT_EQ(ctx.size(), kFullHeads);
+    for (const Matrix &head : ctx) {
+        EXPECT_EQ(head.rows(), kFullSeq);
+        EXPECT_EQ(head.cols(), dk);
+        for (std::size_t i = 0; i < head.rows(); ++i)
+            for (std::size_t j = 0; j < head.cols(); ++j)
+                ASSERT_TRUE(std::isfinite(head(i, j)));
+    }
+}
+
 } // namespace
 } // namespace prose
