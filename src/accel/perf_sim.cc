@@ -1,7 +1,9 @@
 #include "perf_sim.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <queue>
 #include <utility>
@@ -26,6 +28,9 @@ constexpr double kIoLockSeconds = 5e-6;
  * timeout fault.
  */
 constexpr double kTimeoutDetectSeconds = 50e-6;
+
+/** Thread index of an empty wait queue's front. */
+constexpr std::size_t kNoThread = std::numeric_limits<std::size_t>::max();
 
 /** Campaign site code of an array type ('M', 'G', 'E'). */
 char
@@ -349,7 +354,10 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
     }
 
     // Per-tenant pool availability, per-type I/O buffer mutexes, and
-    // host slots; shared full-duplex per-type link channels. Channel
+    // host slots; shared full-duplex per-type link channels. Host slots
+    // are interchangeable and nothing records which one ran a task, so
+    // a tenant keeps only their free times, in a min-heap: a host task
+    // takes the earliest-free slot, the heap's front. Channel
     // holds are placed so that within one tenant they always end by
     // the owning pool's free time — a single-tenant run never waits on
     // its own channels, which is what keeps runShared({x}) bit-exact
@@ -368,13 +376,15 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
 
     // Everything a dispatch needs that its start time cannot change,
     // once per distinct task: the pool it runs on, its TaskCost on that
-    // pool's geometry, its FLOPs and, for host tasks, its duration.
-    // Threads with identical slices share a chain, so a batch sliced
-    // over N threads is costed once per slice size, not N times.
+    // pool's geometry, its durations with every array of the pool
+    // alive, its FLOPs and, for host tasks, its duration. Threads with
+    // identical slices share a chain, so a batch sliced over N threads
+    // is costed once per slice size, not N times.
     struct TaskPlan
     {
         int pool = -1; ///< array-type pool index (0=M,1=G,2=E); -1 host
         TaskCost cost;
+        TaskSeconds seconds;
         double flops = 0.0;
         double hostSeconds = 0.0;
     };
@@ -399,6 +409,10 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
                              toString(task.kind));
                 plan.pool = static_cast<int>(idx);
                 plan.cost = timing_.costTask(task, *pool_geometry[idx]);
+                plan.seconds = accelTaskSeconds(plan.cost,
+                                                *pool_geometry[idx],
+                                                pool_counts[idx],
+                                                pool_bw[idx]);
             }
         }
     }
@@ -436,7 +450,6 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
     {
         double start = 0.0;
         int arrayIndex = -1;
-        std::size_t hostSlot = 0;
     };
     auto candidateFor = [&](std::size_t g) {
         const ThreadState &ts = threads[g];
@@ -444,11 +457,7 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
         Candidate c;
         c.arrayIndex = (*ts.plans)[ts.next].pool;
         if (c.arrayIndex < 0) {
-            const auto slot_it = std::min_element(res.hostFree.begin(),
-                                                  res.hostFree.end());
-            c.hostSlot = static_cast<std::size_t>(
-                slot_it - res.hostFree.begin());
-            c.start = std::max(ts.readyAt, *slot_it);
+            c.start = std::max(ts.readyAt, res.hostFree.front());
         } else {
             const std::size_t idx = static_cast<std::size_t>(c.arrayIndex);
             c.start = std::max({ ts.readyAt, res.poolFree[idx],
@@ -469,7 +478,11 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
         double pool_end = 0.0;
         if (best_array < 0) {
             duration = plan.hostSeconds;
-            res.hostFree[c.hostSlot] = best_start + duration;
+            std::pop_heap(res.hostFree.begin(), res.hostFree.end(),
+                          std::greater<>{});
+            res.hostFree.back() = best_start + duration;
+            std::push_heap(res.hostFree.begin(), res.hostFree.end(),
+                           std::greater<>{});
             report.hostBusySeconds += duration;
             local.hostBusySeconds += duration;
         } else {
@@ -477,8 +490,11 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
             const ArrayType type = pool_geometry[idx]->type;
             // Failover: tasks only ever map onto surviving pool
             // members, so a killed array degrades the pool's aggregate
-            // compute rate instead of wedging the schedule.
+            // compute rate instead of wedging the schedule. Only then
+            // are the durations recosted, for the live arrays.
+            const TaskCost &cost = plan.cost;
             std::uint32_t alive = pool_counts[idx];
+            TaskSeconds seconds = plan.seconds;
             if (options_.injector) {
                 const std::uint32_t dead =
                     options_.injector->deadArrays(typeCode(type),
@@ -487,11 +503,12 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
                     fatal("fault campaign killed every ",
                           toString(type), "-type array by t=",
                           best_start, "s; nothing left to fail over to");
-                alive -= dead;
+                if (dead > 0) {
+                    alive -= dead;
+                    seconds = accelTaskSeconds(cost, *pool_geometry[idx],
+                                               alive, pool_bw[idx]);
+                }
             }
-            const TaskCost &cost = plan.cost;
-            const TaskSeconds seconds = accelTaskSeconds(
-                cost, *pool_geometry[idx], alive, pool_bw[idx]);
             // Link-fault recovery: every faulted attempt charges its
             // detection cost (timeouts) plus exponential backoff and a
             // full re-stream/re-run of the task.
@@ -631,30 +648,75 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
     } else {
         // Per-resource wait queues. A waiting thread's start is
         // max(readyAt, R), where R is its resource's free time: the
-        // later of the pool and its I/O mutex, or the earliest host
-        // slot. Resources are private per tenant and R moves only when
-        // that resource dispatches, so each keeps the threads it holds
-        // in two queues: `pending`, by (readyAt, thread), for threads
-        // not yet ready at R, and `ready`, by thread, for those that
-        // are (they all start exactly at R). A resource's earliest
-        // (start, thread) is the ready front at R, or else the pending
-        // front; the global minimum over resources is the reference
-        // scan's earliest-start / lowest-thread-index pick, so both
-        // schedulers dispatch in the same order and no key is ever
-        // re-queued.
+        // later of the pool and its I/O mutex, or the host heap's
+        // front. Resources are private per tenant and R moves only
+        // when that resource dispatches, and never back, so each keeps
+        // the threads it holds in two sets: `pending`, a heap by
+        // (readyAt, thread), for threads not yet ready at R, and
+        // `ready`, a bit set by thread index, for those that are (they
+        // all start exactly at R). A resource's earliest (start,
+        // thread), its front, is R and its lowest ready thread, or else
+        // the pending front. A dispatch changes only the dispatching
+        // resource's R and the contents of the thread's next resource,
+        // so only those two fronts are recomputed. The minimum over the
+        // fronts is the reference scan's earliest-start /
+        // lowest-thread-index pick, so both schedulers dispatch in the
+        // same order and no key is ever re-queued.
         constexpr std::size_t kResources = 4; // pools M, G, E; host
         using Pending = std::pair<double, std::size_t>;
+        // (time, thread) order, spelled out: cheaper than the pair's
+        // synthesized three-way comparison.
+        auto later = [](const Pending &a, const Pending &b) {
+            return a.first > b.first ||
+                   (a.first == b.first && a.second > b.second);
+        };
         struct WaitQueues
         {
             std::priority_queue<Pending, std::vector<Pending>,
-                                std::greater<Pending>>
+                                decltype(later)>
                 pending;
-            std::priority_queue<std::size_t, std::vector<std::size_t>,
-                                std::greater<std::size_t>>
-                ready;
+            /** Bit g is thread g, so the lowest set bit is the lowest
+             *  ready thread index. */
+            std::vector<std::uint64_t> ready;
             double free = 0.0; ///< R
+            /** Earliest (start, thread), kNoThread when empty. */
+            Pending front;
+            bool frontReady = false; ///< front is a ready thread
+
+            /** Move thread g into or out of the ready set. */
+            void
+            flip(std::size_t g)
+            {
+                ready[g / 64] ^= std::uint64_t{ 1 } << (g % 64);
+            }
+            /** Admit the pending threads ready at R, then recompute
+             *  the front. */
+            void
+            refresh()
+            {
+                while (!pending.empty() && pending.top().first <= free) {
+                    flip(pending.top().second);
+                    pending.pop();
+                }
+                for (std::size_t w = 0; w < ready.size(); ++w) {
+                    if (ready[w]) {
+                        front = { free,
+                                  w * 64 + static_cast<std::size_t>(
+                                               std::countr_zero(ready[w])) };
+                        frontReady = true;
+                        return;
+                    }
+                }
+                frontReady = false;
+                front = pending.empty()
+                            ? Pending{ std::numeric_limits<double>::infinity(),
+                                       kNoThread }
+                            : pending.top();
+            }
         };
         std::vector<WaitQueues> queues(tenant_count * kResources);
+        for (WaitQueues &q : queues)
+            q.ready.assign((threads.size() + 63) / 64, 0);
         auto resourceOf = [&](const ThreadState &ts) {
             const int pool = (*ts.plans)[ts.next].pool;
             return ts.tenant * kResources +
@@ -665,56 +727,45 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
             const TenantResources &res = resources[r / kResources];
             const std::size_t slot = r % kResources;
             if (slot == kResources - 1)
-                return *std::min_element(res.hostFree.begin(),
-                                         res.hostFree.end());
+                return res.hostFree.front();
             return std::max(res.poolFree[slot], res.ioFree[slot]);
         };
-        auto enqueue = [&](std::size_t g) {
-            if (threads[g].tasksRemaining())
-                queues[resourceOf(threads[g])].pending.emplace(
-                    threads[g].readyAt, g);
+        auto enqueue = [&](std::size_t g) -> WaitQueues * {
+            const ThreadState &ts = threads[g];
+            if (!ts.tasksRemaining())
+                return nullptr;
+            WaitQueues &q = queues[resourceOf(ts)];
+            q.pending.emplace(ts.readyAt, g);
+            return &q;
         };
         for (std::size_t g = 0; g < threads.size(); ++g)
             enqueue(g);
+        for (WaitQueues &q : queues)
+            q.refresh();
         while (true) {
-            WaitQueues *best_queue = nullptr;
-            double best_start = 0.0;
-            std::size_t best_thread = 0;
-            for (WaitQueues &q : queues) {
-                while (!q.pending.empty() &&
-                       q.pending.top().first <= q.free) {
-                    q.ready.push(q.pending.top().second);
-                    q.pending.pop();
-                }
-                Pending front;
-                if (!q.ready.empty())
-                    front = { q.free, q.ready.top() };
-                else if (!q.pending.empty())
-                    front = q.pending.top();
-                else
-                    continue;
-                if (!best_queue ||
-                    front < Pending{ best_start, best_thread }) {
-                    best_queue = &q;
-                    best_start = front.first;
-                    best_thread = front.second;
-                }
-            }
-            if (!best_queue)
+            WaitQueues *best = &queues.front();
+            for (WaitQueues &q : queues)
+                if (later(best->front, q.front))
+                    best = &q;
+            const auto [best_start, best_thread] = best->front;
+            if (best_thread == kNoThread)
                 break; // all threads drained
-            if (!best_queue->ready.empty())
-                best_queue->ready.pop();
+            if (best->frontReady)
+                best->flip(best_thread);
             else
-                best_queue->pending.pop();
+                best->pending.pop();
             const Candidate c = candidateFor(best_thread);
             PROSE_ASSERT(c.start == best_start,
                          "wait-queue start ", best_start,
                          " differs from the thread's candidate ",
                          c.start);
             dispatch(best_thread, c);
-            best_queue->free = resourceFree(
-                static_cast<std::size_t>(best_queue - queues.data()));
-            enqueue(best_thread);
+            best->free = resourceFree(
+                static_cast<std::size_t>(best - queues.data()));
+            WaitQueues *next = enqueue(best_thread);
+            best->refresh();
+            if (next && next != best)
+                next->refresh();
         }
     }
 

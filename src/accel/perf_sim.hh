@@ -289,9 +289,10 @@ class PerfSim
     SimReport runSliced(TenantLoad load) const;
 
     /**
-     * Turn a task's cost into durations on its pool. This is the only
-     * per-dispatch cost arithmetic: the TaskCost itself is computed
-     * once per distinct task before scheduling.
+     * Turn a task's cost into durations on its pool. Called once per
+     * distinct task before scheduling, with every array of the pool
+     * alive; a dispatch calls it again, with the live count, only
+     * while the fault campaign has killed arrays of that pool.
      *
      * @param geometry one array of the executing pool
      * @param pool_count live arrays in the pool (tiles split evenly)

@@ -420,6 +420,102 @@ TEST(PerfSim, EventQueueMatchesReferenceOnSharedRunsUnderFaults)
     EXPECT_GT(last.taskRetries, 0u);
 }
 
+TEST(PerfSim, EventQueueMatchesReferenceAcrossBitsetWords)
+{
+    // 100 threads: a resource's ready set spans two 64-bit words, and
+    // the second tenant's threads start at global index 100.
+    ProseConfig config = ProseConfig::bestPerf();
+    config.threads = 100;
+    expectSchedulersAgree(config, smallShape(130, 64));
+    expectSchedulersAgree(
+        config, [&](const PerfSim &sim, std::vector<SimReport> &per_tenant) {
+            return sim.runShared({ smallShape(130, 64), smallShape(100, 64) },
+                                 &per_tenant);
+        });
+}
+
+TEST(PerfSim, KillAtTimeZeroMatchesSmallerPool)
+{
+    // An E array dead from t=0 leaves the pool one array short for the
+    // whole run: every dispatch recosts its durations for the live
+    // count, which must reproduce the smaller pool's schedule exactly.
+    const BertShape shape{ 12, 768, 12, 3072, 16, 128 };
+    const ProseConfig full = ProseConfig::bestPerf();
+    ProseConfig smaller = full;
+    for (ArrayGroupSpec &group : smaller.groups)
+        if (group.geometry.type == ArrayType::E)
+            --group.count;
+    ASSERT_EQ(smaller.arrayCount(ArrayType::E) + 1,
+              full.arrayCount(ArrayType::E));
+
+    FaultInjector injector(CampaignSpec::parse("kill_array=E:0@0"));
+    SimOptions options;
+    options.injector = &injector;
+    const SimReport killed =
+        PerfSim(full, TimingModel{}, HostModel{}, options).run(shape);
+    const SimReport reference = PerfSim(smaller).run(shape);
+    EXPECT_EQ(killed.deadArrays[typeIndex(ArrayType::E)], 1u);
+    EXPECT_EQ(killed.makespan, reference.makespan);
+    EXPECT_EQ(killed.threadFinishSeconds, reference.threadFinishSeconds);
+}
+
+TEST(PerfSim, HostSlotsAreWorkConserving)
+{
+    // Per tenant, host tasks never overlap more than the host has
+    // slots, and a host task waits past its thread's previous task only
+    // while every slot is busy.
+    std::size_t delayed = 0;
+    for (const std::uint32_t slots : { 16u, 4u }) {
+        HostSpec spec;
+        spec.slots = slots;
+        SimOptions options;
+        options.recordSchedule = true;
+        const PerfSim sim(ProseConfig::bestPerf(), TimingModel{},
+                          HostModel(spec), options);
+        const SimReport report =
+            sim.runShared({ smallShape(32, 128), smallShape(12, 256) });
+
+        for (std::uint32_t tenant = 0; tenant < 2; ++tenant) {
+            std::vector<ScheduledItem> host_items;
+            for (const ScheduledItem &item : report.schedule)
+                if (item.tenant == tenant && item.arrayIndex < 0)
+                    host_items.push_back(item);
+            ASSERT_FALSE(host_items.empty());
+            auto busyAt = [&](double t) {
+                std::uint32_t busy = 0;
+                for (const ScheduledItem &item : host_items)
+                    busy += item.start <= t && t < item.end;
+                return busy;
+            };
+            for (const ScheduledItem &item : host_items)
+                EXPECT_LE(busyAt(item.start), slots);
+
+            // The schedule is in dispatch order, so each thread's items
+            // appear in chain order.
+            std::map<std::uint32_t, double> previous_end;
+            for (const ScheduledItem &item : report.schedule) {
+                if (item.tenant != tenant)
+                    continue;
+                const double ready = previous_end[item.thread];
+                previous_end[item.thread] = item.end;
+                if (item.arrayIndex >= 0 || item.start <= ready)
+                    continue;
+                ++delayed;
+                // Busy slots only drop where a host task ends, so every
+                // slot is busy over [ready, start) iff it is at `ready`
+                // and at each host end inside the interval.
+                EXPECT_EQ(busyAt(ready), slots);
+                for (const ScheduledItem &other : host_items) {
+                    if (other.end > ready && other.end < item.start) {
+                        EXPECT_EQ(busyAt(other.end), slots);
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(delayed, 0u);
+}
+
 TEST(PerfSim, RunMatchesExplicitPerThreadChains)
 {
     // run() shares one chain between threads with identical slices;
