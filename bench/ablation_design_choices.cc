@@ -34,7 +34,7 @@ main(int argc, char **argv)
             without.partialInputBuffer = false;
             const double a = simulate(with_buffer, shape).makespan;
             const double b =
-                PerfSim(without, TimingModel(false)).run(shape).makespan;
+                PerfSim(without).run(shape).makespan;
             table.addRow({ Table::fmt(gbps, 0), Table::fmt(a * 1e3, 1),
                            Table::fmt(b * 1e3, 1),
                            Table::fmt(b / a, 2) });
@@ -105,8 +105,9 @@ main(int argc, char **argv)
         for (std::uint32_t gang : { 1u, 2u, 4u, 8u, 16u }) {
             HostSpec host_spec;
             host_spec.softmaxGang = gang;
-            PerfSim sim(ProseConfig::bestPerf(), TimingModel{},
-                        HostModel(host_spec));
+            SimOptions options;
+            options.host = HostModel(host_spec);
+            PerfSim sim(ProseConfig::bestPerf(), options);
             const SimReport report = sim.run(shape);
             table.addRow({ std::to_string(gang),
                            Table::fmt(report.makespan * 1e3, 1),

@@ -214,9 +214,7 @@ main(int argc, char **argv)
                 SimOptions options;
                 options.injector = &injector;
                 options.retry.maxAttempts = max_attempts;
-                PerfSim sim(config,
-                            TimingModel(config.partialInputBuffer),
-                            HostModel{}, options);
+                PerfSim sim(config, options);
                 const SimReport report = sim.run(shape);
                 table.addRow(
                     { Table::fmt(err_rate, 4),

@@ -53,8 +53,7 @@ main(int argc, char **argv)
         ProseConfig cfg = ProseConfig::bestPerf();
         cfg.threads = threads;
         const SimReport run =
-            PerfSim(cfg, TimingModel{}, HostModel{}, rec)
-                .run(BertShape{ 12, 768, 12, 3072, 32, 256 });
+            PerfSim(cfg, rec).run(BertShape{ 12, 768, 12, 3072, 32, 256 });
         const ScheduleAnalysis analysis = analyzeSchedule(run);
         bubbles.addRow(
             { std::to_string(threads),
@@ -73,8 +72,7 @@ main(int argc, char **argv)
     ProseConfig config = ProseConfig::bestPerf();
     config.threads = 4;
     const SimReport report =
-        PerfSim(config, TimingModel{}, HostModel{}, options)
-            .run(BertShape{ 2, 768, 12, 3072, 4, 256 });
+        PerfSim(config, options).run(BertShape{ 2, 768, 12, 3072, 4, 256 });
     Table gantt({ "t(us)", "thread", "task", "pool", "dur(us)" });
     std::size_t shown = 0;
     for (const auto &item : report.schedule) {
@@ -100,8 +98,7 @@ main(int argc, char **argv)
         ProseConfig cfg = ProseConfig::bestPerf();
         cfg.threads = threads;
         const SimReport run =
-            PerfSim(cfg, TimingModel{}, HostModel{}, rec)
-                .run(BertShape{ 2, 768, 12, 3072, threads, 256 });
+            PerfSim(cfg, rec).run(BertShape{ 2, 768, 12, 3072, threads, 256 });
         GanttOptions opt;
         opt.columns = 68;
         renderGantt(std::cout, run, opt);

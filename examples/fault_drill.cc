@@ -79,8 +79,7 @@ main(int argc, char **argv)
 
     SimOptions options;
     options.injector = &injector;
-    PerfSim perf(config, TimingModel(config.partialInputBuffer),
-                 HostModel{}, options);
+    PerfSim perf(config, options);
     const SimReport faulted = perf.run(shape);
     std::cout << "transfer errors " << faulted.linkTransferErrors
               << ", timeouts " << faulted.linkTimeouts << ", retries "
@@ -113,14 +112,8 @@ main(int argc, char **argv)
     sim2.setFaultInjector(&replay);
     sim2.setAbft(abft);
     sim2.dataflow1(a, b, 1.0f, nullptr);
-    PerfSim perf2(config, TimingModel(config.partialInputBuffer),
-                  HostModel{},
-                  [&] {
-                      SimOptions o;
-                      o.injector = &replay;
-                      return o;
-                  }());
-    perf2.run(shape);
+    options.injector = &replay;
+    PerfSim(config, options).run(shape);
 
     const bool identical =
         injector.eventLogText() == replay.eventLogText();

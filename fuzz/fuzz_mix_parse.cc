@@ -3,7 +3,7 @@
  * Mix/lane spec parser harness. Input is split at the first newline:
  * first line fuzzes parseMixSpec, the rest fuzzes parseLaneSpec.
  * Accepted mixes must obey the documented bounds (nonzero dims and
- * counts, no duplicate types).
+ * counts in every listed pool) and keep each type in its own slot.
  */
 
 #include "accel/mix_parse.hh"
@@ -22,22 +22,22 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     const std::string lane_text =
         split == std::string::npos ? "" : text.substr(split + 1);
 
-    std::vector<ArrayGroupSpec> groups;
-    if (fuzz::guardedParse([&] { groups = parseMixSpec(mix_text); })) {
-        PROSE_ASSERT(!groups.empty(), "accepted mix spec with no groups");
-        bool seen[3] = {};
-        for (const ArrayGroupSpec &group : groups) {
-            PROSE_ASSERT(group.geometry.dim > 0 &&
-                             group.geometry.dim <= 4096,
+    ArrayPools pools;
+    if (fuzz::guardedParse([&] { pools = parseMixSpec(mix_text); })) {
+        std::uint64_t arrays = 0;
+        for (std::size_t i = 0; i < pools.size(); ++i) {
+            const ArrayGroupSpec &pool = pools[i];
+            PROSE_ASSERT(pool.geometry.type == kArrayTypes[i],
+                         "slot ", i, " holds the wrong array type");
+            arrays += pool.count;
+            if (pool.count == 0)
+                continue; // a type the spec left out
+            PROSE_ASSERT(pool.geometry.dim > 0 && pool.geometry.dim <= 4096,
                          "accepted out-of-bounds array dimension");
-            PROSE_ASSERT(group.count > 0 && group.count <= 65536,
+            PROSE_ASSERT(pool.count <= 65536,
                          "accepted out-of-bounds array count");
-            const auto type =
-                static_cast<std::size_t>(group.geometry.type);
-            PROSE_ASSERT(type < 3 && !seen[type],
-                         "accepted duplicate array type");
-            seen[type] = true;
         }
+        PROSE_ASSERT(arrays > 0, "accepted mix spec with no arrays");
     }
 
     LanePartition lanes;

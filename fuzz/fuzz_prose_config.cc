@@ -40,10 +40,9 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     // configFromSpec pre-validates, so this must be abort-free.
     config.validate();
     PROSE_ASSERT(config.totalPes() > 0, "accepted config with no PEs");
-    std::uint64_t counted = 0;
-    for (const ArrayGroupSpec &group : config.groups)
-        counted += group.count;
-    PROSE_ASSERT(config.instances().size() == counted,
-                 "instances() disagrees with the group counts");
+    for (std::size_t i = 0; i < config.groups.size(); ++i)
+        PROSE_ASSERT(config.groups[i].geometry.type == kArrayTypes[i] &&
+                         config.groups[i].count > 0,
+                     "slot ", i, " does not hold its own type's pool");
     return 0;
 }

@@ -43,25 +43,17 @@ buildEnergyReport(const ProseConfig &config, const SimReport &report)
     const ComponentDb &db = ComponentDb::instance();
 
     // Per-type array energy: the report tallies busy seconds summed
-    // over the type's instances; the remainder of (makespan x count)
+    // over the pool's arrays; the remainder of (makespan x count)
     // idles at the gated fraction.
-    for (const ArrayGroupSpec &group : config.groups) {
-        const std::size_t idx = typeIndex(group.geometry.type);
+    for (std::size_t idx = 0; idx < config.groups.size(); ++idx) {
+        const ArrayGroupSpec &pool = config.groups[idx];
         const double watts = db.arrayPowerWatts(
-            group.geometry, config.partialInputBuffer);
-        const double type_count = report.typeCounts[idx];
-        if (type_count == 0)
-            continue;
-        // The group's share of the type's busy seconds, proportional
-        // to its instance count (groups of one type share one size in
-        // our configs, so this is exact).
-        const double share = group.count / type_count;
-        const double busy = report.typeBusySeconds[idx] * share;
-        const double total_span = report.makespan * group.count;
+            pool.geometry, config.partialInputBuffer);
+        const double busy = report.typeBusySeconds[idx];
+        const double total_span = report.makespan * pool.count;
         const double idle = std::max(0.0, total_span - busy);
-        energy.arrayBusyJoules[idx] += busy * watts;
-        energy.arrayIdleJoules[idx] +=
-            idle * watts * kIdlePowerFraction;
+        energy.arrayBusyJoules[idx] = busy * watts;
+        energy.arrayIdleJoules[idx] = idle * watts * kIdlePowerFraction;
     }
 
     energy.cpuJoules =

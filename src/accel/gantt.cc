@@ -83,8 +83,8 @@ renderGantt(std::ostream &out, const SimReport &report,
             break;
         }
         if (options.perPool) {
-            const char *name = row == 0 ? "M" : row == 1 ? "G" : "E";
-            out << "pool " << name << "   |" << line << "|\n";
+            out << "pool " << toString(kArrayTypes[row]) << "   |" << line
+                << "|\n";
         } else {
             out << "thread " << row << (row < 10 ? " " : "") << "|"
                 << line << "|\n";

@@ -1,5 +1,6 @@
 #include "mix_parse.hh"
 
+#include <algorithm>
 #include <cctype>
 
 #include "common/logging.hh"
@@ -33,10 +34,13 @@ constexpr std::uint32_t kMaxGroupCount = 65536;
 
 } // namespace
 
-std::vector<ArrayGroupSpec>
+ArrayPools
 parseMixSpec(const std::string &spec)
 {
-    std::vector<ArrayGroupSpec> groups;
+    // A type the spec leaves out keeps an empty pool in its own slot.
+    ArrayPools pools;
+    for (std::size_t i = 0; i < pools.size(); ++i)
+        pools[i].geometry = ArrayGeometry::ofType(kArrayTypes[i], 0);
     for (const std::string &raw : split(spec, ',')) {
         const std::string part = trim(raw);
         if (part.empty())
@@ -61,31 +65,19 @@ parseMixSpec(const std::string &spec)
             fatal("group '", part, "' count ", count, " exceeds the ",
                   kMaxGroupCount, " sanity bound");
 
-        ArrayGroupSpec group;
-        switch (type_char) {
-          case 'M':
-            group.geometry = ArrayGeometry::mType(dim);
-            break;
-          case 'G':
-            group.geometry = ArrayGeometry::gType(dim);
-            break;
-          case 'E':
-            group.geometry = ArrayGeometry::eType(dim);
-            break;
-          default:
+        const auto type = std::find_if(
+            kArrayTypes.begin(), kArrayTypes.end(),
+            [&](ArrayType t) { return toString(t)[0] == type_char; });
+        if (type == kArrayTypes.end())
             fatal("unknown array type '", type_char,
                   "' in mix group '", part, "' (use M, G, or E)");
-        }
-        group.count = count;
-        for (const ArrayGroupSpec &existing : groups)
-            if (existing.geometry.type == group.geometry.type)
-                fatal("type ", toString(group.geometry.type),
-                      " appears twice in mix spec '", spec, "'");
-        groups.push_back(group);
+        ArrayGroupSpec &pool = pools[typeIndex(*type)];
+        if (pool.count > 0)
+            fatal("type ", toString(*type), " appears twice in mix spec '",
+                  spec, "'");
+        pool = { ArrayGeometry::ofType(*type, dim), count };
     }
-    if (groups.empty())
-        fatal("empty mix spec");
-    return groups;
+    return pools;
 }
 
 LanePartition
@@ -115,9 +107,10 @@ configFromSpec(const std::string &mix_spec, const std::string &lane_spec,
     // Semantic errors a user can spell in the two strings must be
     // user-error fatal()s with a parse-level message; validate()'s
     // PROSE_ASSERTs abort(), which is reserved for simulator bugs.
-    if (config.arrayCount(ArrayType::M) == 0 ||
-        config.arrayCount(ArrayType::G) == 0 ||
-        config.arrayCount(ArrayType::E) == 0)
+    if (std::any_of(config.groups.begin(), config.groups.end(),
+                    [](const ArrayGroupSpec &pool) {
+                        return pool.count == 0;
+                    }))
         fatal("mix spec '", mix_spec, "' needs at least one array of "
               "each type M, G, and E");
     if (config.lanes.total() != link.lanes)

@@ -17,11 +17,12 @@
 namespace prose {
 
 /**
- * Parse a mix specification into array groups. Fatal on malformed
- * input (user error). Every type may appear at most once; missing
- * types fail ProseConfig::validate() later, with a clear message.
+ * Parse a mix specification into the M, G and E pools, whatever order
+ * the spec lists them in. Fatal on malformed input (user error). Every
+ * type may appear at most once; a missing type leaves its pool's count
+ * at 0, which configFromSpec rejects.
  */
-std::vector<ArrayGroupSpec> parseMixSpec(const std::string &spec);
+ArrayPools parseMixSpec(const std::string &spec);
 
 /** Parse an "M,G,E" lane partition. Fatal on malformed input. */
 LanePartition parseLaneSpec(const std::string &spec);

@@ -104,20 +104,6 @@ arrayTypeFor(DataflowKind kind)
     panic("host task has no array type");
 }
 
-std::size_t
-typeIndex(ArrayType type)
-{
-    switch (type) {
-      case ArrayType::M:
-        return 0;
-      case ArrayType::G:
-        return 1;
-      case ArrayType::E:
-        return 2;
-    }
-    return 0;
-}
-
 double
 SimReport::inferencesPerSecond() const
 {
@@ -134,15 +120,8 @@ SimReport::utilization(ArrayType type) const
     return typeBusySeconds[idx] / (makespan * typeCounts[idx]);
 }
 
-PerfSim::PerfSim(ProseConfig config)
-    : PerfSim(std::move(config), TimingModel{})
-{
-    timing_ = TimingModel(config_.partialInputBuffer);
-}
-
-PerfSim::PerfSim(ProseConfig config, TimingModel timing, HostModel host,
-                 SimOptions options)
-    : config_(std::move(config)), timing_(timing), host_(host),
+PerfSim::PerfSim(ProseConfig config, SimOptions options)
+    : config_(std::move(config)), timing_(config_.partialInputBuffer),
       options_(options)
 {
     config_.validate();
@@ -207,7 +186,7 @@ PerfSim::accelTaskSeconds(const TaskCost &cost,
         // live during the trip, so the array itself can serve other
         // threads meanwhile.
         seconds.threadExtraSeconds =
-            host_.softmaxSeconds(cost.hostSoftmaxElems);
+            options_.host.softmaxSeconds(cost.hostSoftmaxElems);
     }
     return seconds;
 }
@@ -316,42 +295,20 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
     report.tenantCount = tenant_count;
     std::vector<SimReport> locals(tenant_count);
 
-    // Group the array instances into the three type pools. Within a
-    // pool all arrays share one geometry (the configs we model never
-    // mix sizes within a type), so the pool is characterized by its
-    // geometry, its count, and its aggregate lane share. Every tenant
-    // owns a private copy of the pools; only the link is shared.
-    const std::vector<ArrayGeometry> instances = config_.instances();
-    std::array<const ArrayGeometry *, 3> pool_geometry{};
-    std::array<std::uint32_t, 3> pool_counts{};
-    for (const auto &geom : instances) {
-        const std::size_t idx = typeIndex(geom.type);
-        ++pool_counts[idx];
-        if (!pool_geometry[idx]) {
-            pool_geometry[idx] = &geom;
-        } else {
-            PROSE_ASSERT(pool_geometry[idx]->dim == geom.dim,
-                         "mixed array sizes within one type are not "
-                         "supported by the pooled scheduler");
-        }
-    }
+    // Every tenant owns a private copy of the M, G and E pools; only
+    // the link is shared. A pool runs a task on all its arrays at once
+    // over its aggregate lane share.
+    std::array<double, 3> pool_bw{};
     for (std::size_t idx = 0; idx < 3; ++idx) {
-        report.typeCounts[idx] = pool_counts[idx] * tenant_count;
+        const ArrayGroupSpec &pool = config_.groups[idx];
+        report.typeCounts[idx] = pool.count * tenant_count;
         for (SimReport &local : locals)
-            local.typeCounts[idx] = pool_counts[idx];
+            local.typeCounts[idx] = pool.count;
+        pool_bw[idx] =
+            config_.lanes.bandwidthFor(kArrayTypes[idx], config_.link);
     }
     for (SimReport &local : locals)
         local.tenantCount = tenant_count;
-
-    std::array<double, 3> pool_bw{};
-    for (std::size_t idx = 0; idx < 3; ++idx) {
-        const ArrayType type = idx == 0 ? ArrayType::M
-                               : idx == 1 ? ArrayType::G
-                                          : ArrayType::E;
-        if (pool_counts[idx] > 0)
-            pool_bw[idx] =
-                config_.lanes.bandwidthFor(type, config_.link);
-    }
 
     // Per-tenant pool availability, per-type I/O buffer mutexes, and
     // host slots; shared full-duplex per-type link channels. Host slots
@@ -370,7 +327,7 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
     };
     std::vector<TenantResources> resources(tenant_count);
     for (TenantResources &r : resources)
-        r.hostFree.assign(host_.spec().slots, 0.0);
+        r.hostFree.assign(options_.host.spec().slots, 0.0);
     std::array<double, 3> link_in_free{ { 0.0, 0.0, 0.0 } };
     std::array<double, 3> link_out_free{ { 0.0, 0.0, 0.0 } };
 
@@ -399,20 +356,16 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
                 plan.flops = task.flops();
                 if (task.kind == DataflowKind::Host) {
                     plan.hostSeconds =
-                        host_.hostOpSeconds(task.ops.front());
+                        options_.host.hostOpSeconds(task.ops.front());
                     continue;
                 }
                 const std::size_t idx =
                     typeIndex(arrayTypeFor(task.kind));
-                PROSE_ASSERT(pool_counts[idx] > 0,
-                             "no array provisioned for ",
-                             toString(task.kind));
+                const ArrayGroupSpec &pool = config_.groups[idx];
                 plan.pool = static_cast<int>(idx);
-                plan.cost = timing_.costTask(task, *pool_geometry[idx]);
-                plan.seconds = accelTaskSeconds(plan.cost,
-                                                *pool_geometry[idx],
-                                                pool_counts[idx],
-                                                pool_bw[idx]);
+                plan.cost = timing_.costTask(task, pool.geometry);
+                plan.seconds = accelTaskSeconds(plan.cost, pool.geometry,
+                                                pool.count, pool_bw[idx]);
             }
         }
     }
@@ -487,13 +440,14 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
             local.hostBusySeconds += duration;
         } else {
             const std::size_t idx = static_cast<std::size_t>(best_array);
-            const ArrayType type = pool_geometry[idx]->type;
+            const ArrayGroupSpec &pool = config_.groups[idx];
+            const ArrayType type = kArrayTypes[idx];
             // Failover: tasks only ever map onto surviving pool
             // members, so a killed array degrades the pool's aggregate
             // compute rate instead of wedging the schedule. Only then
             // are the durations recosted, for the live arrays.
             const TaskCost &cost = plan.cost;
-            std::uint32_t alive = pool_counts[idx];
+            std::uint32_t alive = pool.count;
             TaskSeconds seconds = plan.seconds;
             if (options_.injector) {
                 const std::uint32_t dead =
@@ -505,8 +459,8 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
                           best_start, "s; nothing left to fail over to");
                 if (dead > 0) {
                     alive -= dead;
-                    seconds = accelTaskSeconds(cost, *pool_geometry[idx],
-                                               alive, pool_bw[idx]);
+                    seconds = accelTaskSeconds(cost, pool.geometry, alive,
+                                               pool_bw[idx]);
                 }
             }
             // Link-fault recovery: every faulted attempt charges its
@@ -776,7 +730,7 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
     }
 
     const double host_capacity =
-        static_cast<double>(host_.spec().slots) * tenant_count;
+        static_cast<double>(options_.host.spec().slots) * tenant_count;
     if (report.makespan > 0.0) {
         report.cpuDuty =
             std::min(1.0, report.hostBusySeconds /
@@ -786,20 +740,14 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
         if (local.makespan > 0.0)
             local.cpuDuty = std::min(
                 1.0, local.hostBusySeconds /
-                         (local.makespan * host_.spec().slots));
+                         (local.makespan * options_.host.spec().slots));
     }
     if (options_.injector) {
-        for (std::size_t idx = 0; idx < 3; ++idx) {
-            if (report.typeCounts[idx] == 0)
-                continue;
-            const ArrayType type = idx == 0   ? ArrayType::M
-                                   : idx == 1 ? ArrayType::G
-                                              : ArrayType::E;
+        for (std::size_t idx = 0; idx < 3; ++idx)
             report.deadArrays[idx] = std::min(
                 report.typeCounts[idx],
-                options_.injector->deadArrays(typeCode(type),
+                options_.injector->deadArrays(typeCode(kArrayTypes[idx]),
                                               report.makespan));
-        }
     }
     if (per_tenant)
         *per_tenant = std::move(locals);

@@ -160,6 +160,10 @@ struct RetryPolicy
 /** Simulator knobs. */
 struct SimOptions
 {
+    /** Host CPU that runs softmax sum/divide and the Other-class ops
+     *  (ProseSystem hands each instance its share of one host). */
+    HostModel host = HostModel{};
+
     /** Record per-task schedule items (costs memory on big runs). */
     bool recordSchedule = false;
 
@@ -187,14 +191,9 @@ struct SimOptions
 class PerfSim
 {
   public:
-    /** Timing/traffic model derived from the configuration (notably its
-     *  partial-input-buffer setting). */
-    explicit PerfSim(ProseConfig config);
-
-    /** Explicit models (ablations, custom hosts, schedule recording). */
-    PerfSim(ProseConfig config, TimingModel timing,
-            HostModel host = HostModel{},
-            SimOptions options = SimOptions{});
+    /** The timing/traffic model follows the configuration (notably its
+     *  partial-input-buffer setting); the host comes from `options`. */
+    explicit PerfSim(ProseConfig config, SimOptions options = {});
 
     /**
      * Simulate one full Protein BERT inference batch: slice the batch
@@ -305,15 +304,11 @@ class PerfSim
 
     ProseConfig config_;
     TimingModel timing_;
-    HostModel host_;
     SimOptions options_;
 };
 
 /** Map a dataflow kind to the array type that executes it. */
 ArrayType arrayTypeFor(DataflowKind kind);
-
-/** Dense index (0..2) of an array type, for per-type tallies. */
-std::size_t typeIndex(ArrayType type);
 
 } // namespace prose
 

@@ -1,7 +1,6 @@
 #include "prose_config.hh"
 
 #include <sstream>
-#include <tuple>
 
 #include "common/logging.hh"
 
@@ -9,32 +8,25 @@ namespace prose {
 
 namespace {
 
-/** Build a config from (type, dim, count) triples. */
+/** One pool's array size and count. */
+struct PoolSize
+{
+    std::uint32_t dim;
+    std::uint32_t count;
+};
+
+/** Build a config from the M, G and E pool sizes, in that order. */
 ProseConfig
-makeConfig(std::string name,
-           std::vector<std::tuple<ArrayType, std::uint32_t,
-                                  std::uint32_t>> mix,
+makeConfig(std::string name, const PoolSize (&mix)[kArrayTypes.size()],
            LanePartition lanes)
 {
     ProseConfig config;
     config.name = std::move(name);
     config.lanes = lanes;
-    for (const auto &[type, dim, count] : mix) {
-        ArrayGroupSpec group;
-        switch (type) {
-          case ArrayType::M:
-            group.geometry = ArrayGeometry::mType(dim);
-            break;
-          case ArrayType::G:
-            group.geometry = ArrayGeometry::gType(dim);
-            break;
-          case ArrayType::E:
-            group.geometry = ArrayGeometry::eType(dim);
-            break;
-        }
-        group.count = count;
-        config.groups.push_back(group);
-    }
+    for (std::size_t i = 0; i < kArrayTypes.size(); ++i)
+        config.groups[i] = { ArrayGeometry::ofType(kArrayTypes[i],
+                                                   mix[i].dim),
+                             mix[i].count };
     config.validate();
     return config;
 }
@@ -50,34 +42,18 @@ ProseConfig::totalPes() const
     return total;
 }
 
-std::uint32_t
-ProseConfig::arrayCount(ArrayType type) const
-{
-    std::uint32_t count = 0;
-    for (const auto &group : groups)
-        if (group.geometry.type == type)
-            count += group.count;
-    return count;
-}
-
-std::vector<ArrayGeometry>
-ProseConfig::instances() const
-{
-    std::vector<ArrayGeometry> out;
-    for (const auto &group : groups)
-        for (std::uint32_t i = 0; i < group.count; ++i)
-            out.push_back(group.geometry);
-    return out;
-}
-
 void
 ProseConfig::validate() const
 {
-    PROSE_ASSERT(arrayCount(ArrayType::M) > 0 &&
-                     arrayCount(ArrayType::G) > 0 &&
-                     arrayCount(ArrayType::E) > 0,
-                 "every array type is needed for functionality (", name,
-                 ")");
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+        PROSE_ASSERT(groups[i].geometry.type == kArrayTypes[i],
+                     "pool ", toString(kArrayTypes[i]), " holds a ",
+                     toString(groups[i].geometry.type), "-type array (",
+                     name, ")");
+        PROSE_ASSERT(groups[i].count > 0,
+                     "every array type is needed for functionality (",
+                     name, ")");
+    }
     PROSE_ASSERT(lanes.total() == link.lanes,
                  "lane partition does not cover the link in ", name);
     link.validate();
@@ -105,43 +81,29 @@ ProseConfig::describe() const
 ProseConfig
 ProseConfig::bestPerf()
 {
-    return makeConfig("BestPerf",
-                      { { ArrayType::M, 64, 2 },
-                        { ArrayType::G, 16, 10 },
-                        { ArrayType::E, 16, 22 } },
+    return makeConfig("BestPerf", { { 64, 2 }, { 16, 10 }, { 16, 22 } },
                       LanePartition{ 3, 1, 2 });
 }
 
 ProseConfig
 ProseConfig::mostEfficient()
 {
-    return makeConfig("MostEfficient",
-                      { { ArrayType::M, 64, 2 },
-                        { ArrayType::G, 32, 3 },
-                        { ArrayType::E, 16, 20 } },
+    return makeConfig("MostEfficient", { { 64, 2 }, { 32, 3 }, { 16, 20 } },
                       LanePartition{ 3, 1, 2 });
 }
 
 ProseConfig
 ProseConfig::homogeneous()
 {
-    return makeConfig("Homogeneous",
-                      { { ArrayType::M, 64, 2 },
-                        { ArrayType::G, 64, 1 },
-                        { ArrayType::E, 64, 1 } },
+    return makeConfig("Homogeneous", { { 64, 2 }, { 64, 1 }, { 64, 1 } },
                       LanePartition{ 3, 1, 2 });
 }
 
 ProseConfig
 ProseConfig::bestPerfPlus()
 {
-    ProseConfig config =
-        makeConfig("BestPerf+",
-                   { { ArrayType::M, 64, 2 },
-                     { ArrayType::G, 32, 5 },
-                     { ArrayType::E, 32, 7 } },
-                   LanePartition{ 3, 1, 2 });
-    return config;
+    return makeConfig("BestPerf+", { { 64, 2 }, { 32, 5 }, { 32, 7 } },
+                      LanePartition{ 3, 1, 2 });
 }
 
 ProseConfig
@@ -155,10 +117,7 @@ ProseConfig::mostEfficientPlus()
 ProseConfig
 ProseConfig::homogeneousPlus()
 {
-    return makeConfig("Homogeneous+",
-                      { { ArrayType::M, 64, 2 },
-                        { ArrayType::G, 64, 1 },
-                        { ArrayType::E, 64, 2 } },
+    return makeConfig("Homogeneous+", { { 64, 2 }, { 64, 1 }, { 64, 2 } },
                       LanePartition{ 3, 1, 2 });
 }
 
@@ -166,9 +125,7 @@ ProseConfig
 ProseConfig::fourBy64Homogeneous()
 {
     return makeConfig("4x64x64-Homogeneous",
-                      { { ArrayType::M, 64, 2 },
-                        { ArrayType::G, 64, 1 },
-                        { ArrayType::E, 64, 1 } },
+                      { { 64, 2 }, { 64, 1 }, { 64, 1 } },
                       LanePartition{ 2, 2, 2 });
 }
 

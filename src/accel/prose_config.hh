@@ -1,9 +1,9 @@
 /**
  * @file
- * A complete ProSE instance configuration: the heterogeneous array mix,
- * the link and its lane partition, the partial-input-buffer option, and
- * the software thread count. Includes the six named configurations of
- * Table 4.
+ * A complete ProSE instance configuration: the heterogeneous array mix
+ * (one pool per array type), the link and its lane partition, the
+ * partial-input-buffer option, and the software thread count. Includes
+ * the six named configurations of Table 4.
  */
 
 #ifndef PROSE_ACCEL_PROSE_CONFIG_HH
@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "link_model.hh"
 #include "power/power_model.hh"
@@ -23,7 +22,8 @@ namespace prose {
 struct ProseConfig
 {
     std::string name = "prose";
-    std::vector<ArrayGroupSpec> groups;
+    /** The M, G and E pools, in that order (slot typeIndex(t)). */
+    ArrayPools groups;
     LinkSpec link = LinkSpec::nvlink2At90();
     LanePartition lanes;
     /** DMA streaming model (overlap mode + prefetch depth). */
@@ -34,14 +34,8 @@ struct ProseConfig
     /** Total processing elements across all arrays. */
     std::uint64_t totalPes() const;
 
-    /** Number of array instances of one type. */
-    std::uint32_t arrayCount(ArrayType type) const;
-
-    /** Flattened list of per-instance geometries (scheduler view). */
-    std::vector<ArrayGeometry> instances() const;
-
-    /** Panics unless at least one array of each type exists and the
-     *  lane partition covers the link. */
+    /** Panics unless every slot holds its own type with at least one
+     *  array and the lane partition covers the link. */
     void validate() const;
 
     std::string describe() const;

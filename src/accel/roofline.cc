@@ -58,37 +58,25 @@ analyzeRoofline(const ProseConfig &config, const BertShape &shape)
 {
     config.validate();
     RooflineAnalysis analysis;
-    const ArrayType types[3] = { ArrayType::M, ArrayType::G,
-                                 ArrayType::E };
-
-    // Pool geometries and counts.
-    std::array<const ArrayGeometry *, 3> geometry{};
-    std::array<std::uint32_t, 3> counts{};
-    for (const ArrayGroupSpec &group : config.groups) {
-        const std::size_t idx = typeIndex(group.geometry.type);
-        geometry[idx] = &group.geometry;
-        counts[idx] += group.count;
-    }
 
     const TimingModel timing(config.partialInputBuffer);
     const auto tasks =
         DataflowBuilder{}.build(synthesizeBertTrace(shape));
 
     for (std::size_t idx = 0; idx < 3; ++idx) {
-        analysis.pools[idx].type = types[idx];
+        analysis.pools[idx].type = kArrayTypes[idx];
         analysis.pools[idx].laneShare =
-            static_cast<double>(config.lanes.lanesFor(types[idx])) /
+            static_cast<double>(config.lanes.lanesFor(kArrayTypes[idx])) /
             config.link.lanes;
     }
     for (const DataflowTask &task : tasks) {
         if (task.kind == DataflowKind::Host)
             continue;
         const std::size_t idx = typeIndex(arrayTypeFor(task.kind));
-        PROSE_ASSERT(geometry[idx] && counts[idx] > 0,
-                     "workload needs a pool the config lacks");
-        const TaskCost cost = timing.costTask(task, *geometry[idx]);
+        const ArrayGroupSpec &pool = config.groups[idx];
+        const TaskCost cost = timing.costTask(task, pool.geometry);
         analysis.pools[idx].computeSeconds +=
-            cost.computeSeconds(*geometry[idx]) / counts[idx];
+            cost.computeSeconds(pool.geometry) / pool.count;
         analysis.pools[idx].streamBytes +=
             std::max(cost.bytesIn, cost.bytesOut);
         analysis.pools[idx].wireStreamBytes +=

@@ -91,7 +91,7 @@ ProseSystem::run(const BertShape &shape, FaultInjector *injector) const
             shared.elemThroughput =
                 std::min(kHost.elemThroughput / ways,
                          kHost.slotThroughput() * shared.slots);
-            const HostModel host(shared);
+            options.host = HostModel(shared);
             std::size_t next = 0;
             for (std::uint32_t j = 0; j < ways; ++j) {
                 BertShape slice = shape;
@@ -99,9 +99,7 @@ ProseSystem::run(const BertShape &shape, FaultInjector *injector) const
                               (j < pending.size() % ways ? 1 : 0);
                 if (slice.batch == 0)
                     continue;
-                PerfSim sim(config_.instance,
-                            TimingModel(config_.instance.partialInputBuffer),
-                            host, options);
+                PerfSim sim(config_.instance, options);
                 SimReport shard = sim.run(slice);
                 std::vector<InstancePool::Member> members;
                 members.reserve(slice.batch);

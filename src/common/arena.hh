@@ -84,29 +84,6 @@ class Arena
         offset_ = m.offset;
     }
 
-    /** Drop the bump pointer to the start; keeps all blocks. */
-    void reset() { rewind(Mark{}); }
-
-    /** Bytes currently handed out (alignment padding included). */
-    std::size_t
-    usedBytes() const
-    {
-        std::size_t used = offset_;
-        for (std::size_t b = 0; b < block_ && b < blocks_.size(); ++b)
-            used += blocks_[b].size;
-        return used;
-    }
-
-    /** Total bytes reserved across all blocks. */
-    std::size_t
-    capacityBytes() const
-    {
-        std::size_t total = 0;
-        for (const Block &block : blocks_)
-            total += block.size;
-        return total;
-    }
-
     /**
      * RAII allocation scope: captures the arena position on entry and
      * rewinds on exit, freeing (for reuse) every span allocated inside.

@@ -42,12 +42,12 @@ enumerateMixes(const ConfigSpaceSpec &spec)
                     name << "M64x" << m << "-G" << g_dim << "x" << g
                          << "-E" << e_dim << "x" << e;
                     config.name = name.str();
-                    config.groups = {
+                    config.groups = { {
                         { ArrayGeometry::mType(64), m },
                         { ArrayGeometry::gType(g_dim), g },
                         { ArrayGeometry::eType(e_dim),
                           static_cast<std::uint32_t>(e) },
-                    };
+                    } };
                     config.link = spec.link;
                     config.partialInputBuffer = spec.partialInputBuffer;
                     config.threads = spec.threads;

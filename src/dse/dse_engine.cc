@@ -72,25 +72,13 @@ DseEngine::evaluate(const ProseConfig &config) const
 DseValidationReport
 DseEngine::validate(const ProseConfig &config, FsimMode mode) const
 {
-    // One geometry per type from the configuration (pools are uniform
-    // within a type); types the config does not provision fall back to
-    // the paper's defaults so the probe always covers all dataflows.
-    ArrayGeometry m_geom = ArrayGeometry::mType();
-    ArrayGeometry g_geom = ArrayGeometry::gType();
-    ArrayGeometry e_geom = ArrayGeometry::eType();
-    for (const ArrayGeometry &geom : config.instances()) {
-        switch (geom.type) {
-          case ArrayType::M:
-            m_geom = geom;
-            break;
-          case ArrayType::G:
-            g_geom = geom;
-            break;
-          case ArrayType::E:
-            e_geom = geom;
-            break;
-        }
-    }
+    config.validate();
+    const ArrayGeometry &m_geom =
+        config.groups[typeIndex(ArrayType::M)].geometry;
+    const ArrayGeometry &g_geom =
+        config.groups[typeIndex(ArrayType::G)].geometry;
+    const ArrayGeometry &e_geom =
+        config.groups[typeIndex(ArrayType::E)].geometry;
 
     FunctionalSimulator fsim(m_geom, g_geom, e_geom);
     fsim.setMode(mode);

@@ -5,8 +5,7 @@
 namespace prose {
 
 double
-PowerModel::arrayPowerWatts(const std::vector<ArrayGroupSpec> &groups,
-                            bool with_buffer) const
+PowerModel::arrayPowerWatts(const ArrayPools &groups, bool with_buffer) const
 {
     const ComponentDb &db = ComponentDb::instance();
     double watts = 0.0;
@@ -17,8 +16,7 @@ PowerModel::arrayPowerWatts(const std::vector<ArrayGroupSpec> &groups,
 }
 
 double
-PowerModel::arrayAreaMm2(const std::vector<ArrayGroupSpec> &groups,
-                         bool with_buffer) const
+PowerModel::arrayAreaMm2(const ArrayPools &groups, bool with_buffer) const
 {
     const ComponentDb &db = ComponentDb::instance();
     double mm2 = 0.0;
@@ -28,8 +26,8 @@ PowerModel::arrayAreaMm2(const std::vector<ArrayGroupSpec> &groups,
 }
 
 double
-PowerModel::systemPowerWatts(const std::vector<ArrayGroupSpec> &groups,
-                             bool with_buffer, double cpu_duty) const
+PowerModel::systemPowerWatts(const ArrayPools &groups, bool with_buffer,
+                             double cpu_duty) const
 {
     PROSE_ASSERT(cpu_duty >= 0.0 && cpu_duty <= 1.0,
                  "cpu duty cycle out of [0, 1]");

@@ -10,8 +10,8 @@
 #ifndef PROSE_POWER_POWER_MODEL_HH
 #define PROSE_POWER_POWER_MODEL_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "component_db.hh"
 
@@ -24,6 +24,9 @@ struct ArrayGroupSpec
     std::uint32_t count = 0;
 };
 
+/** One pool per array type: slot typeIndex(t) holds type t's arrays. */
+using ArrayPools = std::array<ArrayGroupSpec, kArrayTypes.size()>;
+
 /** Host CPU package power while serving ProSE (paper's RAPL reading). */
 constexpr double kHostCpuActiveWatts = 50.21;
 
@@ -35,20 +38,18 @@ class PowerModel
 {
   public:
     /** Sum of array powers (watts). */
-    double arrayPowerWatts(const std::vector<ArrayGroupSpec> &groups,
-                           bool with_buffer) const;
+    double arrayPowerWatts(const ArrayPools &groups, bool with_buffer) const;
 
     /** Sum of array areas (mm^2). */
-    double arrayAreaMm2(const std::vector<ArrayGroupSpec> &groups,
-                        bool with_buffer) const;
+    double arrayAreaMm2(const ArrayPools &groups, bool with_buffer) const;
 
     /**
      * Whole-system power: arrays + duty-cycled CPU + DRAM.
      * @param cpu_duty fraction of wall-clock the host CPU spends serving
      *        ProSE (the paper measured 21.4%)
      */
-    double systemPowerWatts(const std::vector<ArrayGroupSpec> &groups,
-                            bool with_buffer, double cpu_duty) const;
+    double systemPowerWatts(const ArrayPools &groups, bool with_buffer,
+                            double cpu_duty) const;
 };
 
 } // namespace prose

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/logging.hh"
+
 namespace prose {
 
 const char *
@@ -45,6 +47,20 @@ ArrayGeometry::eType(std::uint32_t dim)
     g.dim = dim;
     g.hasExp = true;
     return g;
+}
+
+ArrayGeometry
+ArrayGeometry::ofType(ArrayType type, std::uint32_t dim)
+{
+    switch (type) {
+      case ArrayType::M:
+        return mType(dim);
+      case ArrayType::G:
+        return gType(dim);
+      case ArrayType::E:
+        return eType(dim);
+    }
+    panic("unknown array type");
 }
 
 std::string

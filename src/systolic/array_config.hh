@@ -15,6 +15,8 @@
 #ifndef PROSE_SYSTOLIC_ARRAY_CONFIG_HH
 #define PROSE_SYSTOLIC_ARRAY_CONFIG_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -29,6 +31,18 @@ enum class ArrayType
     G, ///< matmul + SIMD + GELU
     E, ///< matmul + SIMD + Exp
 };
+
+/** Every array type, in pool order: M, G, E. */
+inline constexpr std::array<ArrayType, 3> kArrayTypes = {
+    ArrayType::M, ArrayType::G, ArrayType::E
+};
+
+/** Dense index (0..2) of an array type: its pool slot in kArrayTypes. */
+constexpr std::size_t
+typeIndex(ArrayType type)
+{
+    return static_cast<std::size_t>(type);
+}
 
 const char *toString(ArrayType type);
 
@@ -58,6 +72,8 @@ struct ArrayGeometry
     static ArrayGeometry gType(std::uint32_t dim = 32);
     /** Construct an E-Type of the given size. */
     static ArrayGeometry eType(std::uint32_t dim = 16);
+    /** Construct the given type at the given size. */
+    static ArrayGeometry ofType(ArrayType type, std::uint32_t dim);
 
     std::string describe() const;
 };

@@ -23,8 +23,7 @@ SimReport
 runWith(const ProseConfig &config, SimOptions options,
         const BertShape &shape = kSmallShape)
 {
-    PerfSim sim(config, TimingModel(config.partialInputBuffer),
-                HostModel{}, options);
+    PerfSim sim(config, options);
     return sim.run(shape);
 }
 
@@ -343,9 +342,9 @@ TEST(FaultRecovery, UnevenHostShareKeepsTheHostsPerSlotRate)
     share.elemThroughput = 5 * HostSpec{}.slotThroughput();
     BertShape slice = kFleetShape;
     slice.batch = 3; // 8 dropped inferences over 3 survivors: 3, 3, 2
-    const PerfSim sim(config.instance,
-                      TimingModel(config.instance.partialInputBuffer),
-                      HostModel(share));
+    SimOptions options;
+    options.host = HostModel(share);
+    const PerfSim sim(config.instance, options);
     const SimReport want = sim.run(slice);
     EXPECT_EQ(report.perInstance[4].makespan, want.makespan);
     EXPECT_EQ(report.perInstance[4].hostBusySeconds, want.hostBusySeconds);

@@ -16,7 +16,7 @@ recordedRun(std::uint32_t threads = 2)
     options.recordSchedule = true;
     ProseConfig config = ProseConfig::bestPerf();
     config.threads = threads;
-    PerfSim sim(config, TimingModel{}, HostModel{}, options);
+    PerfSim sim(config, options);
     return sim.run(BertShape{ 2, 768, 12, 3072, threads, 64 });
 }
 

@@ -244,11 +244,8 @@ TEST(LinkStreaming, SchedulersAgreeOnSharedRuns)
     recorded.recordSchedule = true;
     SimOptions reference = recorded;
     reference.referenceScheduler = true;
-    const TimingModel timing{ config.partialInputBuffer };
-    const SimReport queues =
-        PerfSim(config, timing, HostModel{}, recorded).runShared(tenants);
-    const SimReport scan =
-        PerfSim(config, timing, HostModel{}, reference).runShared(tenants);
+    const SimReport queues = PerfSim(config, recorded).runShared(tenants);
+    const SimReport scan = PerfSim(config, reference).runShared(tenants);
     ASSERT_FALSE(queues.schedule.empty());
     expectReportsIdentical(queues, scan);
 }
@@ -278,10 +275,7 @@ TEST(LinkStreaming, FullSizeWallKeepsItsInvariantsWhereTheyHold)
                 config.threads = threads;
                 config.link = LinkSpec::custom(gbps);
                 config.streaming.mode = mode;
-                runs.push_back(PerfSim(config,
-                                       TimingModel(config.partialInputBuffer),
-                                       HostModel{}, recorded)
-                                   .run(shape));
+                runs.push_back(PerfSim(config, recorded).run(shape));
             }
             const std::string at = std::to_string(threads) +
                                    " threads, " + std::to_string(gbps) +

@@ -27,6 +27,32 @@ TEST(MixParse, AcceptsWhitespaceAndCase)
     EXPECT_EQ(groups[1].geometry.dim, 32u);
 }
 
+TEST(MixParse, OutOfOrderGroupsLandInTheirSlots)
+{
+    const ArrayPools pools = parseMixSpec("E16x4,M64x1,G32x2");
+    EXPECT_EQ(pools[0].geometry.type, ArrayType::M);
+    EXPECT_EQ(pools[0].geometry.dim, 64u);
+    EXPECT_EQ(pools[0].count, 1u);
+    EXPECT_EQ(pools[1].geometry.type, ArrayType::G);
+    EXPECT_EQ(pools[1].geometry.dim, 32u);
+    EXPECT_EQ(pools[1].count, 2u);
+    EXPECT_EQ(pools[2].geometry.type, ArrayType::E);
+    EXPECT_EQ(pools[2].geometry.dim, 16u);
+    EXPECT_EQ(pools[2].count, 4u);
+    const ProseConfig config = configFromSpec(
+        "E16x4,M64x1,G32x2", "3,1,2", LinkSpec::nvlink2At90());
+    EXPECT_NE(config.describe().find("[1x M-Type 64x64, 2x G-Type 32x32"),
+              std::string::npos);
+}
+
+TEST(MixParse, MissingTypeLeavesItsSlotEmpty)
+{
+    const ArrayPools pools = parseMixSpec("G16x4,E16x4");
+    EXPECT_EQ(pools[0].geometry.type, ArrayType::M);
+    EXPECT_EQ(pools[0].count, 0u);
+    EXPECT_EQ(pools[1].count, 4u);
+}
+
 TEST(MixParse, LaneSpec)
 {
     const LanePartition lanes = parseLaneSpec("3,1,2");

@@ -146,8 +146,7 @@ TEST(PerfSim, ScheduleRecordsWhenRequested)
 {
     SimOptions options;
     options.recordSchedule = true;
-    PerfSim sim(ProseConfig::bestPerf(), TimingModel{}, HostModel{},
-                options);
+    PerfSim sim(ProseConfig::bestPerf(), options);
     const SimReport report = sim.run(smallShape(2, 32));
     ASSERT_EQ(report.schedule.size(), report.taskCount);
     for (const auto &item : report.schedule) {
@@ -165,7 +164,7 @@ TEST(PerfSim, TasksOnOneThreadNeverOverlap)
     options.recordSchedule = true;
     ProseConfig config = ProseConfig::bestPerf();
     config.threads = 4;
-    PerfSim sim(config, TimingModel{}, HostModel{}, options);
+    PerfSim sim(config, options);
     const SimReport report = sim.run(smallShape(4, 64));
 
     std::map<std::uint32_t, double> last_end;
@@ -186,8 +185,7 @@ TEST(PerfSim, PoolsNeverDoubleBooked)
 {
     SimOptions options;
     options.recordSchedule = true;
-    PerfSim sim(ProseConfig::mostEfficient(), TimingModel{}, HostModel{},
-                options);
+    PerfSim sim(ProseConfig::mostEfficient(), options);
     const SimReport report = sim.run(smallShape(8, 64));
 
     std::map<int, std::vector<ScheduledItem>> per_pool;
@@ -211,7 +209,7 @@ TEST(PerfSim, DataflowsLandOnTheirTypes)
     SimOptions options;
     options.recordSchedule = true;
     const ProseConfig config = ProseConfig::bestPerf();
-    PerfSim sim(config, TimingModel{}, HostModel{}, options);
+    PerfSim sim(config, options);
     const SimReport report = sim.run(smallShape(2, 32));
     for (const auto &item : report.schedule) {
         if (item.arrayIndex < 0)
@@ -254,9 +252,7 @@ TEST(PerfSim, IoLockSpacesDispatchesOnAPool)
     config.threads = 32;
     SimOptions options;
     options.recordSchedule = true;
-    const SimReport report =
-        PerfSim(config, TimingModel{}, HostModel{}, options)
-            .run(smallShape(32, 64));
+    const SimReport report = PerfSim(config, options).run(smallShape(32, 64));
     std::array<std::vector<double>, 3> starts;
     for (const ScheduledItem &item : report.schedule)
         if (item.arrayIndex >= 0)
@@ -323,11 +319,9 @@ expectSchedulersAgree(const ProseConfig &config, RunFn run,
     std::vector<SimReport> queue_tenants;
     std::vector<SimReport> ref_tenants;
     const SimReport queue_report =
-        run(PerfSim(config, TimingModel{}, HostModel{}, queue_options),
-            queue_tenants);
+        run(PerfSim(config, queue_options), queue_tenants);
     const SimReport ref_report =
-        run(PerfSim(config, TimingModel{}, HostModel{}, ref_options),
-            ref_tenants);
+        run(PerfSim(config, ref_options), ref_tenants);
     expectReportsIdentical(queue_report, ref_report);
     ASSERT_EQ(queue_tenants.size(), ref_tenants.size());
     for (std::size_t t = 0; t < queue_tenants.size(); ++t)
@@ -442,17 +436,12 @@ TEST(PerfSim, KillAtTimeZeroMatchesSmallerPool)
     const BertShape shape{ 12, 768, 12, 3072, 16, 128 };
     const ProseConfig full = ProseConfig::bestPerf();
     ProseConfig smaller = full;
-    for (ArrayGroupSpec &group : smaller.groups)
-        if (group.geometry.type == ArrayType::E)
-            --group.count;
-    ASSERT_EQ(smaller.arrayCount(ArrayType::E) + 1,
-              full.arrayCount(ArrayType::E));
+    --smaller.groups[typeIndex(ArrayType::E)].count;
 
     FaultInjector injector(CampaignSpec::parse("kill_array=E:0@0"));
     SimOptions options;
     options.injector = &injector;
-    const SimReport killed =
-        PerfSim(full, TimingModel{}, HostModel{}, options).run(shape);
+    const SimReport killed = PerfSim(full, options).run(shape);
     const SimReport reference = PerfSim(smaller).run(shape);
     EXPECT_EQ(killed.deadArrays[typeIndex(ArrayType::E)], 1u);
     EXPECT_EQ(killed.makespan, reference.makespan);
@@ -470,8 +459,8 @@ TEST(PerfSim, HostSlotsAreWorkConserving)
         spec.slots = slots;
         SimOptions options;
         options.recordSchedule = true;
-        const PerfSim sim(ProseConfig::bestPerf(), TimingModel{},
-                          HostModel(spec), options);
+        options.host = HostModel(spec);
+        const PerfSim sim(ProseConfig::bestPerf(), options);
         const SimReport report =
             sim.runShared({ smallShape(32, 128), smallShape(12, 256) });
 
@@ -524,8 +513,7 @@ TEST(PerfSim, RunMatchesExplicitPerThreadChains)
     const BertShape shape = smallShape(70, 64);
     SimOptions options;
     options.recordSchedule = true;
-    const PerfSim sim(ProseConfig::bestPerf(), TimingModel{}, HostModel{},
-                      options);
+    const PerfSim sim(ProseConfig::bestPerf(), options);
     const SimReport sliced = sim.run(shape);
 
     const std::uint64_t threads = ProseConfig::bestPerf().threads;

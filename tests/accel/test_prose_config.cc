@@ -11,17 +11,17 @@ TEST(ProseConfig, BestPerfMatchesTable4)
 {
     const ProseConfig config = ProseConfig::bestPerf();
     EXPECT_EQ(config.totalPes(), 16384u);
-    EXPECT_EQ(config.arrayCount(ArrayType::M), 2u);
-    EXPECT_EQ(config.arrayCount(ArrayType::G), 10u);
-    EXPECT_EQ(config.arrayCount(ArrayType::E), 22u);
+    EXPECT_EQ(config.groups[typeIndex(ArrayType::M)].count, 2u);
+    EXPECT_EQ(config.groups[typeIndex(ArrayType::G)].count, 10u);
+    EXPECT_EQ(config.groups[typeIndex(ArrayType::E)].count, 22u);
 }
 
 TEST(ProseConfig, MostEfficientMatchesTable4)
 {
     const ProseConfig config = ProseConfig::mostEfficient();
     EXPECT_EQ(config.totalPes(), 16384u);
-    EXPECT_EQ(config.arrayCount(ArrayType::G), 3u);
-    EXPECT_EQ(config.arrayCount(ArrayType::E), 20u);
+    EXPECT_EQ(config.groups[typeIndex(ArrayType::G)].count, 3u);
+    EXPECT_EQ(config.groups[typeIndex(ArrayType::E)].count, 20u);
 }
 
 TEST(ProseConfig, PlusConfigsHave20kPes)
@@ -39,13 +39,20 @@ TEST(ProseConfig, HomogeneousUses64x64Only)
         EXPECT_EQ(group.geometry.dim, 64u);
 }
 
-TEST(ProseConfig, InstancesFlattenGroups)
+TEST(ProseConfig, EverySlotHoldsItsOwnType)
 {
-    const ProseConfig config = ProseConfig::bestPerf();
-    const auto instances = config.instances();
-    EXPECT_EQ(instances.size(), 34u); // 2 + 10 + 22
-    EXPECT_EQ(instances.front().type, ArrayType::M);
-    EXPECT_EQ(instances.back().type, ArrayType::E);
+    for (const ProseConfig &config :
+         { ProseConfig::bestPerf(), ProseConfig::mostEfficient(),
+           ProseConfig::homogeneous(), ProseConfig::bestPerfPlus(),
+           ProseConfig::mostEfficientPlus(), ProseConfig::homogeneousPlus(),
+           ProseConfig::fourBy64Homogeneous() }) {
+        for (ArrayType type : kArrayTypes) {
+            EXPECT_EQ(config.groups[typeIndex(type)].geometry.type, type)
+                << config.name;
+            EXPECT_GT(config.groups[typeIndex(type)].count, 0u)
+                << config.name;
+        }
+    }
 }
 
 TEST(ProseConfig, DefaultThreadsIs32)
@@ -88,8 +95,16 @@ TEST(ProseConfig, TypeCapabilitiesConsistent)
 TEST(ProseConfigDeathTest, MissingTypePanics)
 {
     ProseConfig config = ProseConfig::bestPerf();
-    config.groups.erase(config.groups.begin()); // drop the M group
+    config.groups[typeIndex(ArrayType::M)].count = 0; // empty M pool
     EXPECT_DEATH(config.validate(), "every array type");
+}
+
+TEST(ProseConfigDeathTest, PoolHoldsItsOwnType)
+{
+    ProseConfig config = ProseConfig::bestPerf();
+    config.groups[typeIndex(ArrayType::M)].geometry =
+        ArrayGeometry::gType(64);
+    EXPECT_DEATH(config.validate(), "pool M holds a G-type array");
 }
 
 TEST(ProseConfigDeathTest, LanesMustCoverLink)

@@ -14,7 +14,7 @@ recordedRun(std::uint32_t threads, std::uint64_t batch = 8)
     options.recordSchedule = true;
     ProseConfig config = ProseConfig::bestPerf();
     config.threads = threads;
-    PerfSim sim(config, TimingModel{}, HostModel{}, options);
+    PerfSim sim(config, options);
     return sim.run(BertShape{ 2, 768, 12, 3072, batch, 128 });
 }
 

@@ -19,9 +19,10 @@ TEST(ConfigSpace, EveryMixMeetsTheBudgetExactly)
 TEST(ConfigSpace, EveryMixHasAllThreeTypes)
 {
     for (const auto &mix : enumerateMixes(ConfigSpaceSpec{})) {
-        EXPECT_GE(mix.arrayCount(ArrayType::M), 1u);
-        EXPECT_GE(mix.arrayCount(ArrayType::G), 1u);
-        EXPECT_GE(mix.arrayCount(ArrayType::E), 1u);
+        for (std::size_t i = 0; i < mix.groups.size(); ++i) {
+            EXPECT_EQ(mix.groups[i].geometry.type, kArrayTypes[i]);
+            EXPECT_GE(mix.groups[i].count, 1u);
+        }
     }
 }
 

@@ -616,8 +616,11 @@ TEST(KernelDispatch, LutRowBitIdenticalAcrossTiers)
     }
     auto rawBits = [](const std::vector<float> &v) {
         std::vector<std::uint32_t> bits(v.size());
-        std::memcpy(bits.data(), v.data(),
-                    v.size() * sizeof(std::uint32_t));
+        // An empty vector's data() may be null, and memcpy from null is
+        // undefined even for zero bytes.
+        if (!v.empty())
+            std::memcpy(bits.data(), v.data(),
+                        v.size() * sizeof(std::uint32_t));
         return bits;
     };
     for (SimdTier tier : availableTiers()) {

@@ -7,12 +7,12 @@
 namespace prose {
 namespace {
 
-std::vector<ArrayGroupSpec>
+ArrayPools
 bestPerfGroups()
 {
-    return { { ArrayGeometry::mType(64), 2 },
-             { ArrayGeometry::gType(16), 10 },
-             { ArrayGeometry::eType(16), 22 } };
+    return { { { ArrayGeometry::mType(64), 2 },
+               { ArrayGeometry::gType(16), 10 },
+               { ArrayGeometry::eType(16), 22 } } };
 }
 
 TEST(PowerModel, BestPerfArrayPowerNearTable4)
