@@ -36,6 +36,15 @@ main(int argc, char **argv)
               "\"; usage: quickstart [protein-sequence]");
     if (argc > 1)
         protein = argv[1];
+    if (protein.empty())
+        fatal("empty protein sequence; usage: quickstart [protein-sequence]");
+    const AminoTokenizer tokenizer;
+    for (char residue : protein) {
+        if (tokenizer.residueId(residue) == kUnkToken)
+            fatal("\"", protein, "\" is not a protein sequence: '",
+                  residue, "' is no residue code; usage: quickstart "
+                  "[protein-sequence]");
+    }
 
     std::cout << "ProSE quickstart\n================\n\n";
     std::cout << "protein (" << protein.size() << " residues): "
@@ -43,7 +52,6 @@ main(int argc, char **argv)
               << (protein.size() > 60 ? "..." : "") << "\n\n";
 
     // 1-2. Tokenize and run the encoder with full accelerator numerics.
-    const AminoTokenizer tokenizer;
     const auto tokens = tokenizer.encode(protein);
     BertConfig config = BertConfig::tiny(); // laptop-sized real math
     config.maxSeqLen = 2048;

@@ -10,9 +10,9 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <vector>
 
 #include "common/logging.hh"
+#include "common/scratch.hh"
 #include "kernel_tiers.hh"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -159,13 +159,9 @@ activeKernelSlot()
 TileScratch
 tileScratch(std::size_t aFloats, std::size_t bFloats, std::size_t aBlocks)
 {
-    static thread_local std::vector<float> a;
-    static thread_local std::vector<float> b;
-    static thread_local std::vector<ExpRange> ranges;
-    a.resize(aFloats);
-    b.resize(bFloats);
-    ranges.resize(aBlocks);
-    return { a.data(), b.data(), ranges.data() };
+    static thread_local ScratchBuffer<float> a, b;
+    static thread_local ScratchBuffer<ExpRange> ranges;
+    return { a.get(aFloats), b.get(bFloats), ranges.get(aBlocks) };
 }
 
 const char *

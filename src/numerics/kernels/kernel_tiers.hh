@@ -55,11 +55,13 @@ struct TileScratch
 };
 
 /**
- * This thread's tile scratch, grown to at least the given entry counts
- * and kept across calls (no allocation churn after warmup, no sharing
- * between pool lanes). It lives in the baseline-ISA kernel_dispatch.cc
- * so that the container code behind it is never compiled under a
- * tier's -m flags. Valid until the next call on the same thread.
+ * This thread's tile scratch: three ScratchBuffer spans
+ * (common/scratch.hh), 64-byte aligned and uninitialized, grown to at
+ * least the given entry counts and kept across calls (no allocation
+ * churn after warmup, no sharing between pool lanes). It lives in the
+ * baseline-ISA kernel_dispatch.cc so that ScratchBuffer is never
+ * instantiated under a tier's -m flags. Valid until the next call on
+ * the same thread.
  */
 TileScratch tileScratch(std::size_t aFloats, std::size_t bFloats,
                         std::size_t aBlocks);

@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "bfloat16.hh"
-#include "common/arena.hh"
 #include "common/logging.hh"
+#include "common/scratch.hh"
 #include "common/thread_pool.hh"
 #include "kernels/kernel_dispatch.hh"
 
@@ -237,15 +237,14 @@ matmulBf16(const Matrix &a, const Matrix &b)
 {
     PROSE_ASSERT(a.cols() == b.rows(), "matmulBf16 inner-dim mismatch");
     // Quantize both operands once up front (what streaming bf16 inputs
-    // see) into per-thread arena scratch — compact bit planes, no heap
+    // see) into per-thread scratch — compact bit planes, no heap
     // churn, B straight into packed order — then accumulate in fp32
     // like the 32-bit PE accumulators.
     const kernels::KernelSet &ks = kernels::activeKernels();
-    Arena &arena = Arena::threadLocal();
-    Arena::Scope scope(arena);
-    std::uint16_t *qa = arena.alloc<std::uint16_t>(a.size());
+    static thread_local ScratchBuffer<std::uint16_t> qa_scratch, qb_scratch;
+    std::uint16_t *qa = qa_scratch.get(a.size());
     ks.quantizeBitsRow(qa, a.data(), a.size());
-    std::uint16_t *qb = arena.alloc<std::uint16_t>(b.size());
+    std::uint16_t *qb = qb_scratch.get(b.size());
     packBf16(qb, b.data(), b.rows(), b.cols());
     return matmulBits(qa, a.rows(), a.cols(), qb, b.cols());
 }
@@ -256,9 +255,8 @@ matmulBf16(const Matrix &a, const QuantizedOperand &b)
     PROSE_ASSERT(!b.empty(), "matmulBf16 against an empty cached operand");
     PROSE_ASSERT(a.cols() == b.rows(), "matmulBf16 inner-dim mismatch");
     const kernels::KernelSet &ks = kernels::activeKernels();
-    Arena &arena = Arena::threadLocal();
-    Arena::Scope scope(arena);
-    std::uint16_t *qa = arena.alloc<std::uint16_t>(a.size());
+    static thread_local ScratchBuffer<std::uint16_t> qa_scratch;
+    std::uint16_t *qa = qa_scratch.get(a.size());
     ks.quantizeBitsRow(qa, a.data(), a.size());
     return matmulBits(qa, a.rows(), a.cols(), b.packedBits().data(), b.cols());
 }

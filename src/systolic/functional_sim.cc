@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "common/arena.hh"
 #include "common/logging.hh"
+#include "common/scratch.hh"
 #include "common/thread_pool.hh"
 #include "numerics/bfloat16.hh"
 #include "numerics/host_kernels.hh"
@@ -49,17 +49,17 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
     }
     const std::size_t s = array.geometry().dim;
 
-    // Quantize each whole operand once into per-thread arena scratch;
+    // Quantize each whole operand once into per-thread scratch;
     // every tile below is a zero-copy view into these planes. Before
     // this, A was re-quantized for every column tile and B for every
     // row tile (ceil(n/s) and ceil(m/s) times over), with two Matrix
     // allocations per tile on top.
     const kernels::KernelSet &ks = kernels::activeKernels();
-    Arena &arena = Arena::threadLocal();
-    Arena::Scope scope(arena);
-    std::uint16_t *qa = arena.alloc<std::uint16_t>(a.size());
+    static thread_local ScratchBuffer<std::uint16_t> qa_scratch, qb_scratch;
+    static thread_local ScratchBuffer<float> wa_scratch, wpb_scratch;
+    std::uint16_t *qa = qa_scratch.get(a.size());
     ks.quantizeBitsRow(qa, a.data(), a.size());
-    std::uint16_t *qb = arena.alloc<std::uint16_t>(b.size());
+    std::uint16_t *qb = qb_scratch.get(b.size());
     ks.quantizeBitsRow(qb, b.data(), b.size());
 
     // Pre-widen the quantized planes back to fp32 (exact: bits << 16)
@@ -73,9 +73,9 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
     // consume these. The stepped engine's scalar PE walk reads the fp32
     // operands instead: its tiles are dominated by the O(dim^2) register
     // sweeps anyway.
-    float *wa = arena.alloc<float>(a.size());
+    float *wa = wa_scratch.get(a.size());
     ks.widenRow(wa, qa, a.size());
-    float *wpb = arena.alloc<float>(k * std::min(s, n));
+    float *wpb = wpb_scratch.get(k * std::min(s, n));
 
     // Column tiles outer, row tiles inner: the B column panel (k x s)
     // is touched by every row tile, so walking tn in the outer loop

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/arena.hh"
 #include "common/logging.hh"
+#include "common/scratch.hh"
 #include "fault/fault_injector.hh"
 #include "numerics/bfloat16.hh"
 #include "numerics/float_bits.hh"
@@ -271,17 +271,16 @@ SystolicArray::matmulTile(const TileOperand &a, const TileOperand &b)
 std::uint64_t
 SystolicArray::matmulTile(const Matrix &a, const Matrix &b)
 {
-    // Quantize into per-thread arena scratch once, widened back to
+    // Quantize into per-thread scratch once, widened back to
     // fp32 as runFused does for whole operands (quantizeRoundtripRow is
     // widen(roundFromFloat(x)), exactly), then run the zero-copy view
     // path. External callers (tests, the DSE micro kernels) keep the
     // Matrix interface; the fused fsim pipeline builds its views itself.
     const kernels::KernelSet &ks = kernels::activeKernels();
-    Arena &arena = Arena::threadLocal();
-    Arena::Scope scope(arena);
-    float *wa = arena.alloc<float>(a.size());
+    static thread_local ScratchBuffer<float> wa_scratch, wb_scratch;
+    float *wa = wa_scratch.get(a.size());
     ks.quantizeRoundtripRow(wa, a.data(), a.size());
-    float *wb = arena.alloc<float>(b.size());
+    float *wb = wb_scratch.get(b.size());
     ks.quantizeRoundtripRow(wb, b.data(), b.size());
     const TileOperand ta{ a.data(), a.cols(), wa,
                           a.cols(), a.rows(), a.cols() };

@@ -141,7 +141,7 @@ class SystolicArray
      * The view overload is the zero-copy hot path: both operand planes
      * (fp32 + quantized-and-widened) are the caller's, nothing is
      * copied or re-quantized per tile. The Matrix overload quantizes
-     * and widens into per-thread arena scratch and delegates.
+     * and widens into per-thread ScratchBuffers and delegates.
      *
      * @return matmul-mode cycles spent, including stall cycles.
      */

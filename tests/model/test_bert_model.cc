@@ -233,15 +233,11 @@ TEST(BertModelDeathTest, AllPadSequencePanicsInBf16Lut)
     const BertModel::Output fp32 = model.forward(pads, NumericsMode::Fp32);
     for (std::size_t j = 0; j < fp32.hidden.cols(); ++j)
         ASSERT_TRUE(std::isfinite(fp32.hidden(0, j)));
-    // The fp32 forward started the pool's workers, and the death test
-    // forks: a worker may hold the pool mutex at that instant, and the
-    // child has no worker to release it. So the child runs serially.
-    EXPECT_DEATH(
-        {
-            ThreadPool::SerialGuard serial;
-            model.forward(pads, NumericsMode::Bf16Lut);
-        },
-        "summed to zero");
+    // The fp32 forward started the pool's workers; the threadsafe death
+    // test style (tests/CMakeLists.txt) re-executes the binary for the
+    // child, so the child's pooled forward starts its own workers.
+    EXPECT_DEATH(model.forward(pads, NumericsMode::Bf16Lut),
+                 "summed to zero");
 }
 
 TEST(BertModelPooled, ForwardBitIdenticalSerialVsPooled)

@@ -680,7 +680,7 @@ TEST(KernelDispatch, ActiveTierSwitchAndRestore)
 
 TEST(KernelDispatch, MatmulBf16BitIdenticalAcrossTiers)
 {
-    // End-to-end: the full bf16 matmul (arena + bits plane + pooled
+    // End-to-end: the full bf16 matmul (scratch + bits plane + pooled
     // kernels) must agree bit-for-bit across every available tier.
     const SimdTier original = kernels::activeSimdTier();
     Rng rng(7);

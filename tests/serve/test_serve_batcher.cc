@@ -31,7 +31,7 @@ class ServeBatcherTest : public ::testing::Test
         return s;
     }
 
-    /** Arena slot in ADMITTED state, ready for enqueue. */
+    /** Request slot in ADMITTED state, ready for enqueue. */
     RequestId
     admitted(RequestArena &arena, std::uint64_t residues,
              double deadline, double arrival = 0.0)
