@@ -99,11 +99,8 @@ main(int argc, char **argv)
         cfg.threads = threads;
         const SimReport run =
             PerfSim(cfg, rec).run(BertShape{ 2, 768, 12, 3072, threads, 256 });
-        GanttOptions opt;
-        opt.columns = 68;
-        renderGantt(std::cout, run, opt);
-        opt.perPool = true;
-        renderGantt(std::cout, run, opt);
+        renderGantt(std::cout, run, false);
+        renderGantt(std::cout, run, true);
     }
 
     std::cout << "\nPaper reference: throughput improves 1 -> 32 threads "

@@ -45,9 +45,7 @@ functionalCrossCheck()
                        "(PROSE_FSIM_MODE=") +
            toString(mode) + ")");
 
-    DseWorkload workload;
-    workload.a100Seconds = 1.0; // skip the baseline model; unused here
-    const DseEngine engine(workload);
+    const DseEngine engine;
 
     std::vector<FsimMode> probes{ mode };
     for (FsimMode extra : { FsimMode::Fast, FsimMode::Stepped })

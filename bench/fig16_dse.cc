@@ -22,7 +22,7 @@ main(int argc, char **argv)
     banner("Figure 16: design space exploration (16K PEs, NVLink2 @90%)");
 
     ConfigSpaceSpec spec;
-    const DseEngine engine{ DseWorkload{ operatingPoint(), 0.0 } };
+    const DseEngine engine{ DseWorkload{ operatingPoint() } };
     const DseSelection selection = engine.explore(spec);
 
     const std::size_t lane_options =

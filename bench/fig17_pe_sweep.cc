@@ -21,7 +21,7 @@ main(int argc, char **argv)
     rejectArgs(argc, argv);
     banner("Figure 17: PE-budget sweep (8K-24K PEs, 270 GB/s)");
 
-    const DseEngine engine{ DseWorkload{ operatingPoint(), 0.0 } };
+    const DseEngine engine{ DseWorkload{ operatingPoint() } };
     const double a100_seconds = engine.a100Seconds();
     const auto a100 = makeA100();
     const double a100_eff =
@@ -34,9 +34,8 @@ main(int argc, char **argv)
          { 8192u, 12288u, 16384u, 20480u, 24576u }) {
         ConfigSpaceSpec spec;
         spec.peBudget = budget;
-        // Larger budgets admit more arrays; widen the Table 3 bounds
-        // proportionally so the space stays populated.
-        spec.maxMCount = 3;
+        // Larger budgets admit more arrays; widen the Table 3 G/E
+        // bounds proportionally so the space stays populated.
         spec.maxCount32 = 23;
         spec.maxCount16 = 63;
         const DseSelection selection = engine.explore(spec);

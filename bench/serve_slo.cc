@@ -106,7 +106,6 @@ main(int argc, char **argv)
     {
         Scenario burst{ "flash-crowd", baseSpec(requests), "" };
         burst.spec.arrivals.kind = ArrivalKind::Bursty;
-        burst.spec.arrivals.burstMultiplier = 4.0;
         burst.spec.arrivals.burstPeriodSeconds =
             100.0 / burst.spec.arrivals.ratePerSecond;
         scenarios.push_back(burst);

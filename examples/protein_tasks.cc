@@ -105,10 +105,7 @@ main(int argc, char **argv)
         positives += s;
 
     LogisticHead stability;
-    LogisticHead::FitOptions options;
-    options.epochs = 2000;
-    options.learningRate = 0.3;
-    stability.fit(x_train, s_train, options);
+    stability.fit(x_train, s_train);
     const double accuracy = stability.accuracy(x_test, s_test);
     const double base_rate =
         std::max(positives, static_cast<int>(train_n) - positives) /

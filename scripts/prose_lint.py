@@ -57,6 +57,18 @@ mechanically enforces them:
                   their arguments (common/logging.hh), so a format
                   string prints its conversions verbatim and the
                   values after it run together.
+  unset-setting   every field of a *Spec/*Options/*Config/*Policy/
+                  *Workload struct (or ArrayGeometry) declared in a
+                  src/ header is written somewhere in src/, bench/,
+                  examples/ or perfbench/: by an assignment (.f =,
+                  ->f =, .f.g =, compound ops too) or by a positional
+                  Type{...} initialiser long enough to reach it. A
+                  field nothing writes is a constant that readers must
+                  assume someone sets; name it as one. Writes match by
+                  field name, not by type. Exceptions live in
+                  scripts/unset_setting_allowlist.txt, one per line
+                  with a reason; an entry whose field is written or
+                  gone is itself a finding.
 
 A line may opt out with a trailing marker comment naming the rule, e.g.
     if (alpha != 0.0f)  // prose-lint: allow(float-eq) — guard, not math
@@ -80,6 +92,9 @@ CHECKED_PARSE_DIRS = (SRC_DIR, "bench", "examples")
 # Every directory walked; rules other than checked-parse and log-format
 # stay on src/.
 LINT_DIRS = CHECKED_PARSE_DIRS
+# Where a write keeps a setting field alive (unset-setting).
+SETTING_WRITER_DIRS = CHECKED_PARSE_DIRS + ("perfbench",)
+SETTING_ALLOWLIST = os.path.join("scripts", "unset_setting_allowlist.txt")
 
 # Files allowed to compare floats directly: the designated bit-equality
 # helpers themselves.
@@ -151,6 +166,27 @@ IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 PRINTF_CONV_RE = re.compile(
     r"%[-+#0]*(?:\d+|\*)?(?:\.(?:\d+|\*))?(?:hh|h|ll|l|z|j|t|L)?"
     r"[diouxXeEfgGaAcsp]")
+
+# Settings structs: their fields must each be written somewhere.
+SETTING_STRUCT_RE = re.compile(
+    r"\bstruct\s+(\w+(?:Spec|Options|Config|Policy|Workload)|ArrayGeometry)"
+    r"\s*(?::[^{;]*)?\{")
+# An assignment through a member chain: .f =, ->f.g[i] +=, ...
+MEMBER_WRITE_RE = re.compile(
+    r"((?:(?:\.|->)\s*\w+\s*(?:\[[^\[\]]*\]\s*)*)+)"
+    r"(?:[-+*/%&|^]|<<|>>)?=(?!=)")
+# A container member filled in place: .faults.push_back(...), ...
+MEMBER_FILL_RE = re.compile(
+    r"((?:(?:\.|->)\s*\w+\s*(?:\[[^\[\]]*\]\s*)*)+)"
+    r"\.\s*(?:push_back|emplace_back|insert|assign|resize)\s*\(")
+MEMBER_NAME_RE = re.compile(r"(?:\.|->)\s*(\w+)")
+# A declaration of a builtin scalar (no class type, no template).
+SCALAR_DECL_RE = re.compile(
+    r"^(?:const\s+)?(?:std::)?(?:bool|char|int|float|double|long|short|"
+    r"unsigned|signed|size_t|u?int(?:8|16|32|64)_t|\s)+\*?\s*\w+\s*$")
+# Statements inside a struct body that declare no data member.
+NON_FIELD_RE = re.compile(
+    r"^(?:static|using|typedef|friend|enum|struct|class|template)\b")
 
 GUARD_IFNDEF_RE = re.compile(r"^\s*#ifndef\s+(\w+)")
 GUARD_DEFINE_RE = re.compile(r"^\s*#define\s+(\w+)\s*$")
@@ -412,8 +448,197 @@ def lint_file(relpath, lines):
     return findings
 
 
-def iter_source_files(root):
-    for top in LINT_DIRS:
+def strip_code(lines):
+    """The file's text with comments and literals blanked, one line per
+    input line (so offsets map back to line numbers)."""
+    out, in_block = [], False
+    for raw in lines:
+        code, in_block = strip_comments_and_strings(raw, in_block)
+        out.append(code)
+    return "\n".join(out)
+
+
+def matching_close(text, open_idx):
+    """Index of the bracket closing the one at open_idx (or len)."""
+    pairs = {"{": "}", "(": ")", "[": "]"}
+    stack = []
+    for i in range(open_idx, len(text)):
+        c = text[i]
+        if c in pairs:
+            stack.append(pairs[c])
+        elif stack and c == stack[-1]:
+            stack.pop()
+            if not stack:
+                return i
+    return len(text)
+
+
+def split_top_level(text, sep):
+    """Split on `sep` outside (), [] and {}."""
+    parts, depth, start = [], 0, 0
+    for i, c in enumerate(text):
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        elif c == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
+
+
+def struct_fields(code, body_open):
+    """[(name, offset, settable)] of the data members declared directly
+    in the struct body opening at body_open, in declaration order. A
+    builtin scalar with no initializer is not settable: whoever builds
+    the struct must give it a value (a data row, not a setting)."""
+    end = matching_close(code, body_open)
+    fields = []
+    i, start = body_open + 1, body_open + 1
+    while i < end:
+        c = code[i]
+        if c in "([{":
+            close = matching_close(code, i)
+            if c == "{" and "(" in code[start:i]:
+                # A member function body: no ';' follows it.
+                i = start = close + 1
+                continue
+            i = close + 1
+            continue
+        if c == ";":
+            stmt = code[start:i]
+            offset = start + len(stmt) - len(stmt.lstrip())
+            stmt = re.sub(r"^\s*(?:(?:public|private|protected)\s*:\s*)*",
+                          "", stmt).strip()
+            head = re.split(r"[={]", stmt, maxsplit=1)[0]
+            if stmt and not NON_FIELD_RE.match(stmt) and "(" not in head:
+                decls = split_top_level(stmt, ",")
+                scalar = SCALAR_DECL_RE.match(
+                    re.split(r"[={\[]", decls[0], maxsplit=1)[0].strip())
+                for k, decl in enumerate(decls):
+                    left = re.split(r"[={\[]", decl, maxsplit=1)[0]
+                    names = IDENT_RE.findall(left)
+                    if names and (k == 0) == (len(names) > 1):
+                        settable = not scalar or bool(re.search("[={]", decl))
+                        fields.append((names[-1], offset, settable))
+            start = i + 1
+        i += 1
+    return fields
+
+
+def setting_structs(relpath, lines):
+    """{struct name: [(field, line number, settable)]} declared in one
+    header."""
+    code = strip_code(lines)
+    structs = {}
+    for m in SETTING_STRUCT_RE.finditer(code):
+        body_open = m.end() - 1
+        structs[m.group(1)] = [
+            (name, code.count("\n", 0, off) + 1, settable)
+            for name, off, settable in struct_fields(code, body_open)]
+    return structs
+
+
+def written_fields(lines, structs):
+    """Field names one file writes: member-chain assignments, plus the
+    fields a positional Type{...} initialiser of a settings struct
+    reaches (as (struct, field) pairs)."""
+    code = strip_code(lines)
+    names, reached = set(), set()
+    for regex in (MEMBER_WRITE_RE, MEMBER_FILL_RE):
+        for m in regex.finditer(code):
+            names.update(MEMBER_NAME_RE.findall(m.group(1)))
+    if structs:
+        init_re = re.compile(
+            r"(?<!struct )\b(" + "|".join(sorted(structs)) +
+            r")\s*(?:\w+\s*)?(?:=\s*)?\{")
+        for m in init_re.finditer(code):
+            body_open = m.end() - 1
+            inner = code[body_open + 1:matching_close(code, body_open)]
+            items = [x for x in split_top_level(inner, ",") if x.strip()]
+            if items and items[0].strip().startswith("."):
+                continue  # designated: the member-chain scan saw it
+            for name, _, _ in structs[m.group(1)][:len(items)]:
+                reached.add((m.group(1), name))
+    return names, reached
+
+
+def load_setting_allowlist(lines, path=SETTING_ALLOWLIST):
+    """(entries {Struct::field: line}, errors). One entry per line: the
+    qualified field, then a one-line reason; '#' starts a comment."""
+    entries, errors = {}, []
+    for idx, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, _, reason = line.partition(" ")
+        if not reason.strip():
+            errors.append(Finding("unset-setting", path, idx,
+                                  f"allowlist entry {name} has no reason"))
+        entries[name] = idx
+    return entries, errors
+
+
+def unset_settings(headers, writers, allowlist_lines):
+    """unset-setting over a tree. headers: {src header relpath: lines};
+    writers: {relpath: lines} for every file whose writes count;
+    allowlist_lines: the allowlist file's lines."""
+    declared = {}  # struct -> (header, [(field, line)])
+    for relpath in sorted(headers):
+        for struct, fields in setting_structs(relpath,
+                                              headers[relpath]).items():
+            declared[struct] = (relpath, fields)
+    structs = {k: v[1] for k, v in declared.items()}
+    names, reached = set(), set()
+    for relpath in sorted(writers):
+        n, r = written_fields(writers[relpath], structs)
+        names |= n
+        reached |= r
+    allow, findings = load_setting_allowlist(allowlist_lines)
+    unset = set()
+    for struct, (relpath, fields) in sorted(declared.items()):
+        for field, line, settable in fields:
+            if (not settable or field in names
+                    or (struct, field) in reached):
+                continue
+            qualified = f"{struct}::{field}"
+            unset.add(qualified)
+            if qualified not in allow:
+                findings.append(Finding(
+                    "unset-setting", relpath, line,
+                    f"{qualified} is never written in src/, bench/, "
+                    "examples/ or perfbench/ — make it a named constant "
+                    f"or list it in {SETTING_ALLOWLIST} with a reason"))
+    for qualified, idx in sorted(allow.items()):
+        if qualified not in unset:
+            findings.append(Finding(
+                "unset-setting", SETTING_ALLOWLIST, idx,
+                f"stale entry: {qualified} is written or no longer "
+                "declared"))
+    return findings
+
+
+def read_lines(root, relpath):
+    with open(os.path.join(root, relpath), encoding="utf-8") as f:
+        return f.read().splitlines()
+
+
+def unset_setting_findings(root):
+    headers, writers = {}, {}
+    for relpath in iter_source_files(root, SETTING_WRITER_DIRS):
+        lines = read_lines(root, relpath)
+        writers[relpath] = lines
+        if relpath.startswith(SRC_DIR + "/") and relpath.endswith(".hh"):
+            headers[relpath] = lines
+    allow_path = os.path.join(root, SETTING_ALLOWLIST)
+    allow = (read_lines(root, SETTING_ALLOWLIST)
+             if os.path.exists(allow_path) else [])
+    return unset_settings(headers, writers, allow)
+
+
+def iter_source_files(root, dirs=LINT_DIRS):
+    for top in dirs:
         for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
             dirnames[:] = sorted(d for d in dirnames if d != "CMakeFiles")
             for name in sorted(filenames):
@@ -427,9 +652,8 @@ def run_lint(root):
     count = 0
     for relpath in iter_source_files(root):
         count += 1
-        with open(os.path.join(root, relpath), encoding="utf-8") as f:
-            lines = f.read().splitlines()
-        findings.extend(lint_file(relpath, lines))
+        findings.extend(lint_file(relpath, read_lines(root, relpath)))
+    findings.extend(unset_setting_findings(root))
     return findings, count
 
 
@@ -568,6 +792,85 @@ SELF_TESTS = [
 ]
 
 
+# unset-setting cases: (name, header source, writer source, allowlist
+# text, expected "Struct::field" findings or allowlist lines). The
+# header is src/x/spec.hh; the writer is bench/w.cc.
+SETTING_HEADER = """struct FooSpec
+{
+    double rate = 1.0;      ///< written by the bench
+    std::uint32_t depth{ 8 };
+    bool strict = false;
+    std::vector<int> sizes;
+    double scale() const { return rate * 2.0; }
+    static FooSpec tiny();
+    void validate() const;
+};"""
+SETTING_TESTS = [
+    ("only settings structs are scanned; bare scalars are data",
+     "struct TileConfig\n{\n    int dim;\n    std::string label;\n"
+     "    double a, b = 2.0;\n};\n"
+     "struct Row\n{\n    double unread = 1.0;\n};",
+     "", "", ["TileConfig::b", "TileConfig::label"]),
+    ("unwritten fields flagged", SETTING_HEADER,
+     "spec.rate = 2.0;",
+     "", ["FooSpec::depth", "FooSpec::strict", "FooSpec::sizes"]),
+    ("assignment through a chain writes every link", SETTING_HEADER,
+     "run.spec.rate = 1.0;\nrun.depth = 4;\nspec->strict = true;\n"
+     "a.b.sizes = {};",
+     "", []),
+    ("compound assignment is a write", SETTING_HEADER,
+     "s.rate *= 2.0; s.depth += 1; s.strict |= x; s.sizes = v;",
+     "", []),
+    ("comparison is not a write", SETTING_HEADER,
+     "if (s.rate == 1.0 && s.depth <= 3 && s.strict != x) s.sizes = v;",
+     "", ["FooSpec::depth", "FooSpec::rate", "FooSpec::strict"]),
+    ("container fill is a write", SETTING_HEADER,
+     "spec.sizes.push_back(3); spec.rate = 1; spec.depth = 1;"
+     " spec.strict = 1;",
+     "", []),
+    ("positional initialiser reaches a prefix", SETTING_HEADER,
+     "const FooSpec spec{ 2.0, 4 };\nspec.sizes = {};",
+     "", ["FooSpec::strict"]),
+    ("temporary positional initialiser", SETTING_HEADER,
+     "run(FooSpec{ f(1, 2), 3,\n             true }); s.sizes = v;",
+     "", []),
+    ("empty initialiser writes nothing", SETTING_HEADER,
+     "run(FooSpec{}); s.rate = 1; s.depth = 1; s.sizes = v;",
+     "", ["FooSpec::strict"]),
+    ("designated initialiser writes its names", SETTING_HEADER,
+     "run(FooSpec{ .rate = 1, .strict = true }); s.sizes = v;",
+     "", ["FooSpec::depth"]),
+    ("write in a comment or string ignored", SETTING_HEADER,
+     "// spec.depth = 3;\nlog(\"spec.strict = 1\"); s.rate = 1;"
+     " s.sizes = v;",
+     "", ["FooSpec::depth", "FooSpec::strict"]),
+    ("allowlisted field passes", SETTING_HEADER,
+     "s.rate = 1; s.depth = 2; s.sizes = v;",
+     "# comment\nFooSpec::strict  oracle: the reference path", []),
+    ("allowlist entry without a reason flagged", SETTING_HEADER,
+     "s.rate = 1; s.depth = 2; s.sizes = v;",
+     "FooSpec::strict", ["allowlist:1"]),
+    ("stale allowlist entry flagged", SETTING_HEADER,
+     "s.rate = 1; s.depth = 2; s.sizes = v; s.strict = 1;",
+     "FooSpec::strict  no longer true\nFooSpec::gone  never declared",
+     ["allowlist:1", "allowlist:2"]),
+]
+
+
+def setting_self_test_findings(header, writer, allowlist):
+    """Expected-form labels of the unset-setting findings for one case."""
+    findings = unset_settings({"src/x/spec.hh": header.splitlines()},
+                              {"bench/w.cc": writer.splitlines()},
+                              allowlist.splitlines())
+    labels = []
+    for f in findings:
+        if f.path == SETTING_ALLOWLIST:
+            labels.append(f"allowlist:{f.line_no}")
+        else:
+            labels.append(f.text.split(" ", 1)[0])
+    return sorted(labels)
+
+
 def self_test():
     failures = 0
     for name, relpath, source, expected in SELF_TESTS:
@@ -577,7 +880,13 @@ def self_test():
             print(f"self-test FAIL: {name}: expected {sorted(set(expected))},"
                   f" got {got}", file=sys.stderr)
             failures += 1
-    total = len(SELF_TESTS)
+    for name, header, writer, allowlist, expected in SETTING_TESTS:
+        got = setting_self_test_findings(header, writer, allowlist)
+        if got != sorted(expected):
+            print(f"self-test FAIL: {name}: expected {sorted(expected)},"
+                  f" got {got}", file=sys.stderr)
+            failures += 1
+    total = len(SELF_TESTS) + len(SETTING_TESTS)
     if failures:
         print(f"self-test: {failures}/{total} cases failed",
               file=sys.stderr)
@@ -600,7 +909,7 @@ def main():
     if args.list_rules:
         for rule in ("float-eq", "unordered-iter", "naked-getenv",
                      "no-cout", "include-guard", "intrinsics",
-                     "checked-parse", "log-format"):
+                     "checked-parse", "log-format", "unset-setting"):
             print(rule)
         return 0
     if args.self_test:

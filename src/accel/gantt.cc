@@ -35,34 +35,30 @@ symbolFor(DataflowKind kind)
 } // namespace
 
 void
-renderGantt(std::ostream &out, const SimReport &report,
-            const GanttOptions &options)
+renderGantt(std::ostream &out, const SimReport &report, bool per_pool)
 {
     PROSE_ASSERT(!report.schedule.empty(),
                  "gantt needs a recorded schedule");
-    PROSE_ASSERT(options.columns >= 8, "gantt needs some width");
+    static_assert(kGanttColumns > 12, "gantt needs room for its header");
     const double span = report.makespan;
     PROSE_ASSERT(span > 0.0, "empty makespan");
-    const double bucket = span / static_cast<double>(options.columns);
+    const double bucket = span / static_cast<double>(kGanttColumns);
 
     // Row key: thread id or pool index.
     auto row_of = [&](const ScheduledItem &item) {
-        return options.perPool ? item.arrayIndex
-                               : static_cast<int>(item.thread);
+        return per_pool ? item.arrayIndex : static_cast<int>(item.thread);
     };
 
     std::map<int, std::string> rows;
     for (const ScheduledItem &item : report.schedule) {
         const int row = row_of(item);
-        if (options.perPool && row < 0)
+        if (per_pool && row < 0)
             continue; // host work has no pool row
         auto [it, inserted] =
-            rows.try_emplace(row, std::string(options.columns, '.'));
+            rows.try_emplace(row, std::string(kGanttColumns, '.'));
         std::string &line = it->second;
-        const double end =
-            options.perPool ? item.poolEnd : item.end;
-        const double last_col =
-            static_cast<double>(options.columns) - 1.0;
+        const double end = per_pool ? item.poolEnd : item.end;
+        const double last_col = static_cast<double>(kGanttColumns) - 1.0;
         const auto first = static_cast<std::size_t>(
             std::min<double>(last_col, item.start / bucket));
         const auto last = static_cast<std::size_t>(std::min<double>(
@@ -72,8 +68,7 @@ renderGantt(std::ostream &out, const SimReport &report,
     }
 
     out << "time ->  0";
-    out << std::string(options.columns > 12 ? options.columns - 12 : 1,
-                       ' ');
+    out << std::string(kGanttColumns - 12, ' ');
     out << "makespan\n";
     std::size_t printed = 0;
     for (const auto &[row, line] : rows) {
@@ -82,7 +77,7 @@ renderGantt(std::ostream &out, const SimReport &report,
                 << " more rows)\n";
             break;
         }
-        if (options.perPool) {
+        if (per_pool) {
             out << "pool " << toString(kArrayTypes[row]) << "   |" << line
                 << "|\n";
         } else {

@@ -17,21 +17,19 @@
 
 namespace prose {
 
-/** Rendering options. */
-struct GanttOptions
-{
-    std::size_t columns = 72;   ///< time buckets across the page
-    bool perPool = false;       ///< rows = pools (M/G/E) instead of threads
-};
+/** Time buckets across the page. */
+constexpr std::size_t kGanttColumns = 68;
 
 /**
  * Render the schedule of a report recorded with
  * SimOptions::recordSchedule. Each cell is the dominant activity of
  * its row during that time bucket. Very wide thread counts are clipped
  * to the first 40 rows.
+ *
+ * @param per_pool one row per pool (M/G/E) instead of per thread
  */
 void renderGantt(std::ostream &out, const SimReport &report,
-                 const GanttOptions &options = GanttOptions{});
+                 bool per_pool);
 
 } // namespace prose
 

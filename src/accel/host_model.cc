@@ -17,7 +17,7 @@ HostModel::softmaxSeconds(std::uint64_t elems) const
     // Two streaming passes (sum, then divide) over the exp results,
     // ganged across several worker slots.
     const double rate = spec_.slotThroughput() * spec_.softmaxGang;
-    return spec_.taskOverheadSeconds +
+    return kHostTaskOverheadSeconds +
            2.0 * static_cast<double>(elems) / rate;
 }
 
@@ -48,7 +48,7 @@ HostModel::hostOpSeconds(const Op &op) const
         passes = 2.0;
         break;
     }
-    return spec_.taskOverheadSeconds +
+    return kHostTaskOverheadSeconds +
            passes * elems / spec_.slotThroughput();
 }
 

@@ -17,6 +17,9 @@
 
 namespace prose {
 
+/** Per-task fixed host overhead: kernel launch / thread wakeup. */
+constexpr double kHostTaskOverheadSeconds = 2e-6;
+
 /** Throughput/parallelism parameters of the host CPU. */
 struct HostSpec
 {
@@ -42,9 +45,6 @@ struct HostSpec
      * efficiently via streaming", Section 3.2).
      */
     std::uint32_t softmaxGang = 8;
-
-    /** Per-task fixed overhead: kernel launch / thread wakeup. */
-    double taskOverheadSeconds = 2e-6;
 
     /** Per-slot throughput (elements/s). */
     double slotThroughput() const

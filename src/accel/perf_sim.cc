@@ -125,11 +125,11 @@ PerfSim::PerfSim(ProseConfig config, SimOptions options)
       options_(options)
 {
     config_.validate();
+    options_.retry.validate();
 }
 
 PerfSim::TaskSeconds
 PerfSim::accelTaskSeconds(const TaskCost &cost,
-                          const ArrayGeometry &geometry,
                           std::uint32_t pool_count,
                           double bandwidth) const
 {
@@ -137,7 +137,7 @@ PerfSim::accelTaskSeconds(const TaskCost &cost,
     // Output tiles are independent, so the pool's arrays split them
     // evenly; compute time divides by the pool size while the stream
     // times see the pool's aggregate lane share.
-    seconds.computeSeconds = cost.computeSeconds(geometry) / pool_count;
+    seconds.computeSeconds = cost.computeSeconds() / pool_count;
     seconds.wireBytesIn = config_.link.wireBytes(cost.bytesIn);
     seconds.wireBytesOut = config_.link.wireBytes(cost.bytesOut);
     // The infinite link is the compute-bound limit: its stream stages
@@ -364,8 +364,8 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
                 const ArrayGroupSpec &pool = config_.groups[idx];
                 plan.pool = static_cast<int>(idx);
                 plan.cost = timing_.costTask(task, pool.geometry);
-                plan.seconds = accelTaskSeconds(plan.cost, pool.geometry,
-                                                pool.count, pool_bw[idx]);
+                plan.seconds =
+                    accelTaskSeconds(plan.cost, pool.count, pool_bw[idx]);
             }
         }
     }
@@ -459,8 +459,7 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
                           best_start, "s; nothing left to fail over to");
                 if (dead > 0) {
                     alive -= dead;
-                    seconds = accelTaskSeconds(cost, pool.geometry, alive,
-                                               pool_bw[idx]);
+                    seconds = accelTaskSeconds(cost, alive, pool_bw[idx]);
                 }
             }
             // Link-fault recovery: every faulted attempt charges its

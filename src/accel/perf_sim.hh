@@ -137,7 +137,7 @@ struct SimReport
  * below; after maxAttempts a transfer is forced through a degraded path
  * and counted as abandoned (the run completes; the counter is the
  * alarm). ServeSim retries the requests a dying instance drops under
- * its own defaults (ServeSpec::retry).
+ * its own fixed policy (kServeRetry in serve_sim.cc).
  */
 struct RetryPolicy
 {
@@ -293,12 +293,10 @@ class PerfSim
      * alive; a dispatch calls it again, with the live count, only
      * while the fault campaign has killed arrays of that pool.
      *
-     * @param geometry one array of the executing pool
      * @param pool_count live arrays in the pool (tiles split evenly)
      * @param bandwidth the pool's aggregate link share
      */
     TaskSeconds accelTaskSeconds(const TaskCost &cost,
-                                 const ArrayGeometry &geometry,
                                  std::uint32_t pool_count,
                                  double bandwidth) const;
 

@@ -76,7 +76,7 @@ analyzeRoofline(const ProseConfig &config, const BertShape &shape)
         const ArrayGroupSpec &pool = config.groups[idx];
         const TaskCost cost = timing.costTask(task, pool.geometry);
         analysis.pools[idx].computeSeconds +=
-            cost.computeSeconds(pool.geometry) / pool.count;
+            cost.computeSeconds() / pool.count;
         analysis.pools[idx].streamBytes +=
             std::max(cost.bytesIn, cost.bytesOut);
         analysis.pools[idx].wireStreamBytes +=

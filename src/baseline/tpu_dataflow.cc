@@ -7,18 +7,19 @@ namespace prose {
 
 namespace {
 
-const MovementEnergySpec kEnergy{};
+// Per-byte movement energies (Horowitz-survey figures).
+constexpr double kUnifiedBufferJPerByte = 10e-12; ///< multi-MB on-chip SRAM
+constexpr double kWeightJPerByte = 40e-12;        ///< DDR/off-chip weight path
+constexpr double kHostLinkJPerByte = 25e-12;      ///< NVLink-class SerDes
 
 } // namespace
 
 double
 DataflowTrip::movementEnergyJoules() const
 {
-    return static_cast<double>(unifiedBufferBytes) *
-               kEnergy.unifiedBufferJPerByte +
-           static_cast<double>(weightBytes) * kEnergy.weightJPerByte +
-           static_cast<double>(hostStreamBytes) *
-               kEnergy.hostLinkJPerByte;
+    return static_cast<double>(unifiedBufferBytes) * kUnifiedBufferJPerByte +
+           static_cast<double>(weightBytes) * kWeightJPerByte +
+           static_cast<double>(hostStreamBytes) * kHostLinkJPerByte;
 }
 
 DataflowTrip

@@ -47,14 +47,6 @@ struct DataflowTrip
     double movementEnergyJoules() const;
 };
 
-/** Per-byte movement energies (documented, adjustable). */
-struct MovementEnergySpec
-{
-    double unifiedBufferJPerByte = 10e-12; ///< multi-MB on-chip SRAM
-    double weightJPerByte = 40e-12;        ///< DDR/off-chip weight path
-    double hostLinkJPerByte = 25e-12;      ///< NVLink-class SerDes
-};
-
 /** C = A(m x k) x B(k x n) on a TPUv2-style s x s MXU (Figure 11(a)). */
 DataflowTrip tpuMatMulTrip(std::uint64_t m, std::uint64_t k,
                            std::uint64_t n, std::uint64_t s = 128);

@@ -19,7 +19,7 @@ enumerateMixes(const ConfigSpaceSpec &spec)
         return static_cast<std::uint64_t>(dim) * dim;
     };
 
-    for (std::uint32_t m = 1; m <= spec.maxMCount; ++m) {
+    for (std::uint32_t m = 1; m <= kMaxMCount; ++m) {
         if (m * pe64 >= spec.peBudget)
             continue;
         const std::uint64_t after_m = spec.peBudget - m * pe64;

@@ -15,11 +15,13 @@
 
 namespace prose {
 
+/** Table 3's 64x64 M-Type count bound. */
+constexpr std::uint32_t kMaxMCount = 3;
+
 /** Bounds of the Table 3 exploration. */
 struct ConfigSpaceSpec
 {
     std::uint64_t peBudget = 16384;  ///< total PEs (one TPU core worth)
-    std::uint32_t maxMCount = 3;     ///< 64x64 M-Type count bound
     std::uint32_t maxCount32 = 15;   ///< 32x32 G/E count bound
     std::uint32_t maxCount16 = 31;   ///< 16x16 G/E count bound
     LinkSpec link = LinkSpec::nvlink2At90();

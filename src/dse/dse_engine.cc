@@ -37,15 +37,10 @@ paretoFront(const std::vector<double> &xs, const std::vector<double> &ys)
 DseEngine::DseEngine(DseWorkload workload)
     : workload_(workload)
 {
-    if (workload_.a100Seconds > 0.0) {
-        a100Seconds_ = workload_.a100Seconds;
-    } else {
-        const auto a100 = makeA100();
-        const OpTrace trace = synthesizeBertTrace(workload_.shape);
-        // The paper compares accelerated portions (Figure 3 minus
-        // Other).
-        a100Seconds_ = a100->costTrace(trace).acceleratedSeconds;
-    }
+    const auto a100 = makeA100();
+    const OpTrace trace = synthesizeBertTrace(workload_.shape);
+    // The paper compares accelerated portions (Figure 3 minus Other).
+    a100Seconds_ = a100->costTrace(trace).acceleratedSeconds;
 }
 
 DsePoint

@@ -45,8 +45,6 @@ struct DseSelection
 struct DseWorkload
 {
     BertShape shape = BertShape{ 12, 768, 12, 3072, 128, 512 };
-    /** Seconds one A100 needs for the same workload (normalizer). */
-    double a100Seconds = 0.0; ///< 0 = compute from the baseline model
 };
 
 /**

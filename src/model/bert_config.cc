@@ -42,7 +42,6 @@ BertConfig::validate() const
     PROSE_ASSERT(hidden > 0 && layers > 0 && heads > 0 && intermediate > 0,
                  "BertConfig has a zero dimension");
     PROSE_ASSERT(hidden % heads == 0, "heads must divide hidden");
-    PROSE_ASSERT(vocabSize > 5, "vocab must cover specials + alphabet");
 }
 
 } // namespace prose

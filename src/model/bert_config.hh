@@ -17,14 +17,11 @@ namespace prose {
 /** Hyperparameters of one BERT-style encoder. */
 struct BertConfig
 {
-    std::uint64_t vocabSize = 31;      ///< amino-acid alphabet + specials
     std::uint64_t hidden = 768;        ///< model width H
     std::uint64_t layers = 12;         ///< encoder layer count
     std::uint64_t heads = 12;          ///< attention heads (H % heads == 0)
     std::uint64_t intermediate = 3072; ///< feed-forward width, 4H
     std::uint64_t maxSeqLen = 2048;    ///< position-embedding capacity
-    float layerNormEps = 1e-12f;       ///< LayerNorm epsilon
-    float initStddev = 0.02f;          ///< weight-init standard deviation
 
     /** Per-head dimension (64 for BERT-base). */
     std::uint64_t headDim() const { return hidden / heads; }

@@ -115,7 +115,7 @@ BertModel::embed(const std::vector<std::vector<std::uint32_t>> &tokens,
                      "ragged batch: all sequences must share a length");
         for (std::uint64_t t = 0; t < seq_len; ++t) {
             const std::uint32_t id = tokens[b][t];
-            PROSE_ASSERT(id < config_.vocabSize, "token id out of vocab");
+            PROSE_ASSERT(id < kVocabSize, "token id out of vocab");
             float *row = x.row(b * seq_len + t);
             const float *tok = weights_.tokenEmbedding.row(id);
             const float *pos = weights_.positionEmbedding.row(t);
@@ -124,7 +124,7 @@ BertModel::embed(const std::vector<std::vector<std::uint32_t>> &tokens,
         }
     }
     x = layerNorm(x, weights_.lnEmbGamma, weights_.lnEmbBeta,
-                  config_.layerNormEps);
+                  kLayerNormEps);
     modalQuantize(x, mode);
     if (trace)
         recordEmbedding(*trace, config_.shape(batch, seq_len));
@@ -232,7 +232,7 @@ BertModel::encoderLayer(const Matrix &x, const LayerWeights &lw, int layer,
     attn_out = add(attn_out, x);
     modalQuantize(attn_out, mode);
     Matrix normed = layerNorm(attn_out, lw.lnAttnGamma, lw.lnAttnBeta,
-                              config_.layerNormEps);
+                              kLayerNormEps);
     modalQuantize(normed, mode);
 
     // --- Intermediate sublayer (Dataflow 2) ----------------------------
@@ -259,7 +259,7 @@ BertModel::encoderLayer(const Matrix &x, const LayerWeights &lw, int layer,
     out = add(out, normed);
     modalQuantize(out, mode);
     Matrix result = layerNorm(out, lw.lnOutGamma, lw.lnOutBeta,
-                              config_.layerNormEps);
+                              kLayerNormEps);
     modalQuantize(result, mode);
     return result;
 }

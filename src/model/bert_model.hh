@@ -36,6 +36,9 @@
 
 namespace prose {
 
+/** LayerNorm epsilon (BERT-base's). */
+constexpr float kLayerNormEps = 1e-12f;
+
 /** Numeric fidelity of a forward pass. */
 enum class NumericsMode
 {

@@ -7,9 +7,17 @@
 
 namespace prose {
 
+namespace {
+
+// Batch gradient-descent hyperparameters.
+constexpr std::size_t kEpochs = 2000;
+constexpr double kLearningRate = 0.3;
+constexpr double kL2 = 1e-3;
+
+} // namespace
+
 void
-LogisticHead::fit(const Matrix &features, const std::vector<int> &labels,
-                  FitOptions options)
+LogisticHead::fit(const Matrix &features, const std::vector<int> &labels)
 {
     const std::size_t n = features.rows();
     const std::size_t d = features.cols();
@@ -42,7 +50,7 @@ LogisticHead::fit(const Matrix &features, const std::vector<int> &labels,
     fitted_ = true; // standardize() is usable from here on
 
     std::vector<double> grad(d, 0.0);
-    for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
+    for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
         std::fill(grad.begin(), grad.end(), 0.0);
         double grad_bias = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
@@ -56,13 +64,11 @@ LogisticHead::fit(const Matrix &features, const std::vector<int> &labels,
                 grad[j] += err * x[j];
             grad_bias += err;
         }
-        const double scale =
-            options.learningRate / static_cast<double>(n);
+        const double scale = kLearningRate / static_cast<double>(n);
         for (std::size_t j = 0; j < d; ++j) {
             weights_[j] -=
                 scale * (grad[j] +
-                         options.l2 * weights_[j] *
-                             static_cast<double>(n));
+                         kL2 * weights_[j] * static_cast<double>(n));
         }
         bias_ -= scale * grad_bias;
     }

@@ -22,27 +22,11 @@ namespace prose {
 class LogisticHead
 {
   public:
-    /** Training hyperparameters. */
-    struct FitOptions
-    {
-        std::size_t epochs = 500;
-        double learningRate = 0.1;
-        double l2 = 1e-3;
-    };
-
     /**
      * Fit on features (n_samples x dim) and 0/1 labels.
      * Features are standardized internally for conditioning.
      */
-    void fit(const Matrix &features, const std::vector<int> &labels,
-             FitOptions options);
-
-    /** fit() with default hyperparameters. */
-    void
-    fit(const Matrix &features, const std::vector<int> &labels)
-    {
-        fit(features, labels, FitOptions{});
-    }
+    void fit(const Matrix &features, const std::vector<int> &labels);
 
     /** P(label == 1) per feature row. */
     std::vector<double> predictProbability(const Matrix &features) const;

@@ -9,10 +9,9 @@ namespace prose {
 namespace {
 
 /** 20 canonical amino acids then the extended/ambiguity codes. */
-const char *kResidues = "ACDEFGHIKLMNPQRSTVWYBJOUXZ";
-
-/** Number of special tokens preceding the alphabet. */
-constexpr std::uint32_t kNumSpecials = 5;
+constexpr char kResidues[] = "ACDEFGHIKLMNPQRSTVWYBJOUXZ";
+static_assert(sizeof(kResidues) - 1 == kNumResidues,
+              "kNumResidues must match the residue alphabet");
 
 } // namespace
 

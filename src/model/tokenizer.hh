@@ -25,6 +25,12 @@ enum SpecialToken : std::uint32_t
     kMaskToken = 4,
 };
 
+/** The vocabulary: the specials, then the residue alphabet (20
+ *  canonical plus 6 extended/ambiguity codes). */
+constexpr std::uint32_t kNumSpecials = 5;
+constexpr std::uint32_t kNumResidues = 26;
+constexpr std::uint64_t kVocabSize = kNumSpecials + kNumResidues;
+
 /** Character-level tokenizer over the amino-acid alphabet. */
 class AminoTokenizer
 {

@@ -1,5 +1,7 @@
 #include "weights.hh"
 
+#include "tokenizer.hh"
+
 namespace prose {
 
 namespace {
@@ -30,12 +32,12 @@ BertWeights::initialize(const BertConfig &config, std::uint64_t seed)
 {
     config.validate();
     Rng rng(seed);
-    const float sd = config.initStddev;
+    const float sd = kInitStddev;
     const std::size_t h = config.hidden;
     const std::size_t ffn = config.intermediate;
 
     BertWeights w;
-    w.tokenEmbedding = gaussianMatrix(rng, config.vocabSize, h, sd);
+    w.tokenEmbedding = gaussianMatrix(rng, kVocabSize, h, sd);
     w.positionEmbedding = gaussianMatrix(rng, config.maxSeqLen, h, sd);
     w.lnEmbGamma.assign(h, 1.0f);
     w.lnEmbBeta.assign(h, 0.0f);

@@ -17,6 +17,9 @@
 
 namespace prose {
 
+/** Standard deviation of the Gaussian weight init (BERT-base's). */
+constexpr float kInitStddev = 0.02f;
+
 /** Parameters of one encoder layer. */
 struct LayerWeights
 {

@@ -11,10 +11,19 @@
 
 namespace prose {
 
+namespace {
+
+constexpr std::size_t kMutationsPerVariant = 5; ///< paratope edits per variant
+constexpr std::size_t kFrameworkMutations = 10; ///< Herceptin -> BH1 edits
+constexpr double kNoiseStddev = 0.3;            ///< wet-lab measurement noise
+
+static_assert(kParatopeSites > 0, "the epitope needs a contact");
+
+} // namespace
+
 BindingGroundTruth::BindingGroundTruth(const BindingSpec &spec, Rng &rng)
 {
-    PROSE_ASSERT(spec.paratopeSites > 0 &&
-                     spec.paratopeSites <= spec.fabLength,
+    PROSE_ASSERT(kParatopeSites <= spec.fabLength,
                  "paratope larger than the Fab");
     // Draw distinct paratope positions.
     std::vector<std::size_t> all(spec.fabLength);
@@ -22,7 +31,7 @@ BindingGroundTruth::BindingGroundTruth(const BindingSpec &spec, Rng &rng)
         all[i] = i;
     rng.shuffle(all);
     sites_.assign(all.begin(),
-                  all.begin() + static_cast<long>(spec.paratopeSites));
+                  all.begin() + static_cast<long>(kParatopeSites));
     std::sort(sites_.begin(), sites_.end());
 
     // Fixed (hidden) biophysical preference of the epitope. Signs and
@@ -56,7 +65,7 @@ BindingBenchmark::BindingBenchmark(const BindingSpec &spec)
     bh1_ = herceptin_;
     const auto &residues = canonicalResidues();
     std::size_t applied = 0;
-    while (applied < spec_.frameworkMutations) {
+    while (applied < kFrameworkMutations) {
         const std::size_t pos = rng_.below(spec_.fabLength);
         if (std::find(truth_.paratope().begin(), truth_.paratope().end(),
                       pos) != truth_.paratope().end()) {
@@ -98,12 +107,10 @@ BindingBenchmark::makeFamily(const std::string &name,
     dataset.parentName = name;
     dataset.parent = parent;
     for (std::size_t i = 0; i < variants; ++i) {
-        const std::string variant =
-            mutate(parent, spec_.mutationsPerVariant);
+        const std::string variant = mutate(parent, kMutationsPerVariant);
         dataset.variants.push_back(variant);
-        dataset.affinities.push_back(
-            truth_.affinity(variant) +
-            rng_.gaussian(0.0, spec_.noiseStddev));
+        dataset.affinities.push_back(truth_.affinity(variant) +
+                                     rng_.gaussian(0.0, kNoiseStddev));
     }
     return dataset;
 }

@@ -30,14 +30,13 @@
 
 namespace prose {
 
+/** Paratope positions contacting HER2. */
+constexpr std::size_t kParatopeSites = 14;
+
 /** Shape of the synthetic antibody-binding problem. */
 struct BindingSpec
 {
     std::size_t fabLength = 224;        ///< Fab fragment length modelled
-    std::size_t paratopeSites = 14;     ///< positions contacting HER2
-    std::size_t mutationsPerVariant = 5; ///< paratope edits per variant
-    std::size_t frameworkMutations = 10; ///< Herceptin -> BH1 edits
-    double noiseStddev = 0.3;           ///< wet-lab measurement noise
     std::uint64_t seed = 0x5eed;
 };
 

@@ -8,22 +8,30 @@
 
 namespace prose {
 
+namespace {
+
+/** Standard deviation of ln(length). */
+constexpr double kLogSigma = 0.55;
+
+static_assert(kMinProteinLength > 0, "proteins need a residue");
+
+} // namespace
+
 std::size_t
 sampleProteinLength(Rng &rng, const ProteomeSpec &spec)
 {
-    PROSE_ASSERT(spec.minLength > 0 && spec.minLength <= spec.maxLength,
+    PROSE_ASSERT(kMinProteinLength <= spec.maxLength,
                  "bad proteome length bounds");
     // Rejection-sample the log-normal into [min, max].
     for (int attempt = 0; attempt < 64; ++attempt) {
-        const double draw =
-            std::exp(rng.gaussian(spec.logMu, spec.logSigma));
+        const double draw = std::exp(rng.gaussian(spec.logMu, kLogSigma));
         const auto length = static_cast<std::size_t>(draw);
-        if (length >= spec.minLength && length <= spec.maxLength)
+        if (length >= kMinProteinLength && length <= spec.maxLength)
             return length;
     }
     // Pathological spec: clamp instead of spinning.
     return std::clamp<std::size_t>(
-        static_cast<std::size_t>(std::exp(spec.logMu)), spec.minLength,
+        static_cast<std::size_t>(std::exp(spec.logMu)), kMinProteinLength,
         spec.maxLength);
 }
 

@@ -20,17 +20,18 @@
 
 namespace prose {
 
+/** Shortest synthetic protein: fragments below this are discarded. */
+constexpr std::size_t kMinProteinLength = 30;
+
 /** Parameters of the synthetic length distribution. */
 struct ProteomeSpec
 {
     /**
-     * Log-normal length model: ln(length) ~ N(mu, sigma). The defaults
-     * give a median of ~exp(5.8) ~ 330 residues and a upper decile past
+     * Log-normal length model: ln(length) ~ N(mu, 0.55). The default mu
+     * gives a median of ~exp(5.8) ~ 330 residues and a upper decile past
      * 800, matching eukaryotic proteome statistics.
      */
     double logMu = 5.8;
-    double logSigma = 0.55;
-    std::size_t minLength = 30;    ///< discard fragments below this
     std::size_t maxLength = 2046;  ///< clamp to the model's max input
 };
 

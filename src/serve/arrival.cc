@@ -7,6 +7,21 @@
 
 namespace prose {
 
+namespace {
+
+constexpr double kBurstFraction = 0.2;   ///< fraction of the cycle bursting
+constexpr double kBurstMultiplier = 4.0; ///< burst rate / base rate
+
+static_assert(kBurstFraction > 0.0 && kBurstFraction < 1.0,
+              "the burst must fill part of the cycle");
+static_assert(kBurstMultiplier >= 1.0, "a burst cannot be quieter");
+
+/** Base rate over mean rate: the long-run mean stays ratePerSecond. */
+constexpr double kMeanScale =
+    kBurstFraction * kBurstMultiplier + (1.0 - kBurstFraction);
+
+} // namespace
+
 void
 ArrivalSpec::validate() const
 {
@@ -20,15 +35,8 @@ ArrivalSpec::validate() const
     if (maxResidues < minResidues)
         fatal("arrival spec: length bounds inverted (", minResidues,
               " > ", maxResidues, ")");
-    if (kind == ArrivalKind::Bursty) {
-        if (burstPeriodSeconds <= 0.0)
-            fatal("arrival spec: burst period must be positive");
-        if (burstFraction <= 0.0 || burstFraction >= 1.0)
-            fatal("arrival spec: burst fraction must be in (0, 1), "
-                  "got ", burstFraction);
-        if (burstMultiplier < 1.0)
-            fatal("arrival spec: burst multiplier must be >= 1");
-    }
+    if (kind == ArrivalKind::Bursty && burstPeriodSeconds <= 0.0)
+        fatal("arrival spec: burst period must be positive");
 }
 
 namespace {
@@ -44,15 +52,9 @@ rateAt(const ArrivalSpec &spec, double t)
         const double phase =
             std::fmod(t, spec.burstPeriodSeconds) /
             spec.burstPeriodSeconds;
-        // The burst occupies the head of each cycle; the base rate is
-        // scaled so the long-run mean stays ratePerSecond.
-        const double mean_scale = spec.burstFraction *
-                                      spec.burstMultiplier +
-                                  (1.0 - spec.burstFraction);
-        const double base = spec.ratePerSecond / mean_scale;
-        return phase < spec.burstFraction
-                   ? base * spec.burstMultiplier
-                   : base;
+        // The burst occupies the head of each cycle.
+        const double base = spec.ratePerSecond / kMeanScale;
+        return phase < kBurstFraction ? base * kBurstMultiplier : base;
       }
     }
     panic("rateAt: unknown arrival kind");
@@ -65,12 +67,8 @@ peakRate(const ArrivalSpec &spec)
     switch (spec.kind) {
       case ArrivalKind::Poisson:
         return spec.ratePerSecond;
-      case ArrivalKind::Bursty: {
-        const double mean_scale = spec.burstFraction *
-                                      spec.burstMultiplier +
-                                  (1.0 - spec.burstFraction);
-        return spec.ratePerSecond * spec.burstMultiplier / mean_scale;
-      }
+      case ArrivalKind::Bursty:
+        return spec.ratePerSecond * kBurstMultiplier / kMeanScale;
     }
     panic("peakRate: unknown arrival kind");
 }

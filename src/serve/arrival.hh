@@ -44,14 +44,12 @@ struct ArrivalSpec
     std::uint64_t minResidues = 126;
     std::uint64_t maxResidues = 126;
 
-    /** @name Bursty shape @{ */
-    double burstPeriodSeconds = 0.5;  ///< one quiet+burst cycle
-    double burstFraction = 0.2;       ///< fraction of the cycle bursting
-    double burstMultiplier = 4.0;     ///< burst rate / base rate
-    /** @} */
+    /** Bursty shape: one quiet+burst cycle. The burst fills the first
+     *  20% of each cycle at 4x the base rate. */
+    double burstPeriodSeconds = 0.5;
 
     /** fatal() on negative/non-finite rates, zero counts/lengths,
-     *  inverted length bounds, or out-of-range shape parameters. */
+     *  inverted length bounds, or a non-positive burst period. */
     void validate() const;
 };
 

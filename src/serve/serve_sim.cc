@@ -19,6 +19,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/** Retry policy for the work a dying instance drops. */
+constexpr RetryPolicy kServeRetry{ 3, 200e-6, 2.0, 0.5 };
+static_assert(kServeRetry.maxAttempts >= 1 &&
+                  kServeRetry.backoffSeconds >= 0.0 &&
+                  kServeRetry.backoffFactor >= 1.0 &&
+                  kServeRetry.jitterFraction >= 0.0 &&
+                  kServeRetry.jitterFraction <= 1.0,
+              "serve retry policy out of range");
+
 /** Event categories in deterministic same-time processing order. */
 enum class EventKind
 {
@@ -36,7 +45,6 @@ ServeSpec::validate() const
 {
     arrivals.validate();
     batcher.validate();
-    retry.validate();
     if (!(sloSeconds > 0.0) || !std::isfinite(sloSeconds))
         fatal("serve: SLO must be a positive number of seconds");
     if (instanceCount == 0)
@@ -153,13 +161,13 @@ ServeSim::run(FaultInjector *injector) const
     const auto dropWork = [&](RequestId id, double at) {
         Request &request = arena[id];
         transition(request, RequestState::Retried, at);
-        if (request.attempts >= spec_.retry.maxAttempts) {
+        if (request.attempts >= kServeRetry.maxAttempts) {
             transition(request, RequestState::Shed, at);
             ++report.shedRetryBudget;
             ++report.shed;
             return;
         }
-        const double delay = spec_.retry.delayFor(
+        const double delay = kServeRetry.delayFor(
             request.attempts - 1, spec_.arrivals.seed, id);
         const double ready_at = at + delay;
         const double best_case = model.seconds(bucketLen(request), 1);

@@ -50,9 +50,6 @@ struct ServeSpec
     ArrivalSpec arrivals;
     ServeBatcherSpec batcher;
     AdmissionSpec admission;
-    /** Retry policy for work dropped by a dying instance: 3 attempts,
-     *  200 us first backoff, x2 growth, 50% keyed jitter. */
-    RetryPolicy retry{ 3, 200e-6, 2.0, 0.5 };
 
     /** Default per-request latency SLO (deadline = arrival + slo). */
     double sloSeconds = 0.05;

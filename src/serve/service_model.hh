@@ -43,11 +43,11 @@ class ServiceModel
      * @param config the instance every batch runs on
      * @param model the served model's shape (batch/seqLen overridden
      *              per query)
-     * @param dispatch_overhead fixed batch-close + DMA-descriptor cost
-     *        added to every batch
+     * @param dispatch_overhead_seconds fixed batch-close +
+     *        DMA-descriptor cost added to every batch
      */
     ServiceModel(ProseConfig config, BertShape model,
-                 double dispatch_overhead_seconds = 2e-5);
+                 double dispatch_overhead_seconds);
 
     /** Service seconds for `batch` sequences padded to `padded_len`. */
     double seconds(std::uint64_t padded_len, std::uint64_t batch) const;

@@ -46,6 +46,13 @@ typeIndex(ArrayType type)
 
 const char *toString(ArrayType type);
 
+/** Double-pumped matmul clock (Hz) of every array. */
+constexpr double kMatmulClockHz = ghz(1.6);
+/** SIMD / special-function clock (Hz) of every array. */
+constexpr double kSimdClockHz = mhz(800);
+/** Depth (entries) of each array's A and B streaming buffers. */
+constexpr std::uint32_t kStreamBufferDepth = 8;
+
 /** Geometry and capability of one array instance. */
 struct ArrayGeometry
 {
@@ -53,12 +60,6 @@ struct ArrayGeometry
     std::uint32_t dim = 64;       ///< n for an n x n array
     bool hasGelu = false;         ///< GELU LUT per SIMD ALU
     bool hasExp = false;          ///< Exp LUT per SIMD ALU
-    std::uint32_t bufferDepth = 8; ///< streaming-buffer depth (entries)
-
-    /** Double-pumped matmul clock (Hz). */
-    double matmulClockHz = ghz(1.6);
-    /** SIMD / special-function clock (Hz). */
-    double simdClockHz = mhz(800);
 
     /** Processing elements in this array. */
     std::uint64_t peCount() const

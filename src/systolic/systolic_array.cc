@@ -47,8 +47,8 @@ toString(SimdOp op)
 SystolicArray::SystolicArray(const ArrayGeometry &geometry,
                              double a_supply_rate, double b_supply_rate)
     : geometry_(geometry),
-      aBuffer_(geometry.bufferDepth, a_supply_rate),
-      bBuffer_(geometry.bufferDepth, b_supply_rate)
+      aBuffer_(kStreamBufferDepth, a_supply_rate),
+      bBuffer_(kStreamBufferDepth, b_supply_rate)
 {
     const std::size_t n = geometry_.dim;
     PROSE_ASSERT(n > 0, "zero-size systolic array");
@@ -743,8 +743,8 @@ SystolicArray::setFaultInjector(FaultInjector *injector,
 double
 SystolicArray::elapsedSeconds() const
 {
-    return static_cast<double>(matmulCycles_) / geometry_.matmulClockHz +
-           static_cast<double>(simdCycles_) / geometry_.simdClockHz;
+    return static_cast<double>(matmulCycles_) / kMatmulClockHz +
+           static_cast<double>(simdCycles_) / kSimdClockHz;
 }
 
 } // namespace prose

@@ -8,10 +8,10 @@
 namespace prose {
 
 double
-TaskCost::computeSeconds(const ArrayGeometry &geometry) const
+TaskCost::computeSeconds() const
 {
-    return static_cast<double>(matmulCycles) / geometry.matmulClockHz +
-           static_cast<double>(simdCycles) / geometry.simdClockHz;
+    return static_cast<double>(matmulCycles) / kMatmulClockHz +
+           static_cast<double>(simdCycles) / kSimdClockHz;
 }
 
 TimingModel::TimingModel(bool partial_input_buffer)
@@ -70,6 +70,8 @@ TimingModel::costTask(const DataflowTask &task,
         return cost;
     }
 
+    // Restreamed operands add to these when the input buffer is off.
+    cost.bytesIn = task.streamBytesIn();
     for (const auto &op : task.ops) {
         switch (op.kind) {
           case OpKind::MatMul:
@@ -77,7 +79,6 @@ TimingModel::costTask(const DataflowTask &task,
             cost.matmulCycles +=
                 op.batch * matmulCycles(op.m, op.k, op.n, s);
             cost.tiles += op.batch * ceilDiv(op.m, s) * ceilDiv(op.n, s);
-            cost.bytesIn += op.bytesIn(kBf16Bytes);
             if (!partialInputBuffer_)
                 cost.bytesIn +=
                     op.batch * restreamBytes(op.m, op.k, op.n, s);
@@ -92,8 +93,6 @@ TimingModel::costTask(const DataflowTask &task,
             // MUL pass (broadcast scalar) + ADD pass (vector register).
             cost.simdCycles +=
                 2 * op.batch * simdPassCycles(op.m, op.n, s);
-            cost.bytesIn += op.batch * (op.broadcast ? op.n : op.m * op.n)
-                            * kBf16Bytes;
             break;
           case OpKind::MatDiv:
             cost.simdCycles +=

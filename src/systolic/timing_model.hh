@@ -47,8 +47,8 @@ struct TaskCost
     std::uint64_t hostSoftmaxElems = 0; ///< elements the host sum/divides
     double flops = 0.0;             ///< useful arithmetic in the task
 
-    /** Pure compute time at the geometry's two clocks. */
-    double computeSeconds(const ArrayGeometry &geometry) const;
+    /** Pure compute time at the arrays' two clocks. */
+    double computeSeconds() const;
 };
 
 /** Closed-form per-array cost model. */

@@ -21,10 +21,10 @@ recordedRun(std::uint32_t threads = 2)
 }
 
 std::string
-ganttText(const SimReport &report, const GanttOptions &options = {})
+ganttText(const SimReport &report, bool per_pool = false)
 {
     std::ostringstream os;
-    renderGantt(os, report, options);
+    renderGantt(os, report, per_pool);
     return os.str();
 }
 
@@ -47,22 +47,18 @@ TEST(Gantt, ContainsAllActivitySymbols)
 
 TEST(Gantt, RowsHaveRequestedWidth)
 {
-    GanttOptions options;
-    options.columns = 40;
-    const std::string text = ganttText(recordedRun(1), options);
+    const std::string text = ganttText(recordedRun(1));
     // Each row is |<columns>|; check the bar width.
     const auto bar_start = text.find('|');
     ASSERT_NE(bar_start, std::string::npos);
     const auto bar_end = text.find('|', bar_start + 1);
     ASSERT_NE(bar_end, std::string::npos);
-    EXPECT_EQ(bar_end - bar_start - 1, 40u);
+    EXPECT_EQ(bar_end - bar_start - 1, kGanttColumns);
 }
 
 TEST(Gantt, PerPoolRowsNamed)
 {
-    GanttOptions options;
-    options.perPool = true;
-    const std::string text = ganttText(recordedRun(2), options);
+    const std::string text = ganttText(recordedRun(2), true);
     EXPECT_NE(text.find("pool M"), std::string::npos);
     EXPECT_NE(text.find("pool G"), std::string::npos);
     EXPECT_NE(text.find("pool E"), std::string::npos);

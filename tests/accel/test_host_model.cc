@@ -12,14 +12,14 @@ TEST(HostModel, SoftmaxScalesLinearlyInElements)
     const HostModel host;
     const double one = host.softmaxSeconds(1'000'000);
     const double ten = host.softmaxSeconds(10'000'000);
-    const double overhead = host.spec().taskOverheadSeconds;
+    const double overhead = kHostTaskOverheadSeconds;
     EXPECT_NEAR((ten - overhead) / (one - overhead), 10.0, 1e-9);
 }
 
 TEST(HostModel, SoftmaxIncludesFixedOverhead)
 {
     const HostModel host;
-    EXPECT_GE(host.softmaxSeconds(0), host.spec().taskOverheadSeconds);
+    EXPECT_GE(host.softmaxSeconds(0), kHostTaskOverheadSeconds);
 }
 
 TEST(HostModel, LayerNormCostsMorePassesThanTranspose)

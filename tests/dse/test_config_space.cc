@@ -33,7 +33,7 @@ TEST(ConfigSpace, CountsRespectTable3Bounds)
         for (const auto &group : mix.groups) {
             if (group.geometry.type == ArrayType::M) {
                 EXPECT_EQ(group.geometry.dim, 64u);
-                EXPECT_LE(group.count, spec.maxMCount);
+                EXPECT_LE(group.count, kMaxMCount);
             } else if (group.geometry.dim == 32) {
                 EXPECT_LE(group.count, spec.maxCount32);
             } else {

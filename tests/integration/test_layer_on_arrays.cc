@@ -109,7 +109,7 @@ TEST(LayerOnArrays, EncoderLayerMatchesModelWithinTolerance)
 
     // Host LayerNorm (an Other-class op in the paper's mapping).
     Matrix normed = layerNorm(attn, lw.lnAttnGamma, lw.lnAttnBeta,
-                              config.layerNormEps);
+                              kLayerNormEps);
     normed.quantizeBf16InPlace();
 
     // Dataflow 2: intermediate projection + bias + GELU on G-Type.
@@ -123,7 +123,7 @@ TEST(LayerOnArrays, EncoderLayerMatchesModelWithinTolerance)
         for (std::size_t j = 0; j < out.cols(); ++j)
             out(i, j) = quantizeBf16(out(i, j) + normed(i, j));
     Matrix result = layerNorm(out, lw.lnOutGamma, lw.lnOutBeta,
-                              config.layerNormEps);
+                              kLayerNormEps);
     result.quantizeBf16InPlace();
 
     // --- Compare ------------------------------------------------------

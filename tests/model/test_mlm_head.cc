@@ -23,7 +23,7 @@ TEST_F(MlmHeadTest, LogProbabilitiesNormalize)
     const AminoTokenizer tok;
     const auto tokens = tok.encode("MEYQACDW");
     const auto log_probs = head_.logProbabilities(tokens, 3);
-    ASSERT_EQ(log_probs.size(), model_.config().vocabSize);
+    ASSERT_EQ(log_probs.size(), kVocabSize);
     double total = 0.0;
     for (double lp : log_probs) {
         EXPECT_LE(lp, 0.0);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "model/tokenizer.hh"
 
 namespace prose {
@@ -14,6 +16,23 @@ TEST(Tokenizer, VocabCoversSpecialsAndAlphabet)
     EXPECT_EQ(tok.alphabet().size(), 26u);
     EXPECT_EQ(tok.residueId(tok.alphabet().front()), 5u);
     EXPECT_EQ(tok.residueId(tok.alphabet().back()), 30u);
+}
+
+TEST(Tokenizer, EveryIdFitsTheVocabulary)
+{
+    AminoTokenizer tok;
+    std::uint32_t largest = 0;
+    for (std::uint32_t special : {kPadToken, kUnkToken, kClsToken,
+                                  kSepToken, kMaskToken}) {
+        EXPECT_LT(special, kVocabSize);
+        largest = std::max(largest, special);
+    }
+    for (char residue : tok.alphabet()) {
+        const std::uint32_t id = tok.residueId(residue);
+        EXPECT_LT(id, kVocabSize) << residue;
+        largest = std::max(largest, id);
+    }
+    EXPECT_EQ(largest, kVocabSize - 1);
 }
 
 TEST(Tokenizer, EncodeWrapsWithClsSep)

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "model/tokenizer.hh"
 #include "model/weights.hh"
 
 namespace prose {
@@ -13,7 +14,7 @@ TEST(Weights, ShapesMatchConfig)
 {
     const BertConfig config = BertConfig::tiny();
     const BertWeights w = BertWeights::initialize(config, 1);
-    EXPECT_EQ(w.tokenEmbedding.rows(), config.vocabSize);
+    EXPECT_EQ(w.tokenEmbedding.rows(), kVocabSize);
     EXPECT_EQ(w.tokenEmbedding.cols(), config.hidden);
     EXPECT_EQ(w.positionEmbedding.rows(), config.maxSeqLen);
     ASSERT_EQ(w.layers.size(), config.layers);
@@ -62,7 +63,7 @@ TEST(Weights, InitStddevRoughlyRespected)
             sum_sq += static_cast<double>(m(i, j)) * m(i, j);
     const double stddev =
         std::sqrt(sum_sq / static_cast<double>(m.size()));
-    EXPECT_NEAR(stddev, config.initStddev, 0.005);
+    EXPECT_NEAR(stddev, kInitStddev, 0.005);
 }
 
 } // namespace

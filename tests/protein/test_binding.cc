@@ -26,7 +26,7 @@ TEST(BindingGroundTruth, ParatopeSitesDistinctAndInRange)
     const BindingGroundTruth truth(spec, rng);
     std::set<std::size_t> unique(truth.paratope().begin(),
                                  truth.paratope().end());
-    EXPECT_EQ(unique.size(), spec.paratopeSites);
+    EXPECT_EQ(unique.size(), kParatopeSites);
     for (std::size_t pos : truth.paratope())
         EXPECT_LT(pos, spec.fabLength);
 }

@@ -16,7 +16,7 @@ TEST(Proteome, LengthsWithinBounds)
     const ProteomeSpec spec;
     for (int i = 0; i < 2000; ++i) {
         const std::size_t length = sampleProteinLength(rng, spec);
-        EXPECT_GE(length, spec.minLength);
+        EXPECT_GE(length, kMinProteinLength);
         EXPECT_LE(length, spec.maxLength);
     }
 }
@@ -92,10 +92,9 @@ TEST(Proteome, DegenerateSpecClampsInsteadOfSpinning)
     Rng rng(7);
     ProteomeSpec narrow;
     narrow.logMu = 20.0; // e^20 residues: always above maxLength
-    narrow.minLength = 100;
     narrow.maxLength = 200;
     const std::size_t length = sampleProteinLength(rng, narrow);
-    EXPECT_GE(length, narrow.minLength);
+    EXPECT_GE(length, kMinProteinLength);
     EXPECT_LE(length, narrow.maxLength);
 }
 

@@ -103,21 +103,11 @@ TEST(ArrivalsDeathTest, SpecValidation)
     inverted.maxResidues = 50;
     EXPECT_EXIT(inverted.validate(), testing::ExitedWithCode(1),
                 "bounds inverted");
-    ArrivalSpec burst = poisson();
-    burst.kind = ArrivalKind::Bursty;
-    burst.burstFraction = 1.5;
-    EXPECT_EXIT(burst.validate(), testing::ExitedWithCode(1),
-                "burst fraction");
     ArrivalSpec dead_burst = poisson();
     dead_burst.kind = ArrivalKind::Bursty;
     dead_burst.burstPeriodSeconds = 0.0;
     EXPECT_EXIT(dead_burst.validate(), testing::ExitedWithCode(1),
                 "burst period must be positive");
-    ArrivalSpec weak_burst = poisson();
-    weak_burst.kind = ArrivalKind::Bursty;
-    weak_burst.burstMultiplier = 0.5;
-    EXPECT_EXIT(weak_burst.validate(), testing::ExitedWithCode(1),
-                "burst multiplier must be >= 1");
 }
 
 TEST(ArrivalsDeathTest, DefaultSloMustBePositive)

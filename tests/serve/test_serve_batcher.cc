@@ -9,16 +9,21 @@
 #include <gtest/gtest.h>
 
 #include "serve/serve_batcher.hh"
+#include "serve/serve_sim.hh"
 
 namespace prose {
 namespace {
+
+/** The serving defaults, for the dispatch overhead ServeSim charges. */
+const ServeSpec kServeDefaults;
 
 class ServeBatcherTest : public ::testing::Test
 {
   protected:
     ServeBatcherTest()
         : model_(ProseConfig::bestPerf(),
-                 BertShape{ 1, 256, 4, 1024, 1, 64 })
+                 BertShape{ 1, 256, 4, 1024, 1, 64 },
+                 kServeDefaults.dispatchOverheadSeconds)
     {
     }
 

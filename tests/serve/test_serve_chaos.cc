@@ -110,20 +110,33 @@ TEST(ServeChaos, KillingEveryInstanceStillConserves)
 
 TEST(ServeChaos, RetryBudgetExhaustionSheds)
 {
-    // Kill instances in a cascade so retried work keeps landing on a
-    // doomed fleet member; with one attempt allowed, the first death
-    // spends the budget and the request is shed, not retried forever.
-    ServeSpec spec = drillSpec(400);
-    spec.retry.maxAttempts = 1;
-    const ServeSim sim(spec);
-    const ServeReport healthy = sim.run();
+    // One request and a kill cascade down a three-instance fleet. Each
+    // death drops the request mid-service; its retry (200 us * 2^k
+    // backoff plus up to 50% jitter) lands on the lowest live instance,
+    // which dies next. The third death spends the 3-attempt budget, so
+    // the request is shed, not retried forever.
+    ServeSpec spec = drillSpec(1);
+    spec.model.layers = 4; // ~2 ms of service: wide kill windows
+    spec.instanceCount = 3;
+    spec.batcher.maxBatch = 1;
+    spec.sloSeconds = 0.1;
+    const ServiceModel model(spec.instance, spec.model,
+                             spec.dispatchOverheadSeconds);
+    const double service = model.seconds(128, 1);
+    ASSERT_GT(service, 1.5e-3);
+    const double first =
+        generateArrivals(spec.arrivals, spec.sloSeconds)
+            .front()
+            .arrivalSeconds +
+        0.5 * service;
     CampaignSpec campaign;
-    campaign.instanceKills = {
-        InstanceKill{ 0, healthy.horizonSeconds * 0.3 }
-    };
+    campaign.instanceKills = { InstanceKill{ 0, first },
+                               InstanceKill{ 1, first + 1.0e-3 },
+                               InstanceKill{ 2, first + 2.5e-3 } };
     FaultInjector injector(campaign);
-    const ServeReport chaos = sim.run(&injector);
-    EXPECT_EQ(chaos.retries, 0u);
+    const ServeReport chaos = ServeSim(spec).run(&injector);
+    EXPECT_EQ(chaos.instancesKilled, 3u);
+    EXPECT_EQ(chaos.retries, 2u);
     EXPECT_GT(chaos.shedRetryBudget, 0u);
     EXPECT_EQ(chaos.lost(), 0u);
 }

@@ -24,7 +24,6 @@ TEST(ServeStress, BurstyOverloadedChaoticStreamConserves)
     spec.arrivals.count = 4000;
     spec.arrivals.minResidues = 60;
     spec.arrivals.maxResidues = 420;
-    spec.arrivals.burstMultiplier = 6.0;
     const ServiceModel model(spec.instance, spec.model,
                              spec.dispatchOverheadSeconds);
     // Mean load just under capacity; bursts push far beyond it.

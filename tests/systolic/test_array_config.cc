@@ -36,14 +36,13 @@ TEST(ArrayGeometry, PeCount)
 TEST(ArrayGeometry, PaperClocks)
 {
     // Section 4.1: matmul double-pumped at 1.6 GHz, SIMD at 800 MHz.
-    const ArrayGeometry g = ArrayGeometry::gType(32);
-    EXPECT_DOUBLE_EQ(g.matmulClockHz, 1.6e9);
-    EXPECT_DOUBLE_EQ(g.simdClockHz, 800e6);
+    EXPECT_DOUBLE_EQ(kMatmulClockHz, 1.6e9);
+    EXPECT_DOUBLE_EQ(kSimdClockHz, 800e6);
 }
 
 TEST(ArrayGeometry, DefaultBufferDepthIsEight)
 {
-    EXPECT_EQ(ArrayGeometry::eType(16).bufferDepth, 8u);
+    EXPECT_EQ(kStreamBufferDepth, 8u);
 }
 
 TEST(ArrayGeometry, DescribeMentionsTypeAndLuts)

@@ -171,12 +171,11 @@ TEST(SystolicMatmul, ClearResetsState)
 TEST(SystolicMatmul, ElapsedTimeUsesMatmulClock)
 {
     Rng rng(10);
-    ArrayGeometry geom = ArrayGeometry::mType(4);
-    SystolicArray array(geom);
+    SystolicArray array(ArrayGeometry::mType(4));
     const std::uint64_t cycles =
         array.matmulTile(randomMatrix(rng, 4, 8), randomMatrix(rng, 8, 4));
     EXPECT_DOUBLE_EQ(array.elapsedSeconds(),
-                     static_cast<double>(cycles) / geom.matmulClockHz);
+                     static_cast<double>(cycles) / kMatmulClockHz);
 }
 
 TEST(SystolicMatmulDeathTest, OversizedTilePanics)

@@ -132,6 +132,28 @@ TEST(TimingModel, NoBufferAddsRestreamTraffic)
     EXPECT_EQ(without_bytes - with_bytes, expected_extra);
 }
 
+TEST(TimingModel, BufferedBytesInAreTheTaskStreamBytes)
+{
+    // With the input buffer on, costTask adds nothing to the task's
+    // own stream bytes on any dataflow of a whole BERT trace.
+    const TimingModel timing(true);
+    ArrayGeometry geom = ArrayGeometry::mType(32);
+    geom.hasGelu = true;
+    geom.hasExp = true;
+    const OpTrace trace =
+        synthesizeBertTrace(BertShape{ 2, 256, 4, 1024, 3, 96 });
+    std::size_t checked = 0;
+    for (const DataflowTask &task : DataflowBuilder{}.build(trace)) {
+        if (task.kind == DataflowKind::Host)
+            continue;
+        EXPECT_EQ(timing.costTask(task, geom).bytesIn,
+                  task.streamBytesIn())
+            << task.describe();
+        ++checked;
+    }
+    EXPECT_GT(checked, 0u);
+}
+
 TEST(TimingModel, Dataflow3CountsHostSoftmaxAndBatch)
 {
     OpTrace trace;
@@ -179,8 +201,7 @@ TEST(TimingModel, ComputeSecondsUsesBothClocks)
     TaskCost cost;
     cost.matmulCycles = 1600;
     cost.simdCycles = 800;
-    const ArrayGeometry geom = ArrayGeometry::mType(64);
-    EXPECT_DOUBLE_EQ(cost.computeSeconds(geom),
+    EXPECT_DOUBLE_EQ(cost.computeSeconds(),
                      1600.0 / 1.6e9 + 800.0 / 800e6);
 }
 
