@@ -15,6 +15,7 @@
  * reproducible corpus entry.
  */
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <vector>
@@ -191,8 +192,13 @@ runScenario(const Scenario &s, FsimMode mode)
           }
         }
     }
-    if (live)
-        result.finalAcc = array.accumulators();
+    if (live) {
+        const TileSpan acc = array.accumulatorView();
+        result.finalAcc = Matrix(acc.rows, acc.cols);
+        for (std::size_t i = 0; i < acc.rows; ++i)
+            std::copy_n(acc.data + i * acc.stride, acc.cols,
+                        result.finalAcc.row(i));
+    }
     result.matmulCycles = array.matmulCycles();
     result.simdCycles = array.simdCycles();
     result.stallCycles = array.stallCycles();

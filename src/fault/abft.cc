@@ -3,6 +3,8 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/scratch.hh"
+#include "numerics/kernels/kernel_dispatch.hh"
 
 namespace prose {
 
@@ -22,102 +24,72 @@ constexpr double kRelTolerance = 2e-7;
 
 } // namespace
 
-AbftChecker::AbftChecker(AbftOptions options) : options_(options) {}
-
-AbftPanelSums
-abftPanelSums(const AbftPlane &b)
+AbftSums
+abftPanelSums(const AbftPlane &b, double *out)
 {
-    AbftPanelSums sums{ std::vector<double>(b.rows, 0.0),
-                        std::vector<double>(b.rows, 0.0) };
-    for (std::size_t kk = 0; kk < b.rows; ++kk) {
-        const float *row = b.data + kk * b.stride;
-        for (std::size_t j = 0; j < b.cols; ++j) {
-            const double v = row[j];
-            sums.colSum[kk] += v;
-            sums.absColSum[kk] += std::fabs(v);
-        }
-    }
-    return sums;
+    kernels::activeKernels().rowSumsF64(out, out + b.rows, b.data, b.stride,
+                                        b.rows, b.cols, nullptr, nullptr);
+    return { out, out + b.rows };
+}
+
+AbftSums
+abftRowBlockSums(const AbftPlane &a, double *out)
+{
+    kernels::activeKernels().columnSumsF64(out, out + a.cols, a.data,
+                                           a.stride, a.rows, a.cols,
+                                           nullptr, nullptr);
+    return { out, out + a.cols };
 }
 
 AbftTileResult
-AbftChecker::checkTile(const AbftPlane &a, const AbftPlane &b,
-                       const AbftPanelSums &b_sums, Matrix &acc)
+AbftChecker::checkTile(const AbftPlane &a, const AbftSums &a_sums,
+                       const AbftPlane &b, const AbftSums &b_sums,
+                       const AbftPlane &acc)
 {
-    const std::size_t rows = acc.rows();
-    const std::size_t cols = acc.cols();
+    const std::size_t rows = acc.rows;
+    const std::size_t cols = acc.cols;
     const std::size_t k = a.cols;
-    PROSE_ASSERT(a.rows == rows && b.cols == cols && b.rows == k &&
-                     b_sums.colSum.size() == k &&
-                     b_sums.absColSum.size() == k,
+    PROSE_ASSERT(a.rows == rows && b.cols == cols && b.rows == k,
                  "ABFT operand/accumulator shape mismatch");
-    const std::vector<double> &col_sum_b = b_sums.colSum;
-    const std::vector<double> &abs_col_sum_b = b_sums.absColSum;
-    auto aAt = [&a](std::size_t r, std::size_t kk) -> double {
-        return a.data[r * a.stride + kk];
-    };
-    auto bAt = [&b](std::size_t kk, std::size_t c) -> double {
-        return b.data[kk * b.stride + c];
-    };
-    float *const acc_data = acc.data();
-    auto accAt = [acc_data, cols](std::size_t r, std::size_t c) -> float & {
-        return acc_data[r * cols + c];
+    auto accAt = [&acc](std::size_t r, std::size_t c) {
+        return acc.data[r * acc.stride + c];
     };
 
     AbftTileResult result;
     ++stats_.tilesChecked;
 
-    // Checksum vectors over the bf16-quantized operands the array saw,
+    // Checksums over the bf16-quantized operands the array saw,
     // accumulated in double so checksum rounding stays far below the
-    // array's own fp32 rounding. Every sum below runs in ascending
-    // index order per output element; the loops are ordered so the
-    // inner one walks a plane row contiguously.
-    std::vector<double> row_sum_a(k, 0.0), abs_row_sum_a(k, 0.0);
-    for (std::size_t i = 0; i < rows; ++i) {
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const double v = aAt(i, kk);
-            row_sum_a[kk] += v;
-            abs_row_sum_a[kk] += std::fabs(v);
-        }
-    }
+    // array's own fp32 rounding. Each output sums its terms in
+    // ascending index order (the kernels' contract).
+    static thread_local ScratchBuffer<double> work_scratch;
+    double *const row_expected = work_scratch.get(3 * (rows + cols));
+    double *const row_mass = row_expected + rows;
+    double *const row_residual = row_mass + rows;
+    double *const col_expected = row_residual + rows;
+    double *const col_mass = col_expected + cols;
+    double *const col_residual = col_mass + cols;
+    const kernels::KernelSet &ks = kernels::activeKernels();
 
-    // Row residuals: actual row sums of C vs a(r,:) . colsum(B).
-    std::vector<double> row_expected(rows, 0.0);
-    std::vector<double> row_residual(rows, 0.0), row_mass(rows, 0.0);
+    // Row residuals: a(r,:) . colsum(B) minus the actual row sums of C.
+    ks.rowSumsF64(row_expected, row_mass, a.data, a.stride, rows, k,
+                  b_sums.sum, b_sums.absSum);
+    ks.rowSumsF64(row_residual, nullptr, acc.data, acc.stride, rows, cols,
+                  nullptr, nullptr);
     for (std::size_t r = 0; r < rows; ++r) {
-        double expected = 0.0, mass = 0.0;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const double v = aAt(r, kk);
-            expected += v * col_sum_b[kk];
-            mass += std::fabs(v) * abs_col_sum_b[kk];
-        }
-        double actual = 0.0;
-        for (std::size_t j = 0; j < cols; ++j)
-            actual += accAt(r, j);
-        row_expected[r] = expected;
-        row_residual[r] = expected - actual;
-        row_mass[r] = mass;
-        const double thresh = kRelTolerance * mass;
+        row_residual[r] = row_expected[r] - row_residual[r];
+        const double thresh = kRelTolerance * row_mass[r];
         if (!(std::fabs(row_residual[r]) <= thresh))
             result.suspectRows.push_back(r);
     }
 
-    // Column residuals: actual column sums vs rowsum(A) . b(:,c).
-    std::vector<double> col_expected(cols, 0.0), col_actual(cols, 0.0);
-    std::vector<double> col_residual(cols, 0.0), col_mass(cols, 0.0);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        for (std::size_t c = 0; c < cols; ++c) {
-            const double v = bAt(kk, c);
-            col_expected[c] += row_sum_a[kk] * v;
-            col_mass[c] += abs_row_sum_a[kk] * std::fabs(v);
-        }
-    }
-    for (std::size_t i = 0; i < rows; ++i) {
-        for (std::size_t c = 0; c < cols; ++c)
-            col_actual[c] += accAt(i, c);
-    }
+    // Column residuals: rowsum(A) . b(:,c) minus the actual column sums.
+    ks.columnSumsF64(col_expected, col_mass, b.data, b.stride, k, cols,
+                     a_sums.sum, a_sums.absSum);
+    ks.columnSumsF64(col_residual, nullptr, acc.data, acc.stride, rows,
+                     cols, nullptr, nullptr);
     for (std::size_t c = 0; c < cols; ++c) {
-        col_residual[c] = col_expected[c] - col_actual[c];
+        col_residual[c] = col_expected[c] - col_residual[c];
         const double thresh = kRelTolerance * col_mass[c];
         if (!(std::fabs(col_residual[c]) <= thresh))
             result.suspectCols.push_back(c);
@@ -158,8 +130,9 @@ AbftChecker::checkTile(const AbftPlane &a, const AbftPlane &b,
             for (std::size_t j = 0; j < cols; ++j)
                 if (j != c)
                     others += accAt(r, j);
-            accAt(r, c) = static_cast<float>(row_expected[r] - others);
             result.corrected.emplace_back(r, c);
+            result.repairs.push_back(
+                static_cast<float>(row_expected[r] - others));
         } else if (!candidates.empty()) {
             for (const std::size_t c : candidates) {
                 result.located.emplace_back(r, c);

@@ -21,31 +21,40 @@
  * One checksum core serves every caller. It reads the operands as
  * bf16-quantized fp32 planes (AbftPlane) — the functional simulator
  * hands in the widened planes its fused pipeline already holds — and
- * takes B's column-sum vectors precomputed (AbftPanelSums), so a caller
- * checking many row tiles against one B panel sums the panel once.
+ * the live accumulators through a read-only strided view. Each
+ * operand's checksum vectors depend on that operand alone, so they are
+ * summed apart from the tile (AbftSums): a caller checking many tiles
+ * sums each A row block and each B panel once.
+ *
+ * Every checksum is one of the kernel layer's two double-accumulating
+ * reductions (kernels::KernelSet::columnSumsF64 and rowSumsF64). Each
+ * output sums its terms in ascending index order on every SIMD tier,
+ * so verdicts, located cells and repaired bits do not depend on the
+ * tier. The checker's work arrays are per-thread scratch: checking a
+ * clean tile allocates nothing.
  */
 
 #ifndef PROSE_FAULT_ABFT_HH
 #define PROSE_FAULT_ABFT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "numerics/matrix.hh"
-
 namespace prose {
 
-/** ABFT configuration. */
+/** ABFT configuration (FunctionalSimulator::setAbft). */
 struct AbftOptions
 {
     bool enabled = false;
 };
 
 /**
- * Row-major view of one operand plane whose elements are already
- * bf16-quantized: data[r*stride + c] == quantizeBf16(x(r, c)), the
- * value the array multiplied.
+ * Row-major read-only view of one fp32 plane: data[r*stride + c] is
+ * element (r, c). An operand plane's elements are already
+ * bf16-quantized (the values the array multiplied); an accumulator
+ * view holds the live fp32 accumulators.
  */
 struct AbftPlane
 {
@@ -56,18 +65,28 @@ struct AbftPlane
 };
 
 /**
- * The B-only checksum vectors of one k x cols operand panel, in double:
- * colSum[kk] = sum_j b(kk, j), absColSum[kk] = sum_j |b(kk, j)|, each
- * summed in ascending j.
+ * One operand's checksum vectors along the depth index kk, in double:
+ * k sums and k absolute sums, views into the caller's storage.
  */
-struct AbftPanelSums
+struct AbftSums
 {
-    std::vector<double> colSum;
-    std::vector<double> absColSum;
+    const double *sum;
+    const double *absSum;
 };
 
-/** Column-sum vectors of one quantized B panel. */
-AbftPanelSums abftPanelSums(const AbftPlane &b);
+/**
+ * The sums of a quantized B panel (k x cols), across each row:
+ * sum[kk] = sum_j b(kk, j) and absSum[kk] = sum_j |b(kk, j)|, ascending
+ * j. `out` holds 2 * b.rows doubles; the result views it.
+ */
+AbftSums abftPanelSums(const AbftPlane &b, double *out);
+
+/**
+ * The sums of a quantized A row block (rows x k), down each column:
+ * sum[kk] = sum_i a(i, kk) and absSum[kk] = sum_i |a(i, kk)|, ascending
+ * i. `out` holds 2 * a.cols doubles; the result views it.
+ */
+AbftSums abftRowBlockSums(const AbftPlane &a, double *out);
 
 /** Verdict for one checked tile. */
 struct AbftTileResult
@@ -77,8 +96,10 @@ struct AbftTileResult
     std::vector<std::size_t> suspectCols;
     /** Row x column intersection: the located accumulators. */
     std::vector<std::pair<std::size_t, std::size_t>> located;
-    /** Cells repaired in-place (subset of `located`). */
+    /** Cells to repair (subset of `located`). */
     std::vector<std::pair<std::size_t, std::size_t>> corrected;
+    /** The rebuilt fp32 value of each `corrected` cell, in order. */
+    std::vector<float> repairs;
 };
 
 /** Detection-coverage accounting across a whole run. */
@@ -109,24 +130,23 @@ struct AbftStats
 class AbftChecker
 {
   public:
-    explicit AbftChecker(AbftOptions options = AbftOptions{});
-
-    const AbftOptions &options() const { return options_; }
     const AbftStats &stats() const { return stats_; }
     void resetStats() { stats_ = AbftStats{}; }
 
     /**
-     * Check and repair one tile. `acc` is the live
-     * accumulator region (rows x cols fp32) produced by streaming the
-     * full k depth of `a` (rows x k) against `b` (k x cols); repaired
-     * values are written back into `acc`. Both planes hold quantized
-     * values; `b_sums` must be abftPanelSums(b).
+     * Check one tile. `acc` views the live accumulator region
+     * (rows x cols fp32) produced by streaming the full k depth of `a`
+     * (rows x k) against `b` (k x cols); it is only read. Both operand
+     * planes hold quantized values, with `a_sums` ==
+     * abftRowBlockSums(a) and `b_sums` == abftPanelSums(b). The verdict
+     * lists each repaired cell and its rebuilt value; writing them back
+     * is the caller's.
      */
-    AbftTileResult checkTile(const AbftPlane &a, const AbftPlane &b,
-                             const AbftPanelSums &b_sums, Matrix &acc);
+    AbftTileResult checkTile(const AbftPlane &a, const AbftSums &a_sums,
+                             const AbftPlane &b, const AbftSums &b_sums,
+                             const AbftPlane &acc);
 
   private:
-    AbftOptions options_;
     AbftStats stats_;
 };
 

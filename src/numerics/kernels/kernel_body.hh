@@ -36,7 +36,11 @@
  *   - zero, broadcast, add and mul on Vec;
  *   - the GEMM register block, kRowBlock rows x kMaxVecs vectors;
  *   - kFusedMac; when true, also fmadd, min32, max32, reduceMin32 and
- *     reduceMax32 for the exact-product gate.
+ *     reduceMax32 for the exact-product gate;
+ *   - for the f64 reductions: VecD, eight double lanes, with widenD (8
+ *     fp32 lanes to double, exact), zeroD, broadcastD, addD, mulD, absD
+ *     and storeD (the first `live` lanes), and kSumGroups, how many
+ *     eight-column groups the column reduction keeps in registers.
  */
 
 #ifndef PROSE_NUMERICS_KERNELS_KERNEL_BODY_HH
@@ -298,10 +302,11 @@ class WidenScan
 #define PROSE_GEMM_COLS(OP) OP(0) OP(1) OP(2) OP(3)
 
 /** Lanes of column vector V of an NV-vector block: all of them, except
- *  in the last vector, which may be partial. */
-template <class T, int V, int NV>
+ *  in the last vector, which may be partial (`last`, a T::Tail or a
+ *  Tail8). */
+template <int V, int NV, class Tail>
 inline auto
-columnLanes(typename T::Tail last)
+columnLanes(const Tail &last)
 {
     if constexpr (V + 1 < NV)
         return Full{};
@@ -343,7 +348,7 @@ gemmRowBlock(float *cj, std::size_t accStride, const float *a,
 #define PROSE_GEMM_LOAD(r, v)                                           \
     if constexpr (r < R && v < NV)                                      \
         c##r##v = T::load(cj + r * accStride + v * T::kLanes,           \
-                          columnLanes<T, v, NV>(last));
+                          columnLanes<v, NV>(last));
     PROSE_GEMM_CELLS(PROSE_GEMM_LOAD)
 #undef PROSE_GEMM_LOAD
     for (std::size_t k = 0; k < depth; ++k) {
@@ -353,7 +358,7 @@ gemmRowBlock(float *cj, std::size_t accStride, const float *a,
         (void)b##v;                                                     \
         if constexpr (v < NV)                                           \
             b##v = T::load(brow + v * T::kLanes,                        \
-                           columnLanes<T, v, NV>(last));
+                           columnLanes<v, NV>(last));
         PROSE_GEMM_COLS(PROSE_GEMM_BLOAD)
 #undef PROSE_GEMM_BLOAD
 #define PROSE_GEMM_MAC(r, v)                                            \
@@ -370,7 +375,7 @@ gemmRowBlock(float *cj, std::size_t accStride, const float *a,
 #define PROSE_GEMM_STORE(r, v)                                          \
     if constexpr (r < R && v < NV)                                      \
         T::store(cj + r * accStride + v * T::kLanes,                    \
-                 columnLanes<T, v, NV>(last), c##r##v);
+                 columnLanes<v, NV>(last), c##r##v);
     PROSE_GEMM_CELLS(PROSE_GEMM_STORE)
 #undef PROSE_GEMM_STORE
 }
@@ -515,6 +520,279 @@ gemmTileBf16(float *acc, std::size_t accStride, const std::uint16_t *a,
     }
 }
 
+// --- the ABFT f64 reductions -----------------------------------------
+// Both SIMD tiers have AVX2, so the fp32 side of these kernels is
+// 8-float ymm code shared by the tiers; T supplies only VecD, eight
+// double lanes (one zmm, or two ymm halves), and its ops. Every output
+// is one lane that sums its terms in ascending order from +0.0 with
+// the scalar reference's operations: the widening is exact, and a
+// weighted term is one rounded multiply before its add.
+
+/** The first `live` lanes of an 8-float group (1 <= live <= 8). */
+struct Tail8
+{
+    __m256i mask; ///< all-ones in the live lanes
+    std::size_t live;
+};
+
+inline Tail8
+tail8(std::size_t live)
+{
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    return { _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(live)),
+                                lane),
+             live };
+}
+
+inline __m256
+load8(const float *p, Full)
+{
+    return _mm256_loadu_ps(p);
+}
+
+/** Dead lanes read as +0 and touch no memory. */
+inline __m256
+load8(const float *p, const Tail8 &t)
+{
+    return _mm256_maskload_ps(p, t.mask);
+}
+
+inline std::size_t
+liveOf(Full)
+{
+    return 8;
+}
+
+inline std::size_t
+liveOf(const Tail8 &t)
+{
+    return t.live;
+}
+
+/** r0..r7 (rows of an 8 x 8 block) become its columns, in place. */
+inline void
+transpose8x8(__m256 &r0, __m256 &r1, __m256 &r2, __m256 &r3, __m256 &r4,
+             __m256 &r5, __m256 &r6, __m256 &r7)
+{
+    const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
+    const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
+    const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
+    const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
+    const __m256 t4 = _mm256_unpacklo_ps(r4, r5);
+    const __m256 t5 = _mm256_unpackhi_ps(r4, r5);
+    const __m256 t6 = _mm256_unpacklo_ps(r6, r7);
+    const __m256 t7 = _mm256_unpackhi_ps(r6, r7);
+    const __m256 u0 = _mm256_shuffle_ps(t0, t2, 0x44);
+    const __m256 u1 = _mm256_shuffle_ps(t0, t2, 0xee);
+    const __m256 u2 = _mm256_shuffle_ps(t1, t3, 0x44);
+    const __m256 u3 = _mm256_shuffle_ps(t1, t3, 0xee);
+    const __m256 u4 = _mm256_shuffle_ps(t4, t6, 0x44);
+    const __m256 u5 = _mm256_shuffle_ps(t4, t6, 0xee);
+    const __m256 u6 = _mm256_shuffle_ps(t5, t7, 0x44);
+    const __m256 u7 = _mm256_shuffle_ps(t5, t7, 0xee);
+    r0 = _mm256_permute2f128_ps(u0, u4, 0x20);
+    r1 = _mm256_permute2f128_ps(u1, u5, 0x20);
+    r2 = _mm256_permute2f128_ps(u2, u6, 0x20);
+    r3 = _mm256_permute2f128_ps(u3, u7, 0x20);
+    r4 = _mm256_permute2f128_ps(u0, u4, 0x31);
+    r5 = _mm256_permute2f128_ps(u1, u5, 0x31);
+    r6 = _mm256_permute2f128_ps(u2, u6, 0x31);
+    r7 = _mm256_permute2f128_ps(u3, u7, 0x31);
+}
+
+/** sum += w[i] * x and absSum += absW[i] * |x| (unit weights unless
+ *  Weighted; absSum untouched unless Abs), x the widened group. */
+template <class T, bool Weighted, bool Abs>
+inline void
+sumTerm(typename T::VecD &sum, typename T::VecD &absSum, __m256 group,
+        const double *w, const double *absW, std::size_t i)
+{
+    const typename T::VecD x = T::widenD(group);
+    if constexpr (Weighted)
+        sum = T::addD(sum, T::mulD(T::broadcastD(w[i]), x));
+    else
+        sum = T::addD(sum, x);
+    if constexpr (Abs) {
+        if constexpr (Weighted)
+            absSum = T::addD(absSum,
+                             T::mulD(T::broadcastD(absW[i]), T::absD(x)));
+        else
+            absSum = T::addD(absSum, T::absD(x));
+    }
+}
+
+#define PROSE_SUM_GROUPS(OP) OP(0) OP(1) OP(2) OP(3)
+
+/** columnSumsF64 over one block of NV eight-column groups; the sums of
+ *  every group stay in named registers across the whole row sweep. */
+template <class T, int NV, bool Weighted, bool Abs>
+inline void
+columnSumsBlock(double *sum, double *absSum, const float *x,
+                std::size_t xStride, std::size_t rows, const double *w,
+                const double *absW, const Tail8 &last)
+{
+    static_assert(NV <= 4, "block larger than PROSE_SUM_GROUPS");
+    using VecD = typename T::VecD;
+#define PROSE_SUM_DECL(v)                                               \
+    VecD s##v = T::zeroD();                                             \
+    VecD a##v = T::zeroD();                                             \
+    (void)s##v;                                                         \
+    (void)a##v;
+    PROSE_SUM_GROUPS(PROSE_SUM_DECL)
+#undef PROSE_SUM_DECL
+    for (std::size_t i = 0; i < rows; ++i) {
+        const float *row = x + i * xStride;
+#define PROSE_SUM_ROW(v)                                                \
+        if constexpr (v < NV)                                           \
+            sumTerm<T, Weighted, Abs>(                                  \
+                s##v, a##v,                                             \
+                load8(row + 8 * v, columnLanes<v, NV>(last)), w, absW,  \
+                i);
+        PROSE_SUM_GROUPS(PROSE_SUM_ROW)
+#undef PROSE_SUM_ROW
+    }
+#define PROSE_SUM_STORE(v)                                              \
+    if constexpr (v < NV) {                                             \
+        const std::size_t live = liveOf(columnLanes<v, NV>(last));      \
+        T::storeD(sum + 8 * v, live, s##v);                             \
+        if constexpr (Abs)                                              \
+            T::storeD(absSum + 8 * v, live, a##v);                      \
+    }
+    PROSE_SUM_GROUPS(PROSE_SUM_STORE)
+#undef PROSE_SUM_STORE
+}
+
+#undef PROSE_SUM_GROUPS
+
+/** columnSumsBlock<T, ngroups, ...> for a runtime ngroups in [1, NV]. */
+template <class T, int NV, bool Weighted, bool Abs, class... Args>
+inline void
+columnSumsGroups(std::size_t ngroups, Args... args)
+{
+    if constexpr (NV > 1) {
+        if (ngroups < NV)
+            return columnSumsGroups<T, NV - 1, Weighted, Abs>(ngroups,
+                                                              args...);
+    }
+    columnSumsBlock<T, NV, Weighted, Abs>(args...);
+}
+
+template <class T, bool Weighted, bool Abs>
+void
+columnSumsImpl(double *sum, double *absSum, const float *x,
+               std::size_t xStride, std::size_t rows, std::size_t cols,
+               const double *w, const double *absW)
+{
+    constexpr std::size_t kBlockCols =
+        8 * static_cast<std::size_t>(T::kSumGroups);
+    for (std::size_t cb = 0; cb < cols; cb += kBlockCols) {
+        const std::size_t live = minSize(kBlockCols, cols - cb);
+        const std::size_t ngroups = (live + 7) / 8;
+        columnSumsGroups<T, T::kSumGroups, Weighted, Abs>(
+            ngroups, sum + cb, Abs ? absSum + cb : nullptr, x + cb,
+            xStride, rows, w, absW, tail8(live - (ngroups - 1) * 8));
+    }
+}
+
+/** rowSumsF64 over rows [0, liveRows) of one eight-row block (liveRows
+ *  in [1, 8]): each 8 x 8 block of the plane is transposed in registers,
+ *  so column c + j reaches every row's lane in one vector. Dead rows
+ *  re-read row 0 and are never stored. */
+template <class T, bool Weighted, bool Abs>
+inline void
+rowSumsBlock(double *sum, double *absSum, const float *x,
+             std::size_t xStride, std::size_t liveRows, std::size_t cols,
+             const double *w, const double *absW)
+{
+    const float *p[8];
+    for (std::size_t r = 0; r < 8; ++r)
+        p[r] = x + (r < liveRows ? r : 0) * xStride;
+    typename T::VecD s = T::zeroD(), a = T::zeroD();
+    auto sweep = [&](std::size_t c, auto lanes) {
+        __m256 g0 = load8(p[0] + c, lanes), g1 = load8(p[1] + c, lanes),
+               g2 = load8(p[2] + c, lanes), g3 = load8(p[3] + c, lanes),
+               g4 = load8(p[4] + c, lanes), g5 = load8(p[5] + c, lanes),
+               g6 = load8(p[6] + c, lanes), g7 = load8(p[7] + c, lanes);
+        transpose8x8(g0, g1, g2, g3, g4, g5, g6, g7);
+        // Named columns, not an array: a runtime-indexed array would
+        // live on the stack. For a Full group every test folds away.
+        const std::size_t live = liveOf(lanes);
+        sumTerm<T, Weighted, Abs>(s, a, g0, w, absW, c);
+#define PROSE_SUM_COLUMN(j, g)                                          \
+        if (live > j)                                                   \
+            sumTerm<T, Weighted, Abs>(s, a, g, w, absW, c + j);
+        PROSE_SUM_COLUMN(1, g1)
+        PROSE_SUM_COLUMN(2, g2)
+        PROSE_SUM_COLUMN(3, g3)
+        PROSE_SUM_COLUMN(4, g4)
+        PROSE_SUM_COLUMN(5, g5)
+        PROSE_SUM_COLUMN(6, g6)
+        PROSE_SUM_COLUMN(7, g7)
+#undef PROSE_SUM_COLUMN
+    };
+    std::size_t c = 0;
+    for (; c + 8 <= cols; c += 8)
+        sweep(c, Full{});
+    if (c < cols)
+        sweep(c, tail8(cols - c));
+    T::storeD(sum, liveRows, s);
+    if constexpr (Abs)
+        T::storeD(absSum, liveRows, a);
+}
+
+template <class T, bool Weighted, bool Abs>
+void
+rowSumsImpl(double *sum, double *absSum, const float *x,
+            std::size_t xStride, std::size_t rows, std::size_t cols,
+            const double *w, const double *absW)
+{
+    for (std::size_t r = 0; r < rows; r += 8)
+        rowSumsBlock<T, Weighted, Abs>(sum + r,
+                                       Abs ? absSum + r : nullptr,
+                                       x + r * xStride, xStride,
+                                       minSize(8, rows - r), cols, w,
+                                       absW);
+}
+
+using SumsF64 = void (*)(double *, double *, const float *, std::size_t,
+                        std::size_t, std::size_t, const double *,
+                        const double *);
+
+/** The variant of a reduction for the optional inputs given: weighted
+ *  when w is, with absolute sums when absSum is. */
+inline SumsF64
+pickSums(const double *w, const double *absSum, SumsF64 plain,
+         SumsF64 withAbs, SumsF64 weighted, SumsF64 weightedWithAbs)
+{
+    if (w)
+        return absSum ? weightedWithAbs : weighted;
+    return absSum ? withAbs : plain;
+}
+
+template <class T>
+void
+columnSumsF64(double *sum, double *absSum, const float *x,
+              std::size_t xStride, std::size_t rows, std::size_t cols,
+              const double *w, const double *absW)
+{
+    pickSums(w, absSum, columnSumsImpl<T, false, false>,
+             columnSumsImpl<T, false, true>, columnSumsImpl<T, true, false>,
+             columnSumsImpl<T, true, true>)(sum, absSum, x, xStride, rows,
+                                            cols, w, absW);
+}
+
+template <class T>
+void
+rowSumsF64(double *sum, double *absSum, const float *x,
+           std::size_t xStride, std::size_t rows, std::size_t cols,
+           const double *w, const double *absW)
+{
+    pickSums(w, absSum, rowSumsImpl<T, false, false>,
+             rowSumsImpl<T, false, true>, rowSumsImpl<T, true, false>,
+             rowSumsImpl<T, true, true>)(sum, absSum, x, xStride, rows,
+                                         cols, w, absW);
+}
+
 /** The tier's KernelSet: every entry is this body instantiated for T. */
 template <class T>
 constexpr KernelSet
@@ -534,6 +812,8 @@ kernelSet(const char *name)
         simdVectorRow<T, T::add>,
         scaleQuantizeRow<T>,
         lutRow<T>,
+        columnSumsF64<T>,
+        rowSumsF64<T>,
     };
 }
 

@@ -5,11 +5,12 @@
  * A KernelSet is a table of function pointers covering the inner loops
  * that dominate the profile: the fp32 and bf16 GEMM microkernels behind
  * the tiled matmul, the fast-forward systolic engine and the
- * cached-weight model path, the bf16<->fp32 conversion
- * sweeps, and the per-row SIMD-unit/softmax epilogues. Three tiers are
- * provided — scalar (the reference), AVX2, and AVX-512 (which picks up
- * the AVX512-BF16 convert instruction when the CPU has it) — selected
- * once at startup by CPUID and overridable with PROSE_SIMD.
+ * cached-weight model path, the bf16<->fp32 conversion sweeps, the
+ * per-row SIMD-unit/softmax epilogues, and the two double-accumulating
+ * reductions behind the ABFT checksums. Three tiers are provided —
+ * scalar (the reference), AVX2, and AVX-512 (which picks up the
+ * AVX512-BF16 convert instruction when the CPU has it) — selected once
+ * at startup by CPUID and overridable with PROSE_SIMD.
  *
  * Bit-exactness contract (non-negotiable): every tier produces results
  * bit-identical to the scalar reference for every input, including
@@ -20,7 +21,13 @@
  * operand order is whatever the compiler emitted). Vectorization is
  * only applied across *independent* output lanes (the j dimension); the
  * ascending-k accumulation order of each output element is preserved
- * verbatim. The scalar reference rounds every MAC's product and sum
+ * verbatim. The same holds for the f64 reductions (columnSumsF64,
+ * rowSumsF64): each output sums its terms in ascending order, lanes
+ * run across outputs only — columns in one, rows in the other, read
+ * through in-register transposes — the fp32 -> double widening is
+ * exact (under DAZ every tier alike reads an fp32 denormal as zero),
+ * and each weighted term is one rounded multiply before its add. The
+ * scalar reference rounds every MAC's product and sum
  * separately, so a MAC is fused only where every product is provably
  * exact: then fma(a, b, c) and c + a * b are the same number for any
  * accumulator. The one such site is gemmTileBf16 on a tier whose
@@ -159,6 +166,36 @@ struct KernelSet
      */
     void (*lutRow)(float *acc, const std::uint32_t *table,
                    std::size_t n);
+
+    /**
+     * The ABFT checksums' column-direction reduction over an fp32 plane
+     * x (rows x cols, row stride xStride), in double: for every c,
+     *   sum[c]    = sum_i w[i] * x[i][c],
+     *   absSum[c] = sum_i absW[i] * |x[i][c]|,
+     * i ascending from +0.0, every x widened exactly to double and
+     * every product rounded before its add. With w null the weights are
+     * 1 (sum[c] = sum_i x[i][c], absSum[c] = sum_i |x[i][c]|) and absW
+     * is not read; with absSum null the absolute sums are skipped.
+     * Vector lanes run across columns.
+     */
+    void (*columnSumsF64)(double *sum, double *absSum, const float *x,
+                          std::size_t xStride, std::size_t rows,
+                          std::size_t cols, const double *w,
+                          const double *absW);
+
+    /**
+     * The row-direction twin: for every r,
+     *   sum[r]    = sum_c w[c] * x[r][c],
+     *   absSum[r] = sum_c absW[c] * |x[r][c]|,
+     * c ascending from +0.0, with the same widening, rounding and
+     * optional w / absSum as columnSumsF64. Vector lanes run across
+     * rows; the SIMD tiers read square blocks of the plane through
+     * in-register transposes.
+     */
+    void (*rowSumsF64)(double *sum, double *absSum, const float *x,
+                       std::size_t xStride, std::size_t rows,
+                       std::size_t cols, const double *w,
+                       const double *absW);
 };
 
 /** Dispatch tiers, ordered from reference to widest. */

@@ -128,6 +128,59 @@ struct Avx2
     static Vec broadcast(float x) { return _mm256_set1_ps(x); }
     static Vec add(Vec a, Vec b) { return _mm256_add_ps(a, b); }
     static Vec mul(Vec a, Vec b) { return _mm256_mul_ps(a, b); }
+
+    /** Eight double lanes as two ymm halves; 2 x 2 groups of sums and
+     *  absolute sums are 8 of the 16 ymm registers. */
+    struct VecD
+    {
+        __m256d lo, hi;
+    };
+    static constexpr int kSumGroups = 2;
+
+    static VecD
+    widenD(__m256 x)
+    {
+        return { _mm256_cvtps_pd(_mm256_castps256_ps128(x)),
+                 _mm256_cvtps_pd(_mm256_extractf128_ps(x, 1)) };
+    }
+    static VecD zeroD() { return { _mm256_setzero_pd(), _mm256_setzero_pd() }; }
+    static VecD
+    broadcastD(double x)
+    {
+        return { _mm256_set1_pd(x), _mm256_set1_pd(x) };
+    }
+    static VecD
+    addD(VecD a, VecD b)
+    {
+        return { _mm256_add_pd(a.lo, b.lo), _mm256_add_pd(a.hi, b.hi) };
+    }
+    static VecD
+    mulD(VecD a, VecD b)
+    {
+        return { _mm256_mul_pd(a.lo, b.lo), _mm256_mul_pd(a.hi, b.hi) };
+    }
+    static VecD
+    absD(VecD a)
+    {
+        const __m256d sign = _mm256_set1_pd(-0.0);
+        return { _mm256_andnot_pd(sign, a.lo), _mm256_andnot_pd(sign, a.hi) };
+    }
+    /** The first `live` (1..8) lanes of v to p. */
+    static void
+    storeD(double *p, std::size_t live, VecD v)
+    {
+        const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+        const auto firstLanes = [&lane](std::size_t n) {
+            return _mm256_cmpgt_epi64(
+                _mm256_set1_epi64x(static_cast<long long>(n)), lane);
+        };
+        if (live >= 4) {
+            _mm256_storeu_pd(p, v.lo);
+            _mm256_maskstore_pd(p + 4, firstLanes(live - 4), v.hi);
+        } else {
+            _mm256_maskstore_pd(p, firstLanes(live), v.lo);
+        }
+    }
 };
 
 } // namespace

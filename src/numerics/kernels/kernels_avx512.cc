@@ -128,6 +128,25 @@ struct Avx512
     static Bits max32(Bits a, Bits b) { return _mm512_max_epi32(a, b); }
     static int reduceMin32(Bits a) { return _mm512_reduce_min_epi32(a); }
     static int reduceMax32(Bits a) { return _mm512_reduce_max_epi32(a); }
+
+    /** Eight double lanes in one zmm; 4 x 2 groups of sums and absolute
+     *  sums are 8 of the 32 zmm registers. */
+    using VecD = __m512d;
+    static constexpr int kSumGroups = 4;
+
+    static VecD widenD(__m256 x) { return _mm512_cvtps_pd(x); }
+    static VecD zeroD() { return _mm512_setzero_pd(); }
+    static VecD broadcastD(double x) { return _mm512_set1_pd(x); }
+    static VecD addD(VecD a, VecD b) { return _mm512_add_pd(a, b); }
+    static VecD mulD(VecD a, VecD b) { return _mm512_mul_pd(a, b); }
+    static VecD absD(VecD a) { return _mm512_abs_pd(a); }
+    /** The first `live` (1..8) lanes of v to p. */
+    static void
+    storeD(double *p, std::size_t live, VecD v)
+    {
+        _mm512_mask_storeu_pd(p, static_cast<__mmask8>((1u << live) - 1u),
+                              v);
+    }
 };
 
 } // namespace

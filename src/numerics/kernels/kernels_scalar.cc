@@ -15,6 +15,7 @@
 #include "kernel_tiers.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "numerics/bfloat16.hh"
@@ -162,6 +163,45 @@ lutRowScalar(float *acc, const std::uint32_t *table, std::size_t n)
     }
 }
 
+void
+columnSumsF64Scalar(double *sum, double *absSum, const float *x,
+                    std::size_t xStride, std::size_t rows,
+                    std::size_t cols, const double *w, const double *absW)
+{
+    std::fill_n(sum, cols, 0.0);
+    if (absSum)
+        std::fill_n(absSum, cols, 0.0);
+    for (std::size_t i = 0; i < rows; ++i) {
+        const float *row = x + i * xStride;
+        for (std::size_t c = 0; c < cols; ++c) {
+            const double v = row[c];
+            sum[c] += w ? w[i] * v : v;
+            if (absSum)
+                absSum[c] += w ? absW[i] * std::fabs(v) : std::fabs(v);
+        }
+    }
+}
+
+void
+rowSumsF64Scalar(double *sum, double *absSum, const float *x,
+                 std::size_t xStride, std::size_t rows, std::size_t cols,
+                 const double *w, const double *absW)
+{
+    for (std::size_t r = 0; r < rows; ++r) {
+        const float *row = x + r * xStride;
+        double s = 0.0, a = 0.0;
+        for (std::size_t c = 0; c < cols; ++c) {
+            const double v = row[c];
+            s += w ? w[c] * v : v;
+            if (absSum)
+                a += w ? absW[c] * std::fabs(v) : std::fabs(v);
+        }
+        sum[r] = s;
+        if (absSum)
+            absSum[r] = a;
+    }
+}
+
 } // namespace
 
 const KernelSet &
@@ -181,6 +221,8 @@ scalarKernelSet()
         simdAddVectorRowScalar,
         scaleQuantizeRowScalar,
         lutRowScalar,
+        columnSumsF64Scalar,
+        rowSumsF64Scalar,
     };
     return set;
 }

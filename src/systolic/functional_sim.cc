@@ -77,6 +77,22 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
     ks.widenRow(wa, qa, a.size());
     float *wpb = wpb_scratch.get(k * std::min(s, n));
 
+    // ABFT checksum vectors that depend on one operand alone: each A
+    // row block's column sums, taken once per call, and (below) each B
+    // panel's row sums, taken once per panel.
+    static thread_local ScratchBuffer<double> a_sums_scratch,
+        b_sums_scratch;
+    double *a_sums = nullptr;
+    double *b_sums = nullptr;
+    if (abftEnabled_) {
+        a_sums = a_sums_scratch.get((m + s - 1) / s * 2 * k);
+        for (std::size_t tm = 0; tm < m; tm += s)
+            abftRowBlockSums(AbftPlane{ wa + tm * k, k, std::min(s, m - tm),
+                                        k },
+                             a_sums + tm / s * 2 * k);
+        b_sums = b_sums_scratch.get(2 * k);
+    }
+
     // Column tiles outer, row tiles inner: the B column panel (k x s)
     // is touched by every row tile, so walking tn in the outer loop
     // reads each panel exactly once while the much smaller A plane
@@ -93,12 +109,9 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
         for (std::size_t r = 0; r < k; ++r)
             ks.widenRow(wpb + r * cols, qb + r * n + tn, cols);
         const TileOperand b_view{ b.data() + tn, n, wpb, cols, k, cols };
-        // ABFT's B-only checksum vectors depend on the panel alone:
-        // sum them once here rather than once per row tile.
         const AbftPlane b_plane{ wpb, cols, k, cols };
-        AbftPanelSums b_sums;
-        if (abft_.options().enabled)
-            b_sums = abftPanelSums(b_plane);
+        const AbftSums b_panel_sums =
+            abftEnabled_ ? abftPanelSums(b_plane, b_sums) : AbftSums{};
         for (std::size_t tm = 0; tm < m; tm += s) {
             const std::size_t rows = std::min(s, m - tm);
             const TileOperand a_view{ a.row(tm), k, wa + tm * k, k,
@@ -108,19 +121,24 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
             array.matmulTile(a_view, b_view);
 
             // ABFT: verify the tile's row/column checksums before any
-            // SIMD pass consumes the accumulators; repair located cells
-            // through the accumulator write port. The checksums read the
-            // widened planes in place: wide == quantizeBf16(x) by the
-            // TileOperand invariant, so they see exactly the operands
-            // the array multiplied, on any engine.
-            if (abft_.options().enabled) {
-                Matrix acc = array.accumulators();
+            // SIMD pass consumes the accumulators, reading them in
+            // place; repair located cells through the accumulator write
+            // port. The checksums read the widened planes in place:
+            // wide == quantizeBf16(x) by the TileOperand invariant, so
+            // they see exactly the operands the array multiplied, on
+            // any engine.
+            if (abftEnabled_) {
+                const double *a_block = a_sums + tm / s * 2 * k;
+                const TileSpan live = array.accumulatorView();
                 const AbftTileResult verdict = abft_.checkTile(
-                    AbftPlane{ wa + tm * k, k, rows, k }, b_plane, b_sums,
-                    acc);
-                for (const auto &[fix_r, fix_c] : verdict.corrected)
-                    array.overwriteAccumulator(fix_r, fix_c,
-                                               acc(fix_r, fix_c));
+                    AbftPlane{ wa + tm * k, k, rows, k },
+                    AbftSums{ a_block, a_block + k }, b_plane, b_panel_sums,
+                    AbftPlane{ live.data, live.stride, live.rows,
+                               live.cols });
+                for (std::size_t i = 0; i < verdict.corrected.size(); ++i)
+                    array.overwriteAccumulator(verdict.corrected[i].first,
+                                               verdict.corrected[i].second,
+                                               verdict.repairs[i]);
             }
 
             // Fused MulAdd: MUL pass (broadcast scalar) + ADD pass
@@ -195,8 +213,7 @@ FunctionalSimulator::dataflow3(const std::vector<Matrix> &q,
     // injector's corruption sequence and the checker's accounting are
     // order-dependent, and the deterministic replay contract
     // (docs/FAULT_MODEL.md) depends on that order.
-    if (eArray_.hasFaultInjector() || abft_.options().enabled ||
-        q.size() < 2) {
+    if (eArray_.hasFaultInjector() || abftEnabled_ || q.size() < 2) {
         for (std::size_t batch = 0; batch < q.size(); ++batch)
             runOne(eArray_, batch);
         return context;
@@ -230,7 +247,8 @@ FunctionalSimulator::setFaultInjector(FaultInjector *injector)
 void
 FunctionalSimulator::setAbft(AbftOptions options)
 {
-    abft_ = AbftChecker(options);
+    abftEnabled_ = options.enabled;
+    abft_.resetStats();
 }
 
 std::uint64_t

@@ -83,9 +83,9 @@ class FunctionalSimulator
     void setFaultInjector(FaultInjector *injector);
 
     /**
-     * Enable/disable Huang-Abraham ABFT checking of every matmul tile.
-     * Located accumulators are repaired in place before the fused SIMD
-     * passes consume them.
+     * Enable/disable Huang-Abraham ABFT checking of every matmul tile
+     * and reset abftStats(). Located accumulators are repaired in place
+     * before the fused SIMD passes consume them.
      */
     void setAbft(AbftOptions options);
 
@@ -122,6 +122,7 @@ class FunctionalSimulator
     SystolicArray mArray_;
     SystolicArray gArray_;
     SystolicArray eArray_;
+    bool abftEnabled_ = false;
     AbftChecker abft_;
 };
 

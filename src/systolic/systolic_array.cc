@@ -702,16 +702,6 @@ SystolicArray::clearAccumulators()
     liveCols_ = 0;
 }
 
-Matrix
-SystolicArray::accumulators() const
-{
-    Matrix out(liveRows_, liveCols_);
-    const std::size_t n = geometry_.dim;
-    for (std::size_t i = 0; i < liveRows_; ++i)
-        std::copy_n(acc_.data() + i * n, liveCols_, out.row(i));
-    return out;
-}
-
 void
 SystolicArray::overwriteAccumulator(std::size_t row, std::size_t col,
                                     float value)

@@ -181,8 +181,15 @@ class SystolicArray
     /** Zero all accumulators and forget the live region. */
     void clearAccumulators();
 
-    /** Raw fp32 accumulator view of the live region (for testing). */
-    Matrix accumulators() const;
+    /**
+     * Read-only view of the live accumulator region: raw fp32 values,
+     * row stride dim. Valid until the next call that changes the array;
+     * the ABFT checker reads each finished tile through it in place.
+     */
+    TileSpan accumulatorView() const
+    {
+        return TileSpan{ acc_.data(), geometry_.dim, liveRows_, liveCols_ };
+    }
 
     /**
      * Overwrite one live-region accumulator (fp32). This is the repair

@@ -15,6 +15,12 @@
  * zero operands, and special accumulators, each under every FTZ/DAZ
  * combination.
  *
+ * The two double-accumulating reductions behind the ABFT checksums
+ * (columnSumsF64, rowSumsF64) are pinned the same way: every extent
+ * 1..17 and three block-crossing ones, strided rows, weighted and
+ * unweighted, with and without absolute sums, special values and fp32
+ * denormals, under every FTZ/DAZ combination.
+ *
  * Also covered: PROSE_SIMD spec parsing (strict and lenient flavors)
  * and the pool-dispatch threshold observability counter.
  */
@@ -638,6 +644,153 @@ TEST(KernelDispatch, LutRowBitIdenticalAcrossTiers)
             ref.lutRow(want.data(), table.data(), n);
             EXPECT_EQ(rawBits(got), rawBits(want))
                 << ks.name << " lutRow n=" << n;
+        }
+    }
+}
+
+/**
+ * Bit equality for the f64 reductions' outputs, any NaN matching any
+ * NaN (the payload is outside the contract, as for bitsIdentical).
+ * `got` and `want` hold n outputs and then a tail of sentinels that a
+ * kernel must not overwrite.
+ */
+::testing::AssertionResult
+sumsIdentical(const std::vector<double> &got,
+              const std::vector<double> &want, std::size_t n)
+{
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        if (i < n && std::isnan(got[i]) && std::isnan(want[i]))
+            continue;
+        if (!bitsEqual(got[i], want[i])) {
+            return ::testing::AssertionFailure()
+                   << (i < n ? "output " : "sentinel ") << i << ": "
+                   << got[i] << " vs " << want[i];
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** A plane element for the f64 reductions: mostly normals, fp32
+ *  denormals (which DAZ reads as zero), and specialValue()'s mix of
+ *  +-0, +-Inf and NaN at `special_rate`. */
+float
+reductionValue(Rng &rng, double special_rate)
+{
+    const double pick = rng.uniform(0.0, 1.0);
+    if (pick < special_rate)
+        return specialValue(rng);
+    if (pick < special_rate + 0.05)
+        return static_cast<float>(rng.gaussian(0.0, 1.0)) * 1e-40f;
+    return static_cast<float>(rng.gaussian(0.0, 2.0));
+}
+
+/** A weight: mostly normals, with +-0 and magnitudes whose products
+ *  with an fp32 denormal underflow (which FTZ flushes). */
+double
+reductionWeight(Rng &rng)
+{
+    const double pick = rng.uniform(0.0, 1.0);
+    if (pick < 0.05)
+        return 0.0;
+    if (pick < 0.10)
+        return -0.0;
+    if (pick < 0.15)
+        return rng.gaussian(0.0, 1.0) * 1e-290;
+    return rng.gaussian(0.0, 3.0);
+}
+
+TEST(KernelDispatch, F64ReductionsBitIdenticalAcrossTiers)
+{
+    // Every extent 1..17 covers each partial eight-lane group after
+    // zero, one and two whole groups; 63, 65 and 129 cross the column
+    // blocks and the eight-row blocks. The plane's row padding holds
+    // NaN, so a kernel that reads past a row shows up in its sums.
+    std::vector<std::size_t> extents;
+    for (std::size_t e = 1; e <= 17; ++e)
+        extents.push_back(e);
+    for (std::size_t e : { 63, 65, 129 })
+        extents.push_back(e);
+    constexpr std::size_t kPad = 5, kSentinels = 9;
+    constexpr double kSentinel = 12345.0;
+    const KernelSet &ref = kernels::kernelsForTier(SimdTier::Scalar);
+    for (unsigned mode : fpModes()) {
+        SCOPED_TRACE(::testing::Message()
+                     << "ftz/daz bits 0x" << std::hex << mode);
+        for (SimdTier tier : availableTiers()) {
+            const KernelSet &ks = kernels::kernelsForTier(tier);
+            Rng rng(4242);
+            for (std::size_t rows : extents) {
+                for (std::size_t cols : extents) {
+                    const double special_rate =
+                        (rows + cols) % 3 == 0 ? 0.3 : 0.01;
+                    const std::size_t stride = cols + kPad;
+                    std::vector<float> x(
+                        rows * stride,
+                        std::numeric_limits<float>::quiet_NaN());
+                    for (std::size_t i = 0; i < rows; ++i)
+                        for (std::size_t c = 0; c < cols; ++c)
+                            x[i * stride + c] =
+                                reductionValue(rng, special_rate);
+                    std::vector<double> w_row(rows), abs_w_row(rows),
+                        w_col(cols), abs_w_col(cols);
+                    for (std::size_t i = 0; i < rows; ++i) {
+                        w_row[i] = reductionWeight(rng);
+                        abs_w_row[i] = std::fabs(w_row[i]);
+                    }
+                    for (std::size_t c = 0; c < cols; ++c) {
+                        w_col[c] = reductionWeight(rng);
+                        abs_w_col[c] = std::fabs(w_col[c]);
+                    }
+
+                    ScopedFpMode fp(mode);
+                    for (bool weighted : { false, true }) {
+                        for (bool with_abs : { false, true }) {
+                            auto check = [&](auto kernel,
+                                             std::size_t outputs,
+                                             const std::vector<double> &w,
+                                             const std::vector<double>
+                                                 &abs_w,
+                                             const char *what) {
+                                std::vector<double> sum_got(
+                                    outputs + kSentinels, kSentinel);
+                                std::vector<double> abs_got = sum_got;
+                                std::vector<double> sum_want = sum_got;
+                                std::vector<double> abs_want = sum_got;
+                                const double *wp =
+                                    weighted ? w.data() : nullptr;
+                                const double *awp =
+                                    weighted ? abs_w.data() : nullptr;
+                                (ks.*kernel)(sum_got.data(),
+                                             with_abs ? abs_got.data()
+                                                      : nullptr,
+                                             x.data(), stride, rows, cols,
+                                             wp, awp);
+                                (ref.*kernel)(sum_want.data(),
+                                              with_abs ? abs_want.data()
+                                                       : nullptr,
+                                              x.data(), stride, rows,
+                                              cols, wp, awp);
+                                EXPECT_TRUE(sumsIdentical(
+                                    sum_got, sum_want, outputs))
+                                    << ks.name << " " << what << " sum "
+                                    << rows << "x" << cols
+                                    << " weighted=" << weighted
+                                    << " abs=" << with_abs;
+                                EXPECT_TRUE(sumsIdentical(
+                                    abs_got, abs_want, outputs))
+                                    << ks.name << " " << what
+                                    << " absSum " << rows << "x" << cols
+                                    << " weighted=" << weighted
+                                    << " abs=" << with_abs;
+                            };
+                            check(&KernelSet::columnSumsF64, cols, w_row,
+                                  abs_w_row, "columnSumsF64");
+                            check(&KernelSet::rowSumsF64, rows, w_col,
+                                  abs_w_col, "rowSumsF64");
+                        }
+                    }
+                }
+            }
         }
     }
 }

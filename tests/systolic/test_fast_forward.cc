@@ -23,6 +23,7 @@
 #include "systolic/fsim_mode.hh"
 #include "systolic/functional_sim.hh"
 #include "systolic/systolic_array.hh"
+#include "live_accumulators.hh"
 
 namespace prose {
 namespace {
@@ -150,7 +151,7 @@ runRandomSequence(FsimMode mode, std::uint64_t seed, bool ideal_rates)
         }
     }
     if (live)
-        result.finalAcc = array.accumulators();
+        result.finalAcc = accumulatorsOf(array);
     captureStats(array, result);
     return result;
 }
@@ -286,7 +287,7 @@ TEST(FastForward, MatchesSteppedOnWideTileWithInfAndNaN)
         array.setMode(mode);
         const std::uint64_t cycles = array.matmulTile(a, b);
         EXPECT_EQ(array.macCount(), 7u * 65u * 40u);
-        const Matrix got = array.accumulators();
+        const Matrix got = accumulatorsOf(array);
         if (mode == FsimMode::Stepped) {
             want = got;
             want_cycles = cycles;
@@ -380,14 +381,14 @@ TEST(LiveRegion, MixedTileSizesKeepTheBoundingBoxUnion)
     const Matrix a1 = randomMatrix(rng, 5, 3, 1.0f);
     const Matrix b1 = randomMatrix(rng, 3, 4, 1.0f);
     array.matmulTile(a1, b1);
-    EXPECT_EQ(array.accumulators().rows(), 5u);
-    EXPECT_EQ(array.accumulators().cols(), 4u);
+    EXPECT_EQ(accumulatorsOf(array).rows(), 5u);
+    EXPECT_EQ(accumulatorsOf(array).cols(), 4u);
 
     // A smaller tile does NOT shrink the live region...
     const Matrix a2 = randomMatrix(rng, 2, 7, 1.0f);
     const Matrix b2 = randomMatrix(rng, 7, 6, 1.0f);
     array.matmulTile(a2, b2);
-    const Matrix acc = array.accumulators();
+    const Matrix acc = accumulatorsOf(array);
     ASSERT_EQ(acc.rows(), 5u);
     ASSERT_EQ(acc.cols(), 6u);
 
@@ -417,8 +418,8 @@ TEST(LiveRegion, MixedTileSizesKeepTheBoundingBoxUnion)
     // drain() clears the region, so a following small tile starts a
     // fresh bounding box.
     array.matmulTile(a2, b2);
-    EXPECT_EQ(array.accumulators().rows(), 2u);
-    EXPECT_EQ(array.accumulators().cols(), 6u);
+    EXPECT_EQ(accumulatorsOf(array).rows(), 2u);
+    EXPECT_EQ(accumulatorsOf(array).cols(), 6u);
 }
 
 TEST(FastForwardFallback, InjectorKeepsRequestedEngineWithUnchangedReplay)
@@ -452,10 +453,10 @@ TEST(FastForwardFallback, InjectorKeepsRequestedEngineWithUnchangedReplay)
         stepped_array.matmulTile(a, b);
     }
     // Bit-identical corruption and an identical deterministic log.
-    expectBitIdentical(fast_array.accumulators(),
-                       stepped_array.accumulators(), "fault acc");
-    expectBitIdentical(validate_array.accumulators(),
-                       stepped_array.accumulators(), "fault acc (val)");
+    expectBitIdentical(accumulatorsOf(fast_array),
+                       accumulatorsOf(stepped_array), "fault acc");
+    expectBitIdentical(accumulatorsOf(validate_array),
+                       accumulatorsOf(stepped_array), "fault acc (val)");
     EXPECT_EQ(fast_injector.eventLogText(),
               stepped_injector.eventLogText());
     EXPECT_EQ(validate_injector.eventLogText(),

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/random.hh"
 #include "common/thread_pool.hh"
+#include "fault/fault_injector.hh"
 #include "numerics/activations.hh"
 #include "numerics/bfloat16.hh"
 #include "numerics/lut.hh"
@@ -280,6 +282,10 @@ TEST(FunctionalSim, Dataflow3BatchParallelMatchesSerial)
 constexpr std::size_t kFullSeq = 128, kFullHidden = 768, kFullHeads = 12,
                       kFullFfn = 3072;
 
+/** Seeds FunctionalSim.AbftRepairsOneFlipAtFullSizeBitForBit's single
+ *  flip. */
+constexpr std::uint64_t kOneFlipSeed = 3;
+
 TEST(FunctionalSim, FullSizeDataflow1Validates)
 {
     Rng rng(41);
@@ -318,6 +324,77 @@ TEST(FunctionalSim, FullSizeDataflow2Validates)
                                         32));
     EXPECT_EQ(sim.gArray().simdCycles(),
               4 * TimingModel::simdPassCycles(kFullSeq, kFullFfn, 32));
+}
+
+/** DF1 at the paper's full size and depth k, ABFT on unless told
+ *  otherwise, on the fast engine: the checksums act on the finished
+ *  tile, whichever engine computed it, and the engines are pinned to
+ *  each other elsewhere. */
+Matrix
+fullSizeAbftDataflow1(FunctionalSimulator &sim, std::size_t k,
+                      std::uint64_t seed, bool abft = true)
+{
+    Rng rng(seed);
+    Matrix bias(1, kFullHidden);
+    bias.fillGaussian(rng, 0.0f, 1.0f);
+    const Matrix a = randomMatrix(rng, kFullSeq, k, 0.5f);
+    const Matrix b = randomMatrix(rng, k, kFullHidden, 0.05f);
+    sim.setMode(FsimMode::Fast);
+    sim.setAbft(AbftOptions{ abft });
+    return sim.dataflow1(a, b, 1.0f, &bias);
+}
+
+TEST(FunctionalSim, AbftFlagsNoCleanTileAtFullDepth)
+{
+    // kRelTolerance claims its margin over fp32 rounding noise at
+    // practical depths: hold it to the encoder's deepest DF1, the FFN
+    // down projection at k = 3072, as well as k = 768.
+    for (std::size_t k : { kFullHidden, kFullFfn }) {
+        FunctionalSimulator sim;
+        fullSizeAbftDataflow1(sim, k, 47);
+        EXPECT_EQ(sim.abftStats().tilesChecked,
+                  (kFullSeq / 64) * (kFullHidden / 64))
+            << "k " << k;
+        EXPECT_EQ(sim.abftStats().tilesFlagged, 0u) << "k " << k;
+    }
+}
+
+TEST(FunctionalSim, AbftRepairsOneFlipAtFullSizeBitForBit)
+{
+    // One seeded transient flip in a 128 x 768 DF1 output (the seed and
+    // rate give exactly one): it is located and corrected, and the
+    // repaired cell drains to the fault-free output bit for bit.
+    FunctionalSimulator clean;
+    const Matrix want = fullSizeAbftDataflow1(clean, kFullHidden, 48);
+    ASSERT_EQ(clean.abftStats().tilesFlagged, 0u);
+
+    CampaignSpec spec;
+    spec.seed = kOneFlipSeed;
+    spec.accFlipRate = 1.0 / static_cast<double>(kFullSeq * kFullHidden);
+    FaultInjector injector(spec);
+    FunctionalSimulator sim;
+    sim.setFaultInjector(&injector);
+    const Matrix got = fullSizeAbftDataflow1(sim, kFullHidden, 48);
+    ASSERT_EQ(injector.events().size(), 1u);
+    // Unrepaired, the flip reaches the output.
+    FaultInjector replay(spec);
+    FunctionalSimulator unchecked;
+    unchecked.setFaultInjector(&replay);
+    const Matrix flipped =
+        fullSizeAbftDataflow1(unchecked, kFullHidden, 48, false);
+    EXPECT_NE(std::memcmp(flipped.data(), want.data(),
+                          want.size() * sizeof(float)),
+              0);
+    const AbftStats &stats = sim.abftStats();
+    EXPECT_EQ(stats.tilesFlagged, 1u);
+    EXPECT_EQ(stats.locatedElements, 1u);
+    EXPECT_EQ(stats.correctedElements, 1u);
+    EXPECT_EQ(stats.ambiguousElements, 0u);
+    EXPECT_EQ(stats.unlocatedTiles, 0u);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(float)),
+              0);
 }
 
 TEST(FunctionalSim, FullSizeDataflow3Validates)

@@ -7,6 +7,7 @@
 #include "numerics/bfloat16.hh"
 #include "systolic/systolic_array.hh"
 #include "systolic/timing_model.hh"
+#include "live_accumulators.hh"
 
 namespace prose {
 namespace {
@@ -32,7 +33,7 @@ TEST_P(ArrayDimSweep, MatmulBitExactAtFullTile)
     const Matrix a = randomMatrix(dim, 3 * dim + 1);
     const Matrix b = randomMatrix(3 * dim + 1, dim);
     array.matmulTile(a, b);
-    EXPECT_EQ(Matrix::maxAbsDiff(array.accumulators(), matmulBf16(a, b)),
+    EXPECT_EQ(Matrix::maxAbsDiff(accumulatorsOf(array), matmulBf16(a, b)),
               0.0f);
 }
 
@@ -45,7 +46,7 @@ TEST_P(ArrayDimSweep, MatmulBitExactAtRaggedTile)
     const Matrix a = randomMatrix(dim - 1, 2 * dim + 3);
     const Matrix b = randomMatrix(2 * dim + 3, dim / 2 + 1);
     array.matmulTile(a, b);
-    EXPECT_EQ(Matrix::maxAbsDiff(array.accumulators(), matmulBf16(a, b)),
+    EXPECT_EQ(Matrix::maxAbsDiff(accumulatorsOf(array), matmulBf16(a, b)),
               0.0f);
 }
 
@@ -127,8 +128,8 @@ TEST_P(ArrayDimSweep, StallingNeverChangesResults)
     SystolicArray slow(ArrayGeometry::mType(dim), 0.3, 0.7);
     fast.matmulTile(a, b);
     slow.matmulTile(a, b);
-    EXPECT_EQ(Matrix::maxAbsDiff(fast.accumulators(),
-                                 slow.accumulators()),
+    EXPECT_EQ(Matrix::maxAbsDiff(accumulatorsOf(fast),
+                                 accumulatorsOf(slow)),
               0.0f);
     EXPECT_GT(slow.stallCycles(), 0u);
 }

@@ -11,6 +11,7 @@
 #include "numerics/lut.hh"
 #include "numerics/matrix.hh"
 #include "systolic/systolic_array.hh"
+#include "live_accumulators.hh"
 
 namespace prose {
 namespace {
@@ -72,7 +73,7 @@ TEST(SimdMode, MulScalarRotationPreservesLayout)
     // One rotation pass = live-column count cycles.
     EXPECT_EQ(cycles, 6u);
     EXPECT_EQ(Matrix::maxAbsDiff(
-                  array.accumulators(),
+                  accumulatorsOf(array),
                   aluReference(acc, SimdOp::MulScalar, 2.5f, nullptr)),
               0.0f);
 }
@@ -84,7 +85,7 @@ TEST(SimdMode, AddScalar)
     const Matrix acc = loadTile(array, rng, 5, 5, 7);
     array.simdScalar(SimdOp::AddScalar, -1.25f);
     EXPECT_EQ(Matrix::maxAbsDiff(
-                  array.accumulators(),
+                  accumulatorsOf(array),
                   aluReference(acc, SimdOp::AddScalar, -1.25f, nullptr)),
               0.0f);
 }
@@ -97,7 +98,7 @@ TEST(SimdMode, AddVectorStreamsColumnsInOriginalOrder)
     const Matrix operand = randomMatrix(rng, 6, 6);
     array.simdVector(SimdOp::AddVector, operand);
     EXPECT_EQ(Matrix::maxAbsDiff(
-                  array.accumulators(),
+                  accumulatorsOf(array),
                   aluReference(acc, SimdOp::AddVector, 0.0f, &operand)),
               0.0f);
 }
@@ -122,7 +123,7 @@ TEST(SimdMode, MulAddSequenceMatchesPaperPrimitive)
             expected(i, j) = quantizeBf16(truncateBf16(scaled) +
                                           quantizeBf16(b(i, j)));
         }
-    EXPECT_EQ(Matrix::maxAbsDiff(array.accumulators(), expected), 0.0f);
+    EXPECT_EQ(Matrix::maxAbsDiff(accumulatorsOf(array), expected), 0.0f);
 }
 
 TEST(SimdMode, PartialTileRotatesOnlyLiveRegion)
@@ -133,7 +134,7 @@ TEST(SimdMode, PartialTileRotatesOnlyLiveRegion)
     const std::uint64_t cycles = array.simdScalar(SimdOp::MulScalar, 3.0f);
     EXPECT_EQ(cycles, 5u); // live columns, not the full array width
     EXPECT_EQ(Matrix::maxAbsDiff(
-                  array.accumulators(),
+                  accumulatorsOf(array),
                   aluReference(acc, SimdOp::MulScalar, 3.0f, nullptr)),
               0.0f);
 }
@@ -146,7 +147,7 @@ TEST(SimdMode, GeluPassMatchesLut)
     array.simdSpecial(SimdOp::Gelu);
 
     const TwoLevelLut &lut = geluLut();
-    const Matrix got = array.accumulators();
+    const Matrix got = accumulatorsOf(array);
     for (std::size_t i = 0; i < 6; ++i)
         for (std::size_t j = 0; j < 6; ++j)
             EXPECT_EQ(got(i, j),
@@ -161,7 +162,7 @@ TEST(SimdMode, ExpPassMatchesLut)
     array.simdSpecial(SimdOp::Exp);
 
     const TwoLevelLut &lut = expLut();
-    const Matrix got = array.accumulators();
+    const Matrix got = accumulatorsOf(array);
     for (std::size_t i = 0; i < 5; ++i)
         for (std::size_t j = 0; j < 5; ++j)
             EXPECT_EQ(got(i, j),
@@ -206,7 +207,7 @@ TEST(SimdMode, DrainReturnsTruncatedTileAndClears)
             EXPECT_EQ(out(i, j), truncateBf16(acc(i, j)));
     // Accumulators are cleared; a fresh tile starts from zero.
     const Matrix fresh = loadTile(array, rng, 2, 2, 3);
-    EXPECT_EQ(Matrix::maxAbsDiff(array.accumulators(), fresh), 0.0f);
+    EXPECT_EQ(Matrix::maxAbsDiff(accumulatorsOf(array), fresh), 0.0f);
 }
 
 TEST(SimdMode, FusedDataflowKeepsIntermediateInAccumulators)
